@@ -220,11 +220,8 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     origin_label, origin_index = _resolve_origin(src, args.origin)
     cfg = _propagation_config(args)
     rho0 = DensityMatrix.basis(src.graph.n_vertices, origin_index)
-    points = [(w, t) for w in omegas for t in ts]
 
-    def run_point(point):
-        omega, t = point
-        liou = build_liouvillian(h, ls, omega)
+    def run_point(liou, omega, t):
         state, info = propagate_detailed(rho0, liou, t, cfg)
         return {
             "omega": float(omega),
@@ -238,11 +235,16 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
             },
         }
 
+    def run_omega(omega):
+        liou = build_liouvillian(h, ls, omega)
+        return [run_point(liou, omega, t) for t in ts]
+
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_point, points))
+            per_omega = list(pool.map(run_omega, omegas))
     else:
-        results = [run_point(p) for p in points]
+        per_omega = [run_omega(w) for w in omegas]
+    results = [entry for entries in per_omega for entry in entries]
     echo = _config_echo(src, args, omegas, ts, origin_label, origin_index)
     return echo, results
 
@@ -369,7 +371,7 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
     parser.add_argument("--graph", required=True, help="line:<sites>:<gamma> or an edge-list file path")
     parser.add_argument("--regime", required=True, choices=REGIMES)
     parser.add_argument("--output", default=None, help="write here instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel grid points (threads)")
+    parser.add_argument("--jobs", type=int, default=1, help="omega values run in parallel (threads)")
     parser.add_argument(
         "--amplitude-convention",
         choices=("sqrt", "literal"),

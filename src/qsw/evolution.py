@@ -7,9 +7,9 @@ single mixing parameter omega in [0, 1]:
               + omega sum_k ( L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho} )
 
 omega = 0 is the purely Hamiltonian walk, omega = 1 the purely dissipative
-one. build_liouvillian realizes this as a dim^2 x dim^2 matrix acting on
-column-stacked states (entry rho[a, alpha] sits at index a + dim * alpha),
-dense below dimension 32 and sparse from there up.
+one. build_liouvillian realizes this as a dim^2 x dim^2 CSR sparse matrix
+acting on column-stacked states (entry rho[a, alpha] sits at index
+a + dim * alpha), assembled by one sparse product for every regime and size.
 
 Propagation never renormalizes. If a propagated state drifts past the
 trace, Hermiticity or positivity budgets the solver raises
@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .operators import Hamiltonian, JumpOperatorSet
 
-SPARSE_DIM_THRESHOLD = 32
 EXPM_DIM_LIMIT = 64
 
 TRACE_BUDGET = 1e-9
@@ -91,6 +89,14 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     @classmethod
+    def _prechecked(cls, arr: np.ndarray) -> "DensityMatrix":
+        """Wrap arr without copying or checking; the caller has checked its invariants."""
+        state = cls.__new__(cls)
+        arr.setflags(write=False)
+        state.entries = arr
+        return state
+
+    @classmethod
     def basis(cls, dim: int, index: int) -> "DensityMatrix":
         """The pure state concentrated on one basis vertex."""
         if not 0 <= index < dim:
@@ -125,17 +131,13 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Superoperator matrix on column-stacked states, plus its sources."""
+    """Superoperator matrix (CSR) on column-stacked states, plus its sources."""
 
     dim: int
     omega: float
     matrix: object
     hamiltonian: Hamiltonian
     jump_operators: JumpOperatorSet
-
-    @property
-    def is_sparse(self) -> bool:
-        return scipy.sparse.issparse(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -206,54 +208,77 @@ def lindblad_rhs(h: Hamiltonian, ls: JumpOperatorSet, omega: float, rho) -> np.n
     return out
 
 
+def _realign(mat: scipy.sparse.csr_matrix, dim: int) -> scipy.sparse.csr_matrix:
+    """Move entry ((a, b), (alpha, beta)) of mat to (a + dim * alpha, b + dim * beta).
+
+    Rows and columns of mat are pairs flattened row-major (a * dim + b).
+    The move is a bijection, so no entries collide. mat is consumed: its
+    index array is overwritten in place to keep the peak memory down.
+    """
+    coo = mat.tocoo(copy=False)
+    rows, cols = coo.row, coo.col
+    ket_cols = rows % dim
+    rows //= dim
+    bra_cols = cols % dim
+    cols //= dim
+    cols *= dim
+    rows += cols
+    bra_cols *= dim
+    ket_cols += bra_cols
+    del bra_cols
+    return scipy.sparse.csr_matrix((coo.data, (rows, ket_cols)), shape=mat.shape)
+
+
 def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liouvillian:
-    """Assemble the superoperator matrix for the interpolated generator.
+    """Assemble the CSR superoperator matrix for the interpolated generator.
 
-    Under column stacking, X rho Y becomes kron(Y.T, X) acting on vec(rho),
-    so the matrix is
+    Under column stacking, X rho Y becomes kron(Y.T, X) acting on vec(rho).
+    With the effective generator G = -i (1 - omega) H - (omega / 2) K,
+    K = sum_k L_k^dag L_k, the matrix is
 
-        -(1 - omega) i (kron(I, H) - kron(H.T, I))
-        + omega sum_k ( kron(conj(L_k), L_k)
-                        - 1/2 kron(I, L_k^dag L_k)
-                        - 1/2 kron((L_k^dag L_k).T, I) )
+        L = kron(I, G) + kron(conj(G), I) + omega R(V V^dag),
 
-    Dense ndarray below dimension 32, CSR sparse at or above it. The kron
-    products are assembled sparsely in that regime; a dense build at
-    dimension 61 costs minutes, the sparse one milliseconds.
+    where column k of V is L_k flattened row-major (entry (a, b) at index
+    a * dim + b) and the realignment R moves entry ((a, b), (alpha, beta))
+    to (a + dim * alpha, b + dim * beta). K is S^dag S for the matrix S
+    that stacks the operators' nonzeros. Because R(vec(G) vec(I)^dag) is
+    kron(I, G) and R(vec(I) vec(G)^dag) is kron(conj(G), I), all three
+    terms come out of one sparse product
+
+        L = R([V, vec(G), vec(I)] [omega V, vec(I), vec(G)]^dag),
+
+    which sums coinciding entries as it goes. Every regime and every size
+    takes this one path.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     if h.dim != ls.dim:
         raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
     dim = h.dim
-    if dim < SPARSE_DIM_THRESHOLD:
-        ident = np.eye(dim, dtype=complex)
-        he = h.entries
-        mat = -(1.0 - omega) * 1j * (np.kron(ident, he) - np.kron(he.T, ident))
-        for op in ls.operators:
-            k = op.conj().T @ op
-            mat += omega * (
-                np.kron(op.conj(), op)
-                - 0.5 * np.kron(ident, k)
-                - 0.5 * np.kron(k.T, ident)
-            )
-        return Liouvillian(dim, float(omega), mat, h, ls)
+    ops = ls.operators if omega > 0.0 else ()
+    # Operator number, row-major index a * dim + b and value of every nonzero.
+    positions = [np.flatnonzero(op != 0) for op in ops]
+    number = np.repeat(np.arange(len(ops)), [p.size for p in positions])
+    index = np.concatenate([np.zeros(0, dtype=np.intp), *positions])
+    values = np.concatenate([np.zeros(0, dtype=complex), *(op.ravel()[p] for op, p in zip(ops, positions))])
 
-    ident = scipy.sparse.identity(dim, dtype=complex, format="csr")
-    he = scipy.sparse.csr_matrix(h.entries)
-    mat = -(1.0 - omega) * 1j * (
-        scipy.sparse.kron(ident, he, format="csr")
-        - scipy.sparse.kron(he.T, ident, format="csr")
-    )
-    for op in ls.operators:
-        sop = scipy.sparse.csr_matrix(op)
-        k = (sop.conj().T @ sop).tocsr()
-        mat = mat + omega * (
-            scipy.sparse.kron(sop.conj(), sop, format="csr")
-            - 0.5 * scipy.sparse.kron(ident, k, format="csr")
-            - 0.5 * scipy.sparse.kron(k.T, ident, format="csr")
+    gen = scipy.sparse.csr_matrix(h.entries) * (-1j * (1.0 - omega))
+    if values.size:
+        stacked = scipy.sparse.csr_matrix(
+            (values, (number * dim + index // dim, index % dim)), shape=(len(ops) * dim, dim)
         )
-    return Liouvillian(dim, float(omega), mat.tocsr(), h, ls)
+        gen = gen - (0.5 * omega) * (stacked.conj().T @ stacked)
+    gen = gen.tocoo()
+
+    g_col, i_col = len(ops), len(ops) + 1
+    rows = np.concatenate([index, gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)])
+    cols = np.concatenate([number, np.full(gen.nnz, g_col), np.full(dim, i_col)])
+    swapped = np.concatenate([number, np.full(gen.nnz, i_col), np.full(dim, g_col)])
+    shape = (dim * dim, len(ops) + 2)
+    left = scipy.sparse.csr_matrix((np.concatenate([values, gen.data, np.ones(dim)]), (rows, cols)), shape=shape)
+    right = scipy.sparse.csr_matrix((np.concatenate([omega * values, gen.data, np.ones(dim)]), (rows, swapped)), shape=shape)
+    mat = _realign(left @ right.conj().T, dim)
+    return Liouvillian(dim, float(omega), mat, h, ls)
 
 
 def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
@@ -295,10 +320,7 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float, 
 
     vec0 = vectorize_state(rho0.entries)
     if method == "matrix-exponential":
-        if liouvillian.is_sparse:
-            vec_t = scipy.sparse.linalg.expm_multiply(liouvillian.matrix * t, vec0)
-        else:
-            vec_t = scipy.linalg.expm(liouvillian.matrix * t) @ vec0
+        vec_t = scipy.sparse.linalg.expm_multiply(liouvillian.matrix * t, vec0)
         steps = 1
     else:
         mat = liouvillian.matrix
@@ -322,9 +344,10 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float, 
         vec_t = stepper.y
 
     arr = unvectorize_state(vec_t, dim)
+    # The budgets are the DensityMatrix checks at the solver tolerances, so
+    # the state is checked once, here.
     trace_drift, herm_drift, min_eig = _check_budgets(arr, f"propagated state at t={t} violated budgets")
-    state = DensityMatrix(arr, herm_tol=HERMITICITY_BUDGET, trace_tol=TRACE_BUDGET, eig_floor=EIGENVALUE_FLOOR)
-    return state, PropagationInfo(method, steps, trace_drift, herm_drift, min_eig)
+    return DensityMatrix._prechecked(arr), PropagationInfo(method, steps, trace_drift, herm_drift, min_eig)
 
 
 def propagate(rho0: DensityMatrix, liouvillian: Liouvillian, t: float, cfg: PropagationConfig | None = None) -> DensityMatrix:

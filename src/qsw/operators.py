@@ -35,6 +35,14 @@ CUSTOM = "custom"
 
 
 def _frozen_complex(entries) -> np.ndarray:
+    """entries as a read-only complex array.
+
+    An array that is already read-only, complex and owns its data is
+    shared; anything else is copied, so a caller's array is never frozen
+    or aliased.
+    """
+    if type(entries) is np.ndarray and entries.dtype == complex and not entries.flags.writeable and entries.base is None:
+        return entries
     arr = np.array(entries, dtype=complex)
     arr.setflags(write=False)
     return arr
@@ -125,6 +133,7 @@ def edge_jump_operators(m: GeneratorMatrix, amplitude: str = "sqrt") -> JumpOper
                 value = rate
             op = np.zeros((m.dim, m.dim), dtype=complex)
             op[row, col] = value
+            op.setflags(write=False)
             ops.append(op)
     return JumpOperatorSet(m.dim, tuple(ops), EDGE_LOCAL)
 
@@ -139,6 +148,7 @@ def global_jump_operator(m: GeneratorMatrix, parts: str = "full") -> JumpOperato
     op = np.array(m.entries, dtype=complex)
     if parts == "offdiagonal":
         np.fill_diagonal(op, 0.0)
+    op.setflags(write=False)
     return JumpOperatorSet(m.dim, (op,), GLOBAL)
 
 

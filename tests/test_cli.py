@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qsw.cli as cli
-from qsw.evolution import PropagationError
+from qsw.evolution import PropagationError, build_liouvillian
 from qsw.oracles import LineWalkSpec, crw_line_analytic
 
 
@@ -70,6 +70,20 @@ class TestSimulate:
         assert rc == 0
         doc = json.loads(text)
         assert [r["t"] for r in doc["results"]] == [0.0, 1.0, 2.0]
+
+    def test_time_grid_builds_once_per_omega(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build(h, ls, omega):
+            built.append(omega)
+            return build_liouvillian(h, ls, omega)
+
+        monkeypatch.setattr(cli, "build_liouvillian", counting_build)
+        rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3")
+        assert rc == 0
+        assert built == [0.0, 1.0]
+        doc = json.loads(text)
+        assert [(r["omega"], r["t"]) for r in doc["results"]] == [(w, t) for w in (0.0, 1.0) for t in (0.0, 1.0, 2.0)]
 
     def test_bad_graph_spec(self, tmp_path):
         rc, _ = run(tmp_path, "simulate", "--graph", "line:banana", "--regime", "qw")

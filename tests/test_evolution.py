@@ -21,6 +21,7 @@ from qsw.evolution import (
 from qsw.graph import build_line, classical_generator, from_edge_list
 from qsw.operators import (
     Hamiltonian,
+    JumpOperatorSet,
     edge_jump_operators,
     empty_jump_operators,
     global_jump_operator,
@@ -142,7 +143,7 @@ class TestBuildLiouvillian:
     def test_commutator_spectrum(self):
         h = Hamiltonian([[0.0, 1.0], [1.0, 0.0]])
         liou = build_liouvillian(h, empty_jump_operators(2), 0.0)
-        eigs = np.linalg.eigvals(liou.matrix)
+        eigs = np.linalg.eigvals(liou.matrix.toarray())
         eigs = eigs[np.argsort(eigs.imag)]
         assert np.allclose(eigs, [-2j, 0.0, 0.0, 2j], atol=1e-12)
 
@@ -160,11 +161,40 @@ class TestBuildLiouvillian:
                 residual = vec_identity.conj() @ liou.matrix
                 assert np.abs(residual).max() <= 1e-10
 
-    def test_sparse_selection_by_dimension(self):
-        _, _, m31, h31 = line_setup(31)
-        assert not build_liouvillian(h31, edge_jump_operators(m31), 0.5).is_sparse
-        _, _, m33, h33 = line_setup(33)
-        assert build_liouvillian(h33, edge_jump_operators(m33), 0.5).is_sparse
+    def test_matches_explicit_kron_formula(self):
+        rng = np.random.default_rng(41)
+        for dim in (2, 7, 31, 33):
+            g = from_edge_list(dim, [(i, i + 1) for i in range(dim - 1)])
+            m = classical_generator(g)
+            h = hamiltonian_from_generator(m)
+            custom = []
+            for _ in range(3):
+                op = np.zeros((dim, dim), dtype=complex)
+                for _ in range(4):
+                    op[rng.integers(dim), rng.integers(dim)] += rng.standard_normal() + 1j * rng.standard_normal()
+                custom.append(op)
+            sets = (
+                edge_jump_operators(m),
+                global_jump_operator(m),
+                empty_jump_operators(dim),
+                JumpOperatorSet(dim, tuple(custom), "custom"),
+            )
+            ident = np.eye(dim, dtype=complex)
+            he = h.entries
+            commutator = np.kron(ident, he) - np.kron(he.T, ident)
+            for ls in sets:
+                k = np.zeros((dim, dim), dtype=complex)
+                dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
+                for op in ls.operators:
+                    k += op.conj().T @ op
+                    dissipator += np.kron(op.conj(), op)
+                dissipator -= 0.5 * np.kron(ident, k) + 0.5 * np.kron(k.T, ident)
+                scale = max(1.0, np.abs(dissipator).max())
+                for omega in (0.0, 0.3, 1.0):
+                    built = build_liouvillian(h, ls, omega).matrix
+                    assert built.format == "csr"
+                    expected = -(1.0 - omega) * 1j * commutator + omega * dissipator
+                    assert np.abs(built.toarray() - expected).max() <= 1e-14 * scale, (dim, ls.regime_tag, omega)
 
     def test_dense_and_sparse_agree(self):
         _, _, m, h = line_setup(33)

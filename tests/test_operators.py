@@ -114,6 +114,20 @@ class TestJumpOperatorConstructions:
         with pytest.raises(ValueError):
             JumpOperatorSet(2, (np.zeros((3, 3)),), "custom")
 
+    def test_caller_arrays_stay_writeable_and_frozen_ones_are_shared(self):
+        op = np.zeros((2, 2), dtype=complex)
+        ls = JumpOperatorSet(2, (op,), "custom")
+        h_entries = np.zeros((2, 2), dtype=complex)
+        h = Hamiltonian(h_entries)
+        assert op.flags.writeable and h_entries.flags.writeable
+        op[0, 1] = 1.0
+        h_entries[0, 0] = 1.0
+        assert ls.operators[0][0, 1] == 0.0 and h.entries[0, 0] == 0.0
+        # Already read-only complex operators (as the edge-local set builds
+        # them) are held once, not copied.
+        edge = edge_jump_operators(line_setup(3)[1])
+        assert all(a is b for a, b in zip(JumpOperatorSet(3, edge.operators, "custom").operators, edge.operators))
+
 
 class TestTensorElement:
     def test_matches_rhs_on_basis_matrices(self):
