@@ -22,11 +22,9 @@ from .discrete import (
 from .evolution import (
     DensityMatrix,
     Liouvillian,
-    PropagationConfig,
     PropagationError,
     PropagationInfo,
     StateInvariantError,
-    ToleranceError,
     build_liouvillian,
     coherence_l1,
     lindblad_rhs,
@@ -84,13 +82,11 @@ __all__ = [
     "LineIndexMap",
     "LineWalkSpec",
     "Liouvillian",
-    "PropagationConfig",
     "PropagationError",
     "PropagationInfo",
     "StateInvariantError",
     "StochasticMatrix",
     "TensorElement",
-    "ToleranceError",
     "apply_map",
     "audit_axioms",
     "axiom_rate",

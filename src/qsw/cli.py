@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from . import __version__
 from .evolution import (
     DensityMatrix,
-    PropagationConfig,
     PropagationError,
     build_liouvillian,
     coherence_l1,
@@ -123,10 +121,18 @@ def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 4:
                 raise CliError(f"operator {op_index}: entries must be [row, col, re, im], got {entry!r}")
-            row, col, re_part, im_part = entry
-            if not 0 <= int(row) < dim or not 0 <= int(col) < dim:
+            try:
+                row, col, re_part, im_part = [float(x) for x in entry]
+            except (TypeError, ValueError, OverflowError):
+                raise CliError(f"operator {op_index}: entries must be numbers, got {entry!r}") from None
+            if not np.isfinite([row, col, re_part, im_part]).all():
+                raise CliError(f"operator {op_index}: entry {entry!r} is not finite")
+            if not (row.is_integer() and col.is_integer()):
+                raise CliError(f"operator {op_index}: indices must be integers, got {entry!r}")
+            row, col = int(row), int(col)
+            if not (0 <= row < dim and 0 <= col < dim):
                 raise CliError(f"operator {op_index}: index ({row}, {col}) out of range for dim {dim}")
-            arr[int(row), int(col)] = float(re_part) + 1j * float(im_part)
+            arr[row, col] = re_part + 1j * im_part
         ops.append(arr)
     return JumpOperatorSet(dim, tuple(ops), CUSTOM)
 
@@ -171,19 +177,6 @@ def _position_labels(src: GraphSource) -> list[int]:
     return list(range(src.graph.n_vertices))
 
 
-def _propagation_config(args) -> PropagationConfig:
-    try:
-        return PropagationConfig(
-            method=args.method,
-            rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol,
-            max_step=args.max_step,
-            validate_every=args.validate_every,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _config_echo(src: GraphSource, args, omegas, ts, origin_label, origin_index) -> dict:
     echo = {
         "graph": src.source,
@@ -194,12 +187,6 @@ def _config_echo(src: GraphSource, args, omegas, ts, origin_label, origin_index)
         "origin_index": origin_index,
         "amplitude_convention": args.amplitude_convention,
         "global_l": args.global_l,
-        "method": args.method,
-        "rel_tol": float(args.rel_tol),
-        "abs_tol": float(args.abs_tol),
-        "max_step": None if args.max_step is None else float(args.max_step),
-        "validate_every": int(args.validate_every),
-        "jobs": int(args.jobs),
         "positions": _position_labels(src),
     }
     if args.regime == "qsw-custom":
@@ -218,11 +205,10 @@ def _emit(text: str, output: str | None) -> None:
 def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     h, ls = _build_operators(src, args)
     origin_label, origin_index = _resolve_origin(src, args.origin)
-    cfg = _propagation_config(args)
     rho0 = DensityMatrix.basis(src.graph.n_vertices, origin_index)
 
     def run_point(liou, omega, t):
-        state, info = propagate_detailed(rho0, liou, t, cfg)
+        state, info = propagate_detailed(rho0, liou, t)
         return {
             "omega": float(omega),
             "t": float(t),
@@ -235,16 +221,10 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
             },
         }
 
-    def run_omega(omega):
+    results = []
+    for omega in omegas:
         liou = build_liouvillian(h, ls, omega)
-        return [run_point(liou, omega, t) for t in ts]
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_omega = list(pool.map(run_omega, omegas))
-    else:
-        per_omega = [run_omega(w) for w in omegas]
-    results = [entry for entries in per_omega for entry in entries]
+        results.extend(run_point(liou, omega, t) for t in ts)
     echo = _config_echo(src, args, omegas, ts, origin_label, origin_index)
     return echo, results
 
@@ -367,11 +347,10 @@ def _default_omega(regime: str) -> float:
     return 0.0 if regime == "qw" else 1.0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_origin: bool) -> None:
     parser.add_argument("--graph", required=True, help="line:<sites>:<gamma> or an edge-list file path")
     parser.add_argument("--regime", required=True, choices=REGIMES)
     parser.add_argument("--output", default=None, help="write here instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1, help="omega values run in parallel (threads)")
     parser.add_argument(
         "--amplitude-convention",
         choices=("sqrt", "literal"),
@@ -385,12 +364,7 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
         help="global operator: generator entrywise (default) or with the diagonal zeroed",
     )
     parser.add_argument("--jump-file", default=None, help="JSON jump operators for regime qsw-custom")
-    if with_solver:
-        parser.add_argument("--method", choices=("auto", "matrix-exponential", "adaptive-rk"), default="auto")
-        parser.add_argument("--rel-tol", type=float, default=1e-9)
-        parser.add_argument("--abs-tol", type=float, default=1e-12)
-        parser.add_argument("--max-step", type=float, default=None)
-        parser.add_argument("--validate-every", type=int, default=0)
+    if with_origin:
         parser.add_argument("--origin", type=int, default=None, help="start vertex: signed position on lines, index otherwise")
 
 
@@ -400,26 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="propagate one scenario")
-    _add_common(p_sim, with_solver=True)
+    _add_common(p_sim, with_origin=True)
     p_sim.add_argument("--omega", default=None, help="mixing parameter, or grid start:stop:count")
     p_sim.add_argument("--t", default="5", help="evolution time, or grid start:stop:count")
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="omega sweep")
-    _add_common(p_sweep, with_solver=True)
+    _add_common(p_sweep, with_origin=True)
     p_sweep.add_argument("--omega", default=None, help="grid start:stop:count (required)")
     p_sweep.add_argument("--t", default="5", help="evolution time (single value)")
     p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="axiom formulas vs the full tensor")
-    _add_common(p_audit, with_solver=False)
+    _add_common(p_audit, with_origin=False)
     p_audit.add_argument("--tol", type=float, default=1e-10)
     p_audit.set_defaults(func=cmd_audit)
 
     p_cmp = sub.add_parser("compare", help="distances from the line-walk oracles")
-    _add_common(p_cmp, with_solver=True)
+    _add_common(p_cmp, with_origin=True)
     p_cmp.add_argument("--omega", default=None, help="mixing parameter (single value)")
     p_cmp.add_argument("--t", default="5", help="evolution time (single value)")
     p_cmp.add_argument("--format", choices=("json", "csv"), default="json")

@@ -11,6 +11,11 @@ one. build_liouvillian realizes this as a dim^2 x dim^2 CSR sparse matrix
 acting on column-stacked states (entry rho[a, alpha] sits at index
 a + dim * alpha), assembled by one sparse product for every regime and size.
 
+The generator is linear and time-independent, so propagation is the action
+of its exponential, exp(t L) vec(rho0), computed by
+scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput.
+33, 2011) at every size.
+
 Propagation never renormalizes. If a propagated state drifts past the
 trace, Hermiticity or positivity budgets the solver raises
 StateInvariantError with the measured drifts, because silent repair would
@@ -22,13 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .operators import Hamiltonian, JumpOperatorSet
-
-EXPM_DIM_LIMIT = 64
 
 TRACE_BUDGET = 1e-9
 HERMITICITY_BUDGET = 1e-10
@@ -37,10 +39,6 @@ EIGENVALUE_FLOOR = -1e-9
 
 class PropagationError(RuntimeError):
     """Base class for solver failures."""
-
-
-class ToleranceError(PropagationError):
-    """The integrator could not meet the requested tolerances."""
 
 
 class StateInvariantError(PropagationError):
@@ -138,32 +136,6 @@ class Liouvillian:
     matrix: object
     hamiltonian: Hamiltonian
     jump_operators: JumpOperatorSet
-
-
-@dataclass(frozen=True)
-class PropagationConfig:
-    """Solver selection and tolerances.
-
-    method "auto" picks matrix-exponential up to dimension 64 and the
-    adaptive Runge-Kutta 5(4) integrator beyond. validate_every > 0 makes
-    the RK path re-check state budgets every that many accepted steps.
-    """
-
-    method: str = "auto"
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float | None = None
-    validate_every: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("auto", "matrix-exponential", "adaptive-rk"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
-        if self.validate_every < 0:
-            raise ValueError("validate_every must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -295,63 +267,32 @@ def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
     return trace_drift, herm_drift, min_eig
 
 
-def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float, cfg: PropagationConfig | None = None) -> tuple[DensityMatrix, PropagationInfo]:
-    """Evolve rho0 for time t and report solver diagnostics.
+def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> tuple[DensityMatrix, PropagationInfo]:
+    """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
-    Final states (and intermediate ones, when validate_every is set) must
-    stay within the trace, Hermiticity and positivity budgets or the call
-    raises StateInvariantError rather than returning a repaired state.
+    The final state must stay within the trace, Hermiticity and positivity
+    budgets or the call raises StateInvariantError rather than returning a
+    repaired state.
     """
-    if cfg is None:
-        cfg = PropagationConfig()
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
-    dim = liouvillian.dim
 
     if t == 0:
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    method = cfg.method
-    if method == "auto":
-        method = "matrix-exponential" if dim <= EXPM_DIM_LIMIT else "adaptive-rk"
-
-    vec0 = vectorize_state(rho0.entries)
-    if method == "matrix-exponential":
-        vec_t = scipy.sparse.linalg.expm_multiply(liouvillian.matrix * t, vec0)
-        steps = 1
-    else:
-        mat = liouvillian.matrix
-        stepper = scipy.integrate.RK45(
-            lambda _, y: mat @ y,
-            0.0,
-            vec0,
-            t,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step if cfg.max_step is not None else np.inf,
-        )
-        steps = 0
-        while stepper.status == "running":
-            stepper.step()
-            steps += 1
-            if cfg.validate_every and steps % cfg.validate_every == 0:
-                _check_budgets(unvectorize_state(stepper.y, dim), f"state budgets violated at step {steps}")
-        if stepper.status == "failed":
-            raise ToleranceError(f"adaptive integrator failed after {steps} steps")
-        vec_t = stepper.y
-
-    arr = unvectorize_state(vec_t, dim)
+    vec_t = scipy.sparse.linalg.expm_multiply(liouvillian.matrix * t, vectorize_state(rho0.entries))
+    arr = unvectorize_state(vec_t, liouvillian.dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.
     trace_drift, herm_drift, min_eig = _check_budgets(arr, f"propagated state at t={t} violated budgets")
-    return DensityMatrix._prechecked(arr), PropagationInfo(method, steps, trace_drift, herm_drift, min_eig)
+    return DensityMatrix._prechecked(arr), PropagationInfo("matrix-exponential", 1, trace_drift, herm_drift, min_eig)
 
 
-def propagate(rho0: DensityMatrix, liouvillian: Liouvillian, t: float, cfg: PropagationConfig | None = None) -> DensityMatrix:
-    state, _ = propagate_detailed(rho0, liouvillian, t, cfg)
+def propagate(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> DensityMatrix:
+    state, _ = propagate_detailed(rho0, liouvillian, t)
     return state
 
 

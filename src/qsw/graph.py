@@ -19,8 +19,8 @@ class Graph:
     """Undirected weighted graph on vertices 0..n_vertices-1.
 
     Edges are stored as canonical (u, v) pairs with u < v, sorted, with a
-    parallel tuple of strictly positive rates (units: 1/time). Instances
-    are immutable and safe to share across threads.
+    parallel tuple of finite, strictly positive rates (units: 1/time).
+    Instances are immutable and safe to share across threads.
     """
 
     n_vertices: int
@@ -45,8 +45,8 @@ class Graph:
                 raise ValueError(f"duplicate edge {pair}")
             seen.add(pair)
             w = float(w)
-            if not w > 0:
-                raise ValueError(f"edge {pair} has nonpositive weight {w}")
+            if not (w > 0 and np.isfinite(w)):
+                raise ValueError(f"edge {pair} has weight {w}; weights must be finite and positive")
             canonical.append((pair, w))
         canonical.sort()
         object.__setattr__(self, "edges", tuple(pair for pair, _ in canonical))
@@ -127,7 +127,7 @@ def from_edge_list(n_vertices: int, edges) -> Graph:
     """Build a Graph from (u, v, weight) triples; weight may be omitted (:= 1).
 
     Duplicate pairs in either order, self-loops, out-of-range indices and
-    nonpositive weights are rejected.
+    nonpositive or non-finite weights are rejected.
     """
     pairs, weights = [], []
     for item in edges:
@@ -240,8 +240,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for {n_vertices} vertices")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
-        if not w > 0:
-            raise ValueError(f"line {lineno}: edge weight must be positive, got {w}")
+        if not (w > 0 and np.isfinite(w)):
+            raise ValueError(f"line {lineno}: edge weight must be finite and positive, got {w}")
         triples.append((u, v, w))
     if n_vertices is None:
         raise ValueError("edge list has no 'vertices N' header")

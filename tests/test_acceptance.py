@@ -17,7 +17,6 @@ import numpy as np
 from qsw.discrete import kraus_from_stochastic, iterate_map, StochasticMatrix
 from qsw.evolution import (
     DensityMatrix,
-    PropagationConfig,
     build_liouvillian,
     lindblad_rhs,
     populations,
@@ -297,7 +296,7 @@ def test_criterion_10_sweep_output_is_byte_identical(tmp_path):
     command = [base] if base else [sys.executable, "-m", "qsw.cli"]
     args = command + [
         "sweep", "--graph", "line:21:1", "--regime", "crw",
-        "--omega", "0:1:5", "--t", "2", "--jobs", "3",
+        "--omega", "0:1:5", "--t", "2",
     ]
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"

@@ -37,6 +37,13 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, ((0, 1),), (-2.0,))
 
+    def test_rejects_non_finite_weight(self):
+        for w in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                Graph(3, ((0, 1),), (w,))
+        with pytest.raises(ValueError, match="finite"):
+            build_line(5, float("inf"))
+
     def test_neighbors_and_degree(self):
         g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         assert g.neighbors(0) == (1, 2, 3)
@@ -160,6 +167,10 @@ vertices 4
     def test_zero_weight_rejected_with_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_edge_list("vertices 3\n0 1\n1 2 0\n")
+
+    def test_infinite_weight_rejected_with_line_number(self):
+        with pytest.raises(ValueError, match="line 3: edge weight must be finite"):
+            parse_edge_list("vertices 3\n0 1\n1 2 inf\n")
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="line 2"):
