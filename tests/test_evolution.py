@@ -197,6 +197,19 @@ class TestBuildLiouvillian:
                     expected = -(1.0 - omega) * 1j * commutator + omega * dissipator
                     assert np.abs(built.toarray() - expected).max() <= 1e-14 * scale, (dim, ls.regime_tag, omega)
 
+    def test_dense_and_sparse_agree(self):
+        _, _, m, h = line_setup(33)
+        ls = edge_jump_operators(m)
+        sparse = build_liouvillian(h, ls, 0.6).matrix.toarray()
+
+        ident = np.eye(33, dtype=complex)
+        he = h.entries
+        dense = -0.4j * (np.kron(ident, he) - np.kron(he.T, ident))
+        for op in ls.operators:
+            k = op.conj().T @ op
+            dense += 0.6 * (np.kron(op.conj(), op) - 0.5 * np.kron(ident, k) - 0.5 * np.kron(k.T, ident))
+        assert np.abs(sparse - dense).max() <= 1e-13
+
     def test_matches_rhs_on_random_states(self):
         rng = np.random.default_rng(23)
         _, _, m, h = line_setup(5)
