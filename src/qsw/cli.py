@@ -64,8 +64,14 @@ class GraphSource:
     gamma: float | None
 
 
+def _require_finite(name: str, text: str, *values: float) -> None:
+    """nan and inf would otherwise fail only deep inside the solver."""
+    if not np.isfinite(values).all():
+        raise CliError(f"--{name} must be finite, got {text!r}")
+
+
 def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
-    """A bare float, or a start:stop:count grid. Returns (values, was_grid)."""
+    """A bare finite float, or a start:stop:count grid with finite ends. Returns (values, was_grid)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -76,11 +82,14 @@ def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
             raise CliError(f"cannot parse {name} grid {text!r}: {exc}") from None
         if count < 2:
             raise CliError(f"{name} grid count must be at least 2, got {count}")
+        _require_finite(name, text, start, stop)
         return [float(v) for v in np.linspace(start, stop, count)], True
     try:
-        return [float(text)], False
+        value = float(text)
     except ValueError as exc:
         raise CliError(f"cannot parse {name} value {text!r}: {exc}") from None
+    _require_finite(name, text, value)
+    return [value], False
 
 
 def _load_graph(source: str) -> GraphSource:

@@ -8,7 +8,8 @@ from the classical generator M:
 - a single global jump operator equal to M entrywise,
 - the empty set (purely Hamiltonian walk).
 
-tensor_element evaluates the master equation's transition tensor
+tensor_element evaluates one element of the master equation's transition
+tensor
 
     T[(a, alpha), (b, beta)] = delta_(alpha beta) <a|(-iH - K/2)|b>
                              + delta_(a b) <beta|(iH - K/2)|alpha>
@@ -16,8 +17,11 @@ tensor_element evaluates the master equation's transition tensor
 
 with K = sum_k L_k^dag L_k and the Hamiltonian terms applied exactly once.
 axiom_rate evaluates the six closed-form rates a graph-constrained walk
-generator exhibits on vertex neighborhoods, and audit_axioms cross-checks
-the two element by element over a whole graph.
+generator exhibits on vertex neighborhoods. audit_axioms builds the whole
+tensor by one contraction over the stacked operators, cross-checks the
+axiom formulas against it on every neighborhood, checks locality with
+adjacency masks, and checks the tensor against the superoperator the
+evolution module builds for propagation.
 """
 
 from __future__ import annotations
@@ -99,6 +103,10 @@ class JumpOperatorSet:
         for op in self.operators:
             k += op.conj().T @ op
         return k
+
+    def stacked(self) -> np.ndarray:
+        """The operators as one (k, dim, dim) array; (0, dim, dim) for the empty set."""
+        return np.array(self.operators, dtype=complex).reshape(len(self.operators), self.dim, self.dim)
 
 
 def hamiltonian_from_generator(m: GeneratorMatrix) -> Hamiltonian:
@@ -206,23 +214,17 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     return TensorElement(a, alpha, b, beta, value)
 
 
-def _axiom_value(h_entries, ops, overlap, axiom, m, n, l) -> complex:
-    jump = 0.0 + 0.0j
+def _axiom_value(h_entries, stacked, overlap, axiom, m, n, l) -> complex:
+    """Closed-form rate of one axiom; stacked is the (k, dim, dim) operator array."""
     if axiom == 1:
-        for op in ops:
-            jump += op[m, m] * np.conj(op[m, m])
-        return complex(jump - overlap[m, m])
+        return complex(stacked[:, m, m] @ np.conj(stacked[:, m, m]) - overlap[m, m])
     if axiom == 2:
-        for op in ops:
-            jump += op[n, m] * np.conj(op[n, m])
-        return complex(jump)
+        return complex(stacked[:, n, m] @ np.conj(stacked[:, n, m]))
     if axiom == 3:
-        for op in ops:
-            jump += op[m, m] * np.conj(op[n, m])
+        jump = stacked[:, m, m] @ np.conj(stacked[:, n, m])
         return complex(jump + 1j * h_entries[m, n] - 0.5 * overlap[m, n])
     if axiom == 4:
-        for op in ops:
-            jump += op[m, m] * np.conj(op[n, n])
+        jump = stacked[:, m, m] @ np.conj(stacked[:, n, n])
         return complex(
             jump
             - 1j * h_entries[m, m]
@@ -231,13 +233,10 @@ def _axiom_value(h_entries, ops, overlap, axiom, m, n, l) -> complex:
             - 0.5 * overlap[n, n]
         )
     if axiom == 5:
-        for op in ops:
-            jump += op[l, m] * np.conj(op[n, n])
+        jump = stacked[:, l, m] @ np.conj(stacked[:, n, n])
         return complex(jump - 1j * h_entries[l, m] - 0.5 * overlap[l, m])
     # axiom 6
-    for op in ops:
-        jump += op[l, m] * np.conj(op[n, m])
-    return complex(jump)
+    return complex(stacked[:, l, m] @ np.conj(stacked[:, n, m]))
 
 
 def axiom_canonical_indices(axiom: int, m: int, n: int | None, l: int | None) -> tuple[int, int, int, int]:
@@ -286,7 +285,7 @@ def axiom_rate(h: Hamiltonian, ls: JumpOperatorSet, axiom: int, m: int, n: int |
         l = _check_index("l", l, h.dim)
         if l == m or l == n:
             raise ValueError("l, m, n must be pairwise distinct")
-    value = _axiom_value(h.entries, ls.operators, ls.overlap_sum(), axiom, m, n, l)
+    value = _axiom_value(h.entries, ls.stacked(), ls.overlap_sum(), axiom, m, n, l)
     return TensorElement(*axiom_canonical_indices(axiom, m, n, l), value)
 
 
@@ -309,6 +308,8 @@ class AxiomAuditReport:
     population-transfer elements must vanish identically in every regime;
     full move-locality (every index motion follows an edge) is a theorem
     only for the edge-local and empty sets, and is checked there.
+    max_superoperator_deviation is the largest entrywise difference
+    between the tensor and the propagator's superoperator L_H + L_D.
     """
 
     regime: str
@@ -318,6 +319,7 @@ class AxiomAuditReport:
     comparisons: int
     max_formula_deviation: float
     max_hermiticity_deviation: float
+    max_superoperator_deviation: float
     max_nonadjacent_transfer: float
     move_locality_checked: bool
     max_nonlocal_element: float
@@ -335,6 +337,7 @@ class AxiomAuditReport:
             "comparisons": self.comparisons,
             "max_formula_deviation": self.max_formula_deviation,
             "max_hermiticity_deviation": self.max_hermiticity_deviation,
+            "max_superoperator_deviation": self.max_superoperator_deviation,
             "max_nonadjacent_transfer": self.max_nonadjacent_transfer,
             "move_locality_checked": self.move_locality_checked,
             "max_nonlocal_element": self.max_nonlocal_element,
@@ -345,35 +348,52 @@ class AxiomAuditReport:
         }
 
 
+def _transition_tensor(h_entries: np.ndarray, stacked: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """The whole tensor T[a, alpha, b, beta] from the (k, dim, dim) operator stack.
+
+    The jump part sum_k L_k[a, b] conj(L_k[alpha, beta]) is one contraction;
+    the two delta terms are added on the alpha == beta and a == b slices.
+    """
+    tensor = np.einsum("kab,kcd->acbd", stacked, stacked.conj())
+    diag = np.arange(h_entries.shape[0])
+    # tensor[:, i, :, i] is indexed [i, a, b]; tensor[i, :, i, :] is [i, alpha, beta].
+    tensor[:, diag, :, diag] += -1j * h_entries - 0.5 * overlap
+    tensor[diag, :, diag, :] += (1j * h_entries - 0.5 * overlap).T
+    return tensor
+
+
 def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-10) -> AxiomAuditReport:
     """Verify the axiom formulas against the full transition tensor.
 
-    Evaluates every tensor element of the graph (dim^4 tuples) and checks:
+    Builds every tensor element of the graph (dim^4 tuples) with one
+    contraction over the stacked operators, then checks:
 
     - each axiom formula equals its tensor element on every applicable
       neighborhood tuple, and the conjugate tuple equals the conjugate;
     - the tensor is Hermitian as a map: T(a,alpha,b,beta) agrees with
       conj(T(alpha,a,beta,b)) everywhere;
+    - the tensor, permuted to column-stacked order, equals L_H + L_D as
+      build_liouvillian assembles them for propagation;
     - population transfer between non-adjacent vertices is exactly zero;
     - for the edge-local and empty sets, any element that moves an index
       off an edge is exactly zero (the global set provably spills to
       distance two through its L^dag L term, so it is exempt);
     - axiom 6 activity is reported with its nonzero tuples.
+
+    The locality checks are boolean masks over the tensor built from the
+    adjacency matrix; their failures are listed in lexicographic index order.
     """
+    # evolution imports this module, so the production build is imported here.
+    from .evolution import build_liouvillian
+
     dim = g.n_vertices
     if h.dim != dim or ls.dim != dim:
         raise ValueError("Hamiltonian, operators and graph dimensions must agree")
     adjacency = g.weight_matrix() != 0
     h_entries = h.entries
-    ops = ls.operators
+    stacked = ls.stacked()
     overlap = ls.overlap_sum()
-
-    tensor = np.empty((dim, dim, dim, dim), dtype=complex)
-    for a in range(dim):
-        for alpha in range(dim):
-            for b in range(dim):
-                for beta in range(dim):
-                    tensor[a, alpha, b, beta] = _tensor_value(h_entries, ops, overlap, a, alpha, b, beta)
+    tensor = _transition_tensor(h_entries, stacked, overlap)
 
     failures = []
     comparisons = 0
@@ -382,7 +402,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     def compare(axiom, m, n, l):
         nonlocal comparisons, max_formula_dev
         indices = axiom_canonical_indices(axiom, m, n, l)
-        formula = _axiom_value(h_entries, ops, overlap, axiom, m, n, l)
+        formula = _axiom_value(h_entries, stacked, overlap, axiom, m, n, l)
         for idx, expected in (
             (indices, formula),
             ((indices[1], indices[0], indices[3], indices[2]), np.conj(formula)),
@@ -407,7 +427,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
                     continue
                 compare(5, m, n, l)
                 compare(6, m, n, l)
-                strength = abs(_axiom_value(h_entries, ops, overlap, 6, m, n, l))
+                strength = abs(_axiom_value(h_entries, stacked, overlap, 6, m, n, l))
                 axiom6_max = max(axiom6_max, strength)
                 if strength > tol:
                     axiom6_nonzero.append((l, n, m, strength))
@@ -416,29 +436,28 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     if herm_dev > tol:
         failures.append(AuditFailure("hermiticity", (), herm_dev))
 
-    max_transfer = 0.0
-    for a in range(dim):
-        for b in range(dim):
-            if a != b and not adjacency[a, b]:
-                value = abs(tensor[a, a, b, b])
-                max_transfer = max(max_transfer, value)
-                if value != 0.0:
-                    failures.append(AuditFailure("non-adjacent-transfer", (a, a, b, b), value))
+    # Column stacking puts rho[a, alpha] at a + dim * alpha, so the tensor
+    # maps onto the superoperator after swapping each index pair.
+    superop = build_liouvillian(h, ls, 0.0).matrix + build_liouvillian(h, ls, 1.0).matrix
+    permuted = tensor.transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
+    superop_dev = float(np.abs(permuted - superop.toarray()).max())
+    if superop_dev > tol:
+        failures.append(AuditFailure("superoperator", (), superop_dev))
+
+    off = ~adjacency & ~np.eye(dim, dtype=bool)
+    transfer = np.abs(np.einsum("aabb->ab", tensor))
+    max_transfer = float(transfer.max(where=off, initial=0.0))
+    for a, b in np.argwhere(off & (transfer != 0.0)).tolist():
+        failures.append(AuditFailure("non-adjacent-transfer", (a, a, b, b), float(transfer[a, b])))
 
     move_locality = ls.regime_tag in (EDGE_LOCAL, EMPTY)
     max_nonlocal = 0.0
     if move_locality:
-        for a in range(dim):
-            for alpha in range(dim):
-                for b in range(dim):
-                    for beta in range(dim):
-                        ket_moves_off_edge = a != b and not adjacency[a, b]
-                        bra_moves_off_edge = alpha != beta and not adjacency[alpha, beta]
-                        if ket_moves_off_edge or bra_moves_off_edge:
-                            value = abs(tensor[a, alpha, b, beta])
-                            max_nonlocal = max(max_nonlocal, value)
-                            if value != 0.0:
-                                failures.append(AuditFailure("nonlocal-element", (a, alpha, b, beta), value))
+        moves_off_edge = off[:, None, :, None] | off[None, :, None, :]
+        magnitude = np.abs(tensor)
+        max_nonlocal = float(magnitude.max(where=moves_off_edge, initial=0.0))
+        for idx in map(tuple, np.argwhere(moves_off_edge & (magnitude != 0.0)).tolist()):
+            failures.append(AuditFailure("nonlocal-element", idx, float(magnitude[idx])))
 
     return AxiomAuditReport(
         regime=ls.regime_tag,
@@ -448,6 +467,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         comparisons=comparisons,
         max_formula_deviation=max_formula_dev,
         max_hermiticity_deviation=herm_dev,
+        max_superoperator_deviation=superop_dev,
         max_nonadjacent_transfer=max_transfer,
         move_locality_checked=move_locality,
         max_nonlocal_element=max_nonlocal,

@@ -106,6 +106,28 @@ class TestSimulate:
         rc, _ = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "crw", "--t", "1")
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--t", "nan"),
+            ("simulate", "--t", "inf"),
+            ("simulate", "--t", "0:inf:3"),
+            ("sweep", "--omega", "0:1:3", "--t", "nan"),
+            ("compare", "--t", "inf"),
+        ],
+        ids=["nan", "inf", "infinite-grid-end", "sweep-nan", "compare-inf"],
+    )
+    def test_non_finite_t_is_located_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a non-finite t must be rejected before any build")
+
+        monkeypatch.setattr(cli, "build_liouvillian", refuse)
+        command, *flags = argv
+        rc, text = run(tmp_path, command, "--graph", "line:5:1", "--regime", "crw", *flags)
+        assert rc == 2
+        assert text is None
+        assert f"error: --t must be finite, got {flags[-1]!r}" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_endpoints_and_shape(self, tmp_path):
@@ -158,6 +180,7 @@ class TestAudit:
         assert report["passed"]
         assert report["axiom6_nonzero"] == []
         assert report["axiom6_max_abs"] == 0.0
+        assert report["max_superoperator_deviation"] <= 1e-10
 
     def test_rogue_custom_operators_fail_audit(self, tmp_path):
         jump_file = tmp_path / "rogue.json"

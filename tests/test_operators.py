@@ -6,14 +6,20 @@ matrix products. Feeding basis matrices through the latter must reproduce
 the former entry by entry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qsw.evolution
+import qsw.operators
 from qsw.evolution import lindblad_rhs
 from qsw.graph import GeneratorMatrix, build_line, classical_generator, from_edge_list
 from qsw.operators import (
+    EDGE_LOCAL,
     Hamiltonian,
     JumpOperatorSet,
+    _transition_tensor,
     audit_axioms,
     axiom_rate,
     edge_jump_operators,
@@ -188,6 +194,32 @@ class TestTensorElement:
         assert isinstance(elem.value, complex)
 
 
+def random_custom_set(rng, dim, count=3):
+    """A random Hermitian H and a dense complex multi-operator custom set."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ops = tuple(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(count))
+    return Hamiltonian((a + a.conj().T) / 2.0), JumpOperatorSet(dim, ops, "custom")
+
+
+class TestTransitionTensor:
+    @staticmethod
+    def assert_matches_per_tuple_route(h, ls):
+        tensor = _transition_tensor(h.entries, ls.stacked(), ls.overlap_sum())
+        assert tensor.shape == (h.dim,) * 4
+        for idx in np.ndindex(tensor.shape):
+            assert abs(tensor[idx] - tensor_element(h, ls, *idx).value) <= 1e-14, idx
+
+    def test_matches_tensor_element_on_line_for_all_regimes(self):
+        _, m, h = line_setup(5)
+        for ls in all_regimes(m).values():
+            self.assert_matches_per_tuple_route(h, ls)
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_matches_tensor_element_for_complex_custom_set(self, dim):
+        h, ls = random_custom_set(np.random.default_rng(dim), dim)
+        self.assert_matches_per_tuple_route(h, ls)
+
+
 class TestAxiomRate:
     def test_each_axiom_matches_tensor_at_canonical_tuple(self):
         _, m, h = line_setup(5)
@@ -266,6 +298,7 @@ class TestAuditAxioms:
             assert report.tuples_evaluated == 625
             assert report.max_formula_deviation <= 1e-10
             assert report.max_hermiticity_deviation <= 1e-10
+            assert report.max_superoperator_deviation <= 1e-10
             assert report.max_nonadjacent_transfer == 0.0
 
     def test_axiom6_activity_by_regime(self):
@@ -297,6 +330,73 @@ class TestAuditAxioms:
         offending = [f for f in report.failures if f.kind == "non-adjacent-transfer"]
         assert (0, 0, 2, 2) in [f.indices for f in offending]
 
+    def test_rogue_edge_local_operator_lists_nonlocal_elements_in_order(self):
+        # Tagged edge-local, so the move-locality mask runs; (0, 2) is not
+        # an edge of the 3-site line, (2, 1) is.
+        g, m, h = line_setup(3)
+        rogue = np.zeros((3, 3), dtype=complex)
+        rogue[0, 2] = 1.0
+        rogue[2, 1] = 0.5 - 0.25j
+        report = audit_axioms(h, JumpOperatorSet(3, (rogue,), EDGE_LOCAL), g)
+        assert not report.passed
+        assert report.move_locality_checked
+        listed = [(f.kind, f.indices, f.deviation) for f in report.failures]
+        cross = abs(0.5 - 0.25j)
+        assert listed == [
+            ("non-adjacent-transfer", (0, 0, 2, 2), 1.0),
+            ("nonlocal-element", (0, 0, 2, 2), 1.0),
+            ("nonlocal-element", (0, 2, 2, 1), pytest.approx(cross, abs=1e-15)),
+            ("nonlocal-element", (2, 0, 1, 2), pytest.approx(cross, abs=1e-15)),
+        ]
+        assert report.max_nonlocal_element == 1.0
+        assert all(type(i) is int for f in report.failures for i in f.indices)
+
+    def test_checks_the_production_superoperator(self, monkeypatch):
+        g, m, h = line_setup(5)
+        ls = edge_jump_operators(m)
+        assert audit_axioms(h, ls, g).max_superoperator_deviation <= 1e-14
+        build = qsw.evolution.build_liouvillian
+
+        def skewed_build(h, ls, omega):
+            liou = build(h, ls, omega)
+            return dataclasses.replace(liou, matrix=liou.matrix * (1.0 + 1e-6))
+
+        monkeypatch.setattr(qsw.evolution, "build_liouvillian", skewed_build)
+        report = audit_axioms(h, ls, g)
+        assert not report.passed
+        assert [f.kind for f in report.failures] == ["superoperator"]
+        assert report.max_superoperator_deviation > 1e-7
+        assert report.failures[0].deviation == report.max_superoperator_deviation
+
+    def test_does_not_evaluate_the_tensor_tuple_by_tuple(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the audit must build the tensor in one contraction")
+
+        monkeypatch.setattr(qsw.operators, "_tensor_value", refuse)
+        g, m, h = line_setup(5)
+        for ls in all_regimes(m).values():
+            assert audit_axioms(h, ls, g).passed
+
+    def test_passes_on_criterion_7_random_graphs(self):
+        # Criterion 7's 50 seeded graphs (2-12 vertices, possibly
+        # disconnected), drawn with its draw sequence so the graphs are the same.
+        from test_acceptance import _random_density, _random_graph
+
+        rng = np.random.default_rng(20250819)
+        audited = 0
+        for _ in range(50):
+            g = _random_graph(rng)
+            rng.uniform(0.0, 1.0)
+            _random_density(rng, g.n_vertices)
+            m = classical_generator(g)
+            h = hamiltonian_from_generator(m)
+            for tag, ls in all_regimes(m).items():
+                report = audit_axioms(h, ls, g)
+                assert report.passed, f"{tag} on {g.n_vertices} vertices: {report.failures[:3]}"
+                assert report.tuples_evaluated == g.n_vertices**4
+                audited += 1
+        assert audited == 150
+
     def test_report_serializes_to_json_types(self):
         import json
 
@@ -304,6 +404,7 @@ class TestAuditAxioms:
         report = audit_axioms(h, global_jump_operator(m), g)
         text = json.dumps(report.to_dict())
         assert "axiom6_nonzero" in text
+        assert "max_superoperator_deviation" in text
 
     def test_dimension_mismatch(self):
         g, m, h = line_setup(5)
