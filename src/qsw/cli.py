@@ -92,6 +92,14 @@ def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
     return [value], False
 
 
+def _parse_times(text: str) -> tuple[list[float], bool]:
+    """--t values: _parse_values, plus every time (so both grid ends) nonnegative."""
+    ts, was_grid = _parse_values(text, "t")
+    if min(ts) < 0:
+        raise CliError(f"--t must be nonnegative, got {text!r}")
+    return ts, was_grid
+
+
 def _load_graph(source: str) -> GraphSource:
     if source.startswith("line:"):
         parts = source.split(":")
@@ -212,12 +220,19 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
+    """Propagate every (omega, t) point; results come in omega-major, grid order.
+
+    For each omega the times are visited in ascending order as one forward
+    chain: each point steps on from the state the previous one reached, so
+    the chain costs what its largest time costs. A zero-length step (t = 0,
+    or a repeated time) reports method identity with 0 steps.
+    """
     h, ls = _build_operators(src, args)
     origin_label, origin_index = _resolve_origin(src, args.origin)
     rho0 = DensityMatrix.basis(src.graph.n_vertices, origin_index)
+    ascending = sorted(range(len(ts)), key=ts.__getitem__)
 
-    def run_point(liou, omega, t):
-        state, info = propagate_detailed(rho0, liou, t)
+    def record(omega, t, state, info):
         return {
             "omega": float(omega),
             "t": float(t),
@@ -233,7 +248,13 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     results = []
     for omega in omegas:
         liou = build_liouvillian(h, ls, omega)
-        results.extend(run_point(liou, omega, t) for t in ts)
+        points = [None] * len(ts)
+        state, t_prev = rho0, 0.0
+        for i in ascending:
+            state, info = propagate_detailed(state, liou, ts[i] - t_prev)
+            t_prev = ts[i]
+            points[i] = record(omega, ts[i], state, info)
+        results.extend(points)
     echo = _config_echo(src, args, omegas, ts, origin_label, origin_index)
     return echo, results
 
@@ -257,7 +278,7 @@ def _csv_rows(results: list[dict], labels: list[int], with_t: bool) -> str:
 def cmd_simulate(args) -> int:
     src = _load_graph(args.graph)
     omegas, _ = _parse_values(args.omega, "omega") if args.omega else ([_default_omega(args.regime)], False)
-    ts, _ = _parse_values(args.t, "t")
+    ts, _ = _parse_times(args.t)
     echo, results = _run_grid(src, args, omegas, ts)
     if args.format == "json":
         _emit(_json_document(echo, results), args.output)
@@ -273,7 +294,7 @@ def cmd_sweep(args) -> int:
     omegas, was_grid = _parse_values(args.omega, "omega")
     if not was_grid:
         raise CliError("sweep requires an omega grid start:stop:count")
-    ts, t_was_grid = _parse_values(args.t, "t")
+    ts, t_was_grid = _parse_times(args.t)
     if t_was_grid:
         raise CliError("sweep varies omega only; --t must be a single value")
     echo, results = _run_grid(src, args, omegas, ts)
@@ -321,7 +342,7 @@ def cmd_compare(args) -> int:
     if src.line_map is None:
         raise CliError("compare needs a line graph; the analytic oracles cover no other family")
     omegas, omega_grid = _parse_values(args.omega, "omega") if args.omega else ([_default_omega(args.regime)], False)
-    ts, t_grid = _parse_values(args.t, "t")
+    ts, t_grid = _parse_times(args.t)
     if omega_grid or t_grid:
         raise CliError("compare takes single omega and t values, not grids")
     echo, results = _run_grid(src, args, omegas, ts)

@@ -14,7 +14,11 @@ a + dim * alpha), assembled by one sparse product for every regime and size.
 The generator is linear and time-independent, so propagation is the action
 of its exponential, exp(t L) vec(rho0), computed by
 scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput.
-33, 2011) at every size.
+33, 2011) at every size. When L and vec(rho0) are both real (every omega = 1
+walk with real jump operators, started from a real state) the action runs
+in real arithmetic; otherwise in complex. A time grid is a forward chain of
+such steps, each starting from the state the previous one reached (see
+qsw.cli), so its cost grows with the largest time, not the sum of times.
 
 Propagation never renormalizes. If a propagated state drifts past the
 trace, Hermiticity or positivity budgets the solver raises
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse.linalg import expm_multiply
 
 from .operators import Hamiltonian, JumpOperatorSet
 
@@ -233,6 +237,8 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     number = np.repeat(np.arange(len(ops)), [p.size for p in positions])
     index = np.concatenate([np.zeros(0, dtype=np.intp), *positions])
     values = np.concatenate([np.zeros(0, dtype=complex), *(op.ravel()[p] for op, p in zip(ops, positions))])
+    if not np.isfinite(values).all():
+        raise ValueError(f"jump operator {int(number[~np.isfinite(values)][0])} has non-finite entries")
 
     gen = scipy.sparse.csr_matrix(h.entries) * (-1j * (1.0 - omega))
     if values.size:
@@ -267,13 +273,27 @@ def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
     return trace_drift, herm_drift, min_eig
 
 
+def _is_real(a) -> bool:
+    """True when a (ndarray or sparse matrix) has no nonzero imaginary part."""
+    data = a.data if scipy.sparse.issparse(a) else a
+    return not np.iscomplexobj(data) or not data.imag.any()
+
+
 def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
+
+    A zero t returns rho0 itself, with method "identity" and 0 steps.
+    Otherwise the one expm_multiply call runs in real arithmetic when both
+    L and vec(rho0) are real, and in complex arithmetic when either is not
+    (a real matrix never meets a complex vector, which would upcast the
+    matrix on every product). The returned state is complex either way.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets or the call raises StateInvariantError rather than returning a
     repaired state.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if rho0.dim != liouvillian.dim:
@@ -283,11 +303,14 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    vec_t = scipy.sparse.linalg.expm_multiply(liouvillian.matrix * t, vectorize_state(rho0.entries))
+    matrix, vec = liouvillian.matrix, vectorize_state(rho0.entries)
+    if _is_real(matrix) and _is_real(vec):
+        matrix, vec = matrix.real, vec.real
+    vec_t = expm_multiply(matrix * t, vec)
     arr = unvectorize_state(vec_t, liouvillian.dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.
-    trace_drift, herm_drift, min_eig = _check_budgets(arr, f"propagated state at t={t} violated budgets")
+    trace_drift, herm_drift, min_eig = _check_budgets(arr, f"state propagated by t={t} violated budgets")
     return DensityMatrix._prechecked(arr), PropagationInfo("matrix-exponential", 1, trace_drift, herm_drift, min_eig)
 
 

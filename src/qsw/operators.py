@@ -62,6 +62,9 @@ class Hamiltonian:
         arr = _frozen_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got shape {arr.shape}")
+        non_finite = np.argwhere(~np.isfinite(arr))
+        if non_finite.size:
+            raise ValueError(f"Hamiltonian entry {tuple(non_finite[0].tolist())} is not finite")
         if np.abs(arr - arr.conj().T).max() > 1e-14:
             raise ValueError("Hamiltonian must be Hermitian")
         object.__setattr__(self, "entries", arr)
@@ -392,6 +395,10 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     adjacency = g.weight_matrix() != 0
     h_entries = h.entries
     stacked = ls.stacked()
+    finite = np.isfinite(stacked).all(axis=(1, 2))
+    if not finite.all():
+        # Every tolerance comparison below is False on nan, so the audit would pass.
+        raise ValueError(f"jump operator {int(np.argmin(finite))} has non-finite entries")
     overlap = ls.overlap_sum()
     tensor = _transition_tensor(h_entries, stacked, overlap)
 

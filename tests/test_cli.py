@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import qsw.cli as cli
-from qsw.evolution import PropagationError, build_liouvillian
+from qsw.evolution import DensityMatrix, PropagationError, build_liouvillian, coherence_l1, populations, propagate_detailed
+from qsw.graph import build_line, classical_generator
+from qsw.operators import edge_jump_operators, empty_jump_operators, global_jump_operator, hamiltonian_from_generator
 from qsw.oracles import LineWalkSpec, crw_line_analytic
 
 
@@ -87,6 +89,51 @@ class TestSimulate:
         doc = json.loads(text)
         assert [(r["omega"], r["t"]) for r in doc["results"]] == [(w, t) for w in (0.0, 1.0) for t in (0.0, 1.0, 2.0)]
 
+    @pytest.mark.parametrize("grid", ["0:5:11", "5:0:11", "1:3:5"], ids=["ascending", "descending", "offset"])
+    @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
+    def test_time_grid_matches_per_point_propagation(self, tmp_path, regime, grid):
+        rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "0.5", "--t", grid)
+        assert rc == 0
+        results = json.loads(text)["results"]
+        start, stop, count = grid.split(":")
+        assert [r["t"] for r in results] == [float(t) for t in np.linspace(float(start), float(stop), int(count))]
+
+        g, lmap = build_line(21, 1.0)
+        m = classical_generator(g)
+        ls = {"qw": empty_jump_operators(21), "crw": edge_jump_operators(m), "qsw-global": global_jump_operator(m)}[regime]
+        liou = build_liouvillian(hamiltonian_from_generator(m), ls, 0.5)
+        rho0 = DensityMatrix.basis(21, lmap.center)
+        for r in results:
+            state, info = propagate_detailed(rho0, liou, r["t"])
+            assert np.abs(np.array(r["populations"]) - populations(state)).max() <= 1e-12
+            assert r["coherence_l1"] == pytest.approx(coherence_l1(state), abs=1e-12)
+            assert r["validation"]["solver_steps"] == info.steps
+
+    def test_time_grid_is_one_forward_chain(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording_propagate(rho0, liou, t):
+            state, info = propagate_detailed(rho0, liou, t)
+            calls.append((rho0, t, state))
+            return state, info
+
+        monkeypatch.setattr(cli, "propagate_detailed", recording_propagate)
+        rc, text = run(tmp_path, "simulate", "--graph", "line:11:1", "--regime", "crw", "--omega", "0.5", "--t", "0:5:11")
+        assert rc == 0
+        assert sum(t for _, t, _ in calls) == pytest.approx(5.0, abs=1e-12)
+        assert np.array_equal(calls[0][0].entries, DensityMatrix.basis(11, 5).entries)
+        for (_, _, previous), (start, _, _) in zip(calls, calls[1:]):
+            assert start is previous
+        steps = [r["validation"]["solver_steps"] for r in json.loads(text)["results"]]
+        assert steps == [0] + [1] * 10
+
+    def test_repeated_time_is_an_identity_step(self, tmp_path):
+        rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "crw", "--t", "2:2:2")
+        assert rc == 0
+        first, second = json.loads(text)["results"]
+        assert (first["validation"]["solver_steps"], second["validation"]["solver_steps"]) == (1, 0)
+        assert first["populations"] == second["populations"]
+
     def test_bad_graph_spec(self, tmp_path):
         rc, _ = run(tmp_path, "simulate", "--graph", "line:banana", "--regime", "qw")
         assert rc == 2
@@ -127,6 +174,28 @@ class TestSimulate:
         assert rc == 2
         assert text is None
         assert f"error: --t must be finite, got {flags[-1]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--t=-0.5"),
+            ("simulate", "--t=1:-1:3"),
+            ("simulate", "--t=-1:1:3"),
+            ("sweep", "--omega", "0:1:3", "--t=-2"),
+            ("compare", "--t=-1e-3"),
+        ],
+        ids=["negative", "negative-grid-end", "negative-grid-start", "sweep", "compare"],
+    )
+    def test_negative_t_is_located_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a negative t must be rejected before any build")
+
+        monkeypatch.setattr(cli, "build_liouvillian", refuse)
+        command, *flags = argv
+        rc, text = run(tmp_path, command, "--graph", "line:5:1", "--regime", "crw", *flags)
+        assert rc == 2
+        assert text is None
+        assert f"error: --t must be nonnegative, got {flags[-1][4:]!r}" in capsys.readouterr().err
 
 
 class TestSweep:

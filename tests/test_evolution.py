@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
+import qsw.evolution
 from qsw.evolution import (
     DensityMatrix,
     Liouvillian,
@@ -243,6 +245,14 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(DensityMatrix.basis(3, 0), liou, -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # nan slipped past the t < 0 check into the solver.
+        _, _, m, h = line_setup(3)
+        liou = build_liouvillian(h, edge_jump_operators(m), 1.0)
+        with pytest.raises(ValueError, match="t must be finite"):
+            propagate(DensityMatrix.basis(3, 0), liou, t)
+
     def test_dimension_mismatch(self):
         _, _, m, h = line_setup(3)
         liou = build_liouvillian(h, edge_jump_operators(m), 1.0)
@@ -306,6 +316,39 @@ class TestPropagate:
             propagate(DensityMatrix.basis(3, 0), rogue, 1.0)
         assert excinfo.value.trace_drift > 1e-9
         assert isinstance(excinfo.value.min_eigenvalue, float)
+
+
+class TestArithmeticRoute:
+    """Real generators on real states run in real arithmetic, everything else in complex."""
+
+    @pytest.mark.parametrize(
+        "omega, complex_state, expected",
+        [(1.0, False, np.float64), (0.5, False, np.complex128), (1.0, True, np.complex128)],
+        ids=["real", "complex-generator", "complex-state"],
+    )
+    def test_operand_dtypes_and_agreement_with_complex_route(self, monkeypatch, omega, complex_state, expected):
+        _, lmap, m, h = line_setup(9)
+        liou = build_liouvillian(h, edge_jump_operators(m), omega)
+        if complex_state:
+            rho0 = DensityMatrix.pure(np.exp(0.3j * np.arange(9)) / 3.0)
+            assert np.abs(rho0.entries.imag).max() > 0.1
+        else:
+            rho0 = DensityMatrix.basis(9, lmap.center)
+        operands = []
+
+        def recording_expm_multiply(a, b):
+            operands.append((a.dtype, b.dtype))
+            return scipy.sparse.linalg.expm_multiply(a, b)
+
+        monkeypatch.setattr(qsw.evolution, "expm_multiply", recording_expm_multiply)
+        state, info = propagate_detailed(rho0, liou, 2.0)
+        assert operands == [(expected, expected)]
+        assert state.entries.dtype == np.complex128
+        assert info.method == "matrix-exponential"
+        reference = scipy.sparse.linalg.expm_multiply(
+            liou.matrix.astype(complex) * 2.0, vectorize_state(rho0.entries).astype(complex)
+        )
+        assert np.abs(state.entries - unvectorize_state(reference, 9)).max() <= 1e-13
 
 
 class TestStateReadouts:

@@ -63,6 +63,13 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             h.entries[0, 0] = 9.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, value):
+        entries = np.zeros((3, 3))
+        entries[1, 2] = entries[2, 1] = value
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+            Hamiltonian(entries)
+
 
 class TestJumpOperatorConstructions:
     def test_edge_local_sqrt_amplitudes(self):
@@ -407,3 +414,17 @@ class TestAuditAxioms:
         g, m, h = line_setup(5)
         with pytest.raises(ValueError):
             audit_axioms(h, empty_jump_operators(4), g)
+
+    def test_rejects_non_finite_operator_instead_of_passing(self):
+        # Every tolerance comparison is False on nan, so a nan entry once
+        # produced passed: True with nan deviations and no failures.
+        g, m, h = line_setup(3)
+        rogue = np.zeros((3, 3), dtype=complex)
+        rogue[0, 1] = np.nan
+        ls = JumpOperatorSet(3, (edge_jump_operators(m).operators[0], rogue), "custom")
+        with pytest.raises(ValueError, match="jump operator 1 has non-finite entries"):
+            audit_axioms(h, ls, g)
+        with pytest.raises(ValueError, match="jump operator 1 has non-finite entries"):
+            qsw.evolution.build_liouvillian(h, ls, 0.5)
+        # omega = 0 never reads the operators.
+        assert qsw.evolution.build_liouvillian(h, ls, 0.0).matrix.nnz > 0
