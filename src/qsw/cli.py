@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import (
+    MIN_POSITIVE_TIME,
     DensityMatrix,
     PropagationError,
     build_liouvillian,
@@ -93,11 +94,26 @@ def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
 
 
 def _parse_times(text: str) -> tuple[list[float], bool]:
-    """--t values: _parse_values, plus every time (so both grid ends) nonnegative."""
+    """--t values: _parse_values, plus every time nonnegative, and no time or grid step subnormal."""
     ts, was_grid = _parse_values(text, "t")
     if min(ts) < 0:
         raise CliError(f"--t must be nonnegative, got {text!r}")
+    if any(0 < t < MIN_POSITIVE_TIME for t in ts):
+        raise CliError(f"--t must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
+    # A grid is propagated as a chain of steps between its sorted times.
+    if any(0 < step < MIN_POSITIVE_TIME for step in np.diff(sorted(ts))):
+        raise CliError(f"--t grid steps must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
     return ts, was_grid
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise CliError(f"cannot parse --tol value {text!r}: {exc}") from None
+    if not (np.isfinite(tol) and tol >= 0):
+        raise CliError(f"--tol must be finite and nonnegative, got {text!r}")
+    return tol
 
 
 def _load_graph(source: str) -> GraphSource:
@@ -306,13 +322,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    tol = _parse_tol(args.tol)
     src = _load_graph(args.graph)
     h, ls = _build_operators(src, args)
-    report = audit_axioms(h, ls, src.graph, tol=args.tol)
+    report = audit_axioms(h, ls, src.graph, tol=tol)
     echo = {
         "graph": src.source,
         "regime": args.regime,
-        "tol": float(args.tol),
+        "tol": tol,
         "amplitude_convention": args.amplitude_convention,
         "global_l": args.global_l,
     }
@@ -419,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="axiom formulas vs the full tensor")
     _add_common(p_audit, with_origin=False)
-    p_audit.add_argument("--tol", type=float, default=1e-10)
+    p_audit.add_argument("--tol", default="1e-10", help="finite, nonnegative deviation allowed in every check")
     p_audit.set_defaults(func=cmd_audit)
 
     p_cmp = sub.add_parser("compare", help="distances from the line-walk oracles")

@@ -7,27 +7,35 @@ single mixing parameter omega in [0, 1]:
               + omega sum_k ( L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho} )
 
 omega = 0 is the purely Hamiltonian walk, omega = 1 the purely dissipative
-one. build_liouvillian realizes this as a dim^2 x dim^2 CSR sparse matrix
-acting on column-stacked states (entry rho[a, alpha] sits at index
-a + dim * alpha), assembled by one sparse product for every regime and size.
+one. Like every Lindblad generator it maps Hermitian matrices to Hermitian
+matrices, so it acts on the dim^2 real coordinates of a Hermitian state in
+an orthonormal basis: rho[a, a], sqrt(2) Re rho[a, alpha] and
+sqrt(2) Im rho[a, alpha] for a < alpha (coordinate_basis). The sqrt(2)
+makes the basis orthonormal, so the coordinate change is unitary.
+build_liouvillian assembles the generator in these coordinates as one
+real dim^2 x dim^2 CSR matrix, by one sparse product for every regime and
+size; column_stacked_superoperator rebuilds the complex matrix on
+column-stacked states for checks that need it.
 
 The generator is linear and time-independent, so propagation is the action
-of its exponential, exp(t L) vec(rho0), computed by
+of its exponential, exp(t L) x0, computed in real arithmetic by
 scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput.
-33, 2011) at every size. When L and vec(rho0) are both real (every omega = 1
-walk with real jump operators, started from a real state) the action runs
-in real arithmetic; otherwise in complex. A time grid is a forward chain of
-such steps, each starting from the state the previous one reached (see
-qsw.cli), so its cost grows with the largest time, not the sum of times.
+33, 2011) for every regime, omega, start state and size. A time grid is a
+forward chain of such steps, each starting from the state the previous one
+reached (see qsw.cli), so its cost grows with the largest time, not the
+sum of times.
 
 Propagation never renormalizes. If a propagated state drifts past the
 trace, Hermiticity or positivity budgets the solver raises
 StateInvariantError with the measured drifts, because silent repair would
-hide defects in the generator it was handed.
+hide defects in the generator it was handed. A state mapped back from real
+coordinates is Hermitian by construction, so its Hermiticity drift reads 0;
+the check stays, as it costs one pass over the state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +47,8 @@ from .operators import Hamiltonian, JumpOperatorSet
 TRACE_BUDGET = 1e-9
 HERMITICITY_BUDGET = 1e-10
 EIGENVALUE_FLOOR = -1e-9
+# The smallest normal float; expm_multiply's scaling breaks down below it.
+MIN_POSITIVE_TIME = float(np.finfo(float).tiny)
 
 
 class PropagationError(RuntimeError):
@@ -59,6 +69,14 @@ class StateInvariantError(PropagationError):
         self.min_eigenvalue = min_eigenvalue
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    """Every tolerance check is False on nan, so non-finite input must be refused first."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(bad[0].tolist())
+        raise ValueError(f"{name} {index[0] if len(index) == 1 else index} is not finite: {arr[index]}")
+
+
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
@@ -74,6 +92,7 @@ class DensityMatrix:
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+        _require_finite("density matrix entry", arr)
         herm_dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
         if herm_dev > herm_tol:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
@@ -111,6 +130,7 @@ class DensityMatrix:
     def pure(cls, amplitudes) -> "DensityMatrix":
         """Outer product of a state vector, which must be normalized to 1e-10."""
         psi = np.asarray(amplitudes, dtype=complex).ravel()
+        _require_finite("amplitude", psi)
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state vector norm {norm} is not 1 within 1e-10")
@@ -123,6 +143,7 @@ class DensityMatrix:
         vec = np.asarray(p, dtype=float).ravel()
         if vec.size == 0:
             raise ValueError("empty probability vector")
+        _require_finite("probability", vec)
         if vec.min() < -1e-12:
             raise ValueError(f"negative probability {vec.min()}")
         total = vec.sum()
@@ -133,7 +154,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Superoperator matrix (CSR) on column-stacked states, plus its sources."""
+    """The generator as a real CSR matrix on the coordinates of coordinate_basis, plus its sources.
+
+    column_stacked_superoperator rebuilds the complex form from it.
+    """
 
     dim: int
     omega: float
@@ -184,29 +208,150 @@ def lindblad_rhs(h: Hamiltonian, ls: JumpOperatorSet, omega: float, rho) -> np.n
     return out
 
 
-def _realign(mat: scipy.sparse.csr_matrix, dim: int) -> scipy.sparse.csr_matrix:
-    """Move entry ((a, b), (alpha, beta)) of mat to (a + dim * alpha, b + dim * beta).
+def _realign(left: scipy.sparse.csr_matrix, right_dag: scipy.sparse.csr_matrix, dim: int) -> scipy.sparse.csr_matrix:
+    """The real-coordinate superoperator from the complex product left right_dag.
 
-    Rows and columns of mat are pairs flattened row-major (a * dim + b).
-    The move is a bijection, so no entries collide. mat is consumed: its
-    index array is overwritten in place to keep the peak memory down.
+    Entry ((a, b), (alpha, beta)) of the product is the entry c of the
+    complex superoperator in row rho[a, alpha] and column rho[b, beta] (its
+    rows and columns are pairs flattened row-major, a * dim + b). A
+    Lindblad generator maps Hermitian states to Hermitian states, so the
+    rows with a > alpha are conjugates of the rows with a <= alpha and are
+    dropped. The term c rho[b, beta] is rewritten in the coordinates of
+    coordinate_basis: rho[b, beta] is x_bb on the diagonal and
+    (x_re +- i x_im) / sqrt(2) off it, with + above the diagonal and -
+    below, where it is the conjugate of the upper pair. Its real part goes
+    to the row's real coordinate and its imaginary part to the row's
+    imaginary one, scaled by sqrt(2) off the diagonal; on a diagonal row
+    the imaginary parts cancel between conjugate columns and are dropped.
+    A column and its conjugate land on the same coordinates: grouping the
+    kept entries by (row pair, column pair) makes them neighbours, and
+    their terms are summed before the CSR matrix is built, so it is built
+    from exactly its nonzeros. Each temporary is freed as soon as it is
+    used (the product first), which keeps the peak memory below that of
+    propagation.
     """
-    coo = mat.tocoo(copy=False)
-    rows, cols = coo.row, coo.col
-    ket_cols = rows % dim
-    rows //= dim
-    bra_cols = cols % dim
-    cols //= dim
-    cols *= dim
-    rows += cols
-    bra_cols *= dim
-    ket_cols += bra_cols
-    del bra_cols
-    return scipy.sparse.csr_matrix((coo.data, (rows, ket_cols)), shape=mat.shape)
+    n2 = dim * dim
+    coo = (left @ right_dag).tocoo(copy=False)
+    a, b = np.divmod(coo.row, dim)
+    alpha, beta = np.divmod(coo.col, dim)
+    keep = np.flatnonzero(a <= alpha)
+    c = coo.data[keep]
+    del coo
+    a, b, alpha, beta = a[keep], b[keep], alpha[keep], beta[keep]
+    del keep
+    # Column 2 * (index of the pair {b, beta}) + 1 when b > beta: a column
+    # and its conjugate become neighbours in one row, the upper one first.
+    row = a + dim * alpha
+    col = np.minimum(b, beta) + dim * np.maximum(b, beta)
+    col *= 2
+    col += b > beta
+    del a, b, alpha, beta
+    # The CSR constructor sorts each row by column (no entry repeats).
+    grouped = scipy.sparse.csr_matrix((c, (row, col)), shape=(n2, 2 * n2))
+    del row, col, c
+    row = np.repeat(np.arange(n2, dtype=grouped.indices.dtype), np.diff(grouped.indptr))
+    col, c = grouped.indices, grouped.data
+    del grouped
+    lower = (col & 1).astype(bool)
+    col >>= 1
+    starts = np.ones(col.size, dtype=bool)
+    starts[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+    starts = np.flatnonzero(starts)
+    # The sum over a column and its conjugate, and the same sum with the lower one negated.
+    total = np.add.reduceat(c, starts)
+    np.negative(c, out=c, where=lower)
+    signed = np.add.reduceat(c, starts)
+    row, col = row[starts], col[starts]
+    del c, lower, starts
+    row_hi, row_lo = np.divmod(row, dim)
+    col_hi, col_lo = np.divmod(col, dim)
+    row_off, col_off = row_lo != row_hi, col_lo != col_hi
+    weight = np.array([np.sqrt(0.5), 1.0, np.sqrt(2.0)])[row_off.view(np.int8) - col_off.view(np.int8) + 1]
+    total *= weight
+    signed *= weight
+    del weight
+    row_im, col_im = row_hi + dim * row_lo, col_hi + dim * col_lo
+    del row_hi, row_lo, col_hi, col_lo
+    # (real row, real column) takes Re total, (real, imaginary) -Im signed,
+    # (imaginary, real) Im total and (imaginary, imaginary) Re signed; a
+    # diagonal pair has no imaginary coordinate.
+    blocks = (
+        (row, col, total.real, None),
+        (row, col_im, -signed.imag, col_off),
+        (row_im, col, total.imag, row_off),
+        (row_im, col_im, signed.real, row_off & col_off),
+    )
+    rows, cols, values = [], [], []
+    for block_rows, block_cols, block_values, mask in blocks:
+        take = block_values != 0.0
+        if mask is not None:
+            take &= mask
+        rows.append(block_rows[take])
+        cols.append(block_cols[take])
+        values.append(block_values[take])
+    del blocks, row, col, row_im, col_im, total, signed
+    return scipy.sparse.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(n2, n2))
+
+
+def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacked indices of the diagonal pairs, the pairs a < alpha, and their transposes."""
+    first, second = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), first + dim * second, second + dim * first
+
+
+def to_coordinates(entries: np.ndarray) -> np.ndarray:
+    """The real coordinates of a Hermitian matrix (see coordinate_basis), float64."""
+    diag, upper, lower = _pair_indices(entries.shape[0])
+    vec = vectorize_state(entries)
+    coords = np.empty(vec.size)
+    coords[diag] = vec[diag].real
+    # x = T^dag vec(rho), which reads the Hermitian part of a matrix that is Hermitian only to rounding.
+    coords[upper] = (vec[upper] + vec[lower]).real * np.sqrt(0.5)
+    coords[lower] = (vec[upper] - vec[lower]).imag * np.sqrt(0.5)
+    return coords
+
+
+def from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The complex dim x dim matrix with real coordinates coords; Hermitian by construction."""
+    diag, upper, lower = _pair_indices(dim)
+    vec = np.empty(dim * dim, dtype=complex)
+    vec[diag] = coords[diag]
+    vec[upper] = (coords[upper] + 1j * coords[lower]) * np.sqrt(0.5)
+    vec[lower] = vec[upper].conj()
+    return unvectorize_state(vec, dim)
+
+
+def coordinate_basis(dim: int) -> scipy.sparse.csr_matrix:
+    """The unitary T with vec(rho) = T x for the real coordinates x of a Hermitian rho.
+
+    Coordinates are indexed like column-stacked entries: x[a + dim * a] is
+    rho[a, a], and for a < alpha x[a + dim * alpha] is sqrt(2) Re rho[a, alpha]
+    and x[alpha + dim * a] is sqrt(2) Im rho[a, alpha]. They are the
+    coefficients of rho in an orthonormal basis of the Hermitian matrices,
+    so T is unitary and x = T^dag vec(rho) for Hermitian rho.
+    """
+    diag, upper, lower = _pair_indices(dim)
+    half = np.full(upper.size, np.sqrt(0.5))
+    rows = np.concatenate([diag, upper, upper, lower, lower])
+    cols = np.concatenate([diag, upper, lower, upper, lower])
+    values = np.concatenate([np.ones(dim), half, 1j * half, half, -1j * half])
+    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
+def column_stacked_superoperator(matrix) -> scipy.sparse.csr_matrix:
+    """The complex superoperator L = T R T^dag on column-stacked states.
+
+    R is a real-coordinate matrix such as Liouvillian.matrix, which holds
+    the generator in the coordinates of coordinate_basis only. The rebuild
+    is linear in R and is for checks that compare it with a complex form
+    (the axiom audit and tests); propagation never needs it.
+    """
+    basis = coordinate_basis(math.isqrt(matrix.shape[0]))
+    return (basis @ matrix @ basis.conj().T).tocsr()
 
 
 def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liouvillian:
-    """Assemble the CSR superoperator matrix for the interpolated generator.
+    """Assemble the interpolated generator as a real CSR matrix in the coordinates of coordinate_basis.
 
     Under column stacking, X rho Y becomes kron(Y.T, X) acting on vec(rho).
     With the effective generator G = -i (1 - omega) H - (omega / 2) K,
@@ -223,8 +368,11 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
 
         L = R([V, vec(G), vec(I)] [omega V, vec(I), vec(G)]^dag),
 
-    which sums coinciding entries as it goes. Every regime and every size
-    takes this one path.
+    which sums coinciding entries as it goes. The realignment also moves
+    each entry into the real coordinates (see _realign), so the complex
+    matrix is never stored: the real matrix is R = T^dag L T for the
+    unitary T of coordinate_basis. Every regime and every size takes this
+    one path.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
@@ -254,39 +402,40 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     swapped = np.concatenate([number, np.full(gen.nnz, i_col), np.full(dim, g_col)])
     shape = (dim * dim, len(ops) + 2)
     left = scipy.sparse.csr_matrix((np.concatenate([values, gen.data, np.ones(dim)]), (rows, cols)), shape=shape)
-    right = scipy.sparse.csr_matrix((np.concatenate([omega * values, gen.data, np.ones(dim)]), (rows, swapped)), shape=shape)
-    mat = _realign(left @ right.conj().T, dim)
+    # The right factor is built already conjugated and transposed.
+    right_dag = scipy.sparse.csr_matrix(
+        (np.concatenate([omega * values, gen.data, np.ones(dim)]).conj(), (swapped, rows)), shape=shape[::-1]
+    )
+    mat = _realign(left, right_dag, dim)
     return Liouvillian(dim, float(omega), mat, h, ls)
 
 
 def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
     trace_drift = float(abs(arr.trace() - 1.0))
     herm_drift = float(np.abs(arr - arr.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
+    if np.isfinite(arr).all():
+        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
+    else:
+        # LAPACK fails to converge on non-finite input; the drifts already show it.
+        min_eig = float("nan")
     return trace_drift, herm_drift, min_eig
 
 
 def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
     trace_drift, herm_drift, min_eig = _state_diagnostics(arr)
-    if trace_drift > TRACE_BUDGET or herm_drift > HERMITICITY_BUDGET or min_eig < EIGENVALUE_FLOOR:
+    # Written so that a nan drift is a violation.
+    if not (trace_drift <= TRACE_BUDGET and herm_drift <= HERMITICITY_BUDGET and min_eig >= EIGENVALUE_FLOOR):
         raise StateInvariantError(context, trace_drift, herm_drift, min_eig)
     return trace_drift, herm_drift, min_eig
-
-
-def _is_real(a) -> bool:
-    """True when a (ndarray or sparse matrix) has no nonzero imaginary part."""
-    data = a.data if scipy.sparse.issparse(a) else a
-    return not np.iscomplexobj(data) or not data.imag.any()
 
 
 def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
     A zero t returns rho0 itself, with method "identity" and 0 steps.
-    Otherwise the one expm_multiply call runs in real arithmetic when both
-    L and vec(rho0) are real, and in complex arithmetic when either is not
-    (a real matrix never meets a complex vector, which would upcast the
-    matrix on every product). The returned state is complex either way.
+    Otherwise rho0 is mapped to its real coordinates (to_coordinates), the
+    one expm_multiply call runs on float64 operands, and the result is
+    mapped back to a complex state, Hermitian by construction.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets or the call raises StateInvariantError rather than returning a
@@ -296,6 +445,9 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
+    if 0 < t < MIN_POSITIVE_TIME:
+        # expm_multiply divides by quantities that underflow to 0 at subnormal t.
+        raise ValueError(f"t must be 0 or at least {MIN_POSITIVE_TIME}, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
 
@@ -303,11 +455,8 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    matrix, vec = liouvillian.matrix, vectorize_state(rho0.entries)
-    if _is_real(matrix) and _is_real(vec):
-        matrix, vec = matrix.real, vec.real
-    vec_t = expm_multiply(matrix * t, vec)
-    arr = unvectorize_state(vec_t, liouvillian.dim)
+    coords = expm_multiply(liouvillian.matrix * t, to_coordinates(rho0.entries))
+    arr = from_coordinates(coords, liouvillian.dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.
     trace_drift, herm_drift, min_eig = _check_budgets(arr, f"state propagated by t={t} violated budgets")

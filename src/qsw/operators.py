@@ -312,7 +312,8 @@ class AxiomAuditReport:
     full move-locality (every index motion follows an edge) is a theorem
     only for the edge-local and empty sets, and is checked there.
     max_superoperator_deviation is the largest entrywise difference
-    between the tensor and the propagator's superoperator L_H + L_D.
+    between the tensor and the propagator's superoperator L_H + L_D,
+    rebuilt in complex column-stacked form.
     """
 
     regime: str
@@ -376,7 +377,8 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     - the tensor is Hermitian as a map: T(a,alpha,b,beta) agrees with
       conj(T(alpha,a,beta,b)) everywhere;
     - the tensor, permuted to column-stacked order, equals L_H + L_D as
-      build_liouvillian assembles them for propagation;
+      build_liouvillian assembles them for propagation (rebuilt from its
+      real coordinates by column_stacked_superoperator);
     - population transfer between non-adjacent vertices is exactly zero;
     - for the edge-local and empty sets, any element that moves an index
       off an edge is exactly zero (the global set provably spills to
@@ -385,10 +387,14 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
 
     The locality checks are boolean masks over the tensor built from the
     adjacency matrix; their failures are listed in lexicographic index order.
+    tol must be finite and nonnegative.
     """
     # evolution imports this module, so the production build is imported here.
-    from .evolution import build_liouvillian
+    from .evolution import build_liouvillian, column_stacked_superoperator
 
+    if not (np.isfinite(tol) and tol >= 0):
+        # A nan tolerance fails no comparison, and a negative one fails exact agreement.
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     dim = g.n_vertices
     if h.dim != dim or ls.dim != dim:
         raise ValueError("Hamiltonian, operators and graph dimensions must agree")
@@ -445,7 +451,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
 
     # Column stacking puts rho[a, alpha] at a + dim * alpha, so the tensor
     # maps onto the superoperator after swapping each index pair.
-    superop = build_liouvillian(h, ls, 0.0).matrix + build_liouvillian(h, ls, 1.0).matrix
+    superop = column_stacked_superoperator(build_liouvillian(h, ls, 0.0).matrix + build_liouvillian(h, ls, 1.0).matrix)
     permuted = tensor.transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
     superop_dev = float(np.abs(permuted - superop.toarray()).max())
     if superop_dev > tol:

@@ -18,6 +18,7 @@ from qsw.discrete import kraus_from_stochastic, iterate_map, StochasticMatrix
 from qsw.evolution import (
     DensityMatrix,
     build_liouvillian,
+    column_stacked_superoperator,
     lindblad_rhs,
     populations,
     propagate_detailed,
@@ -254,10 +255,10 @@ def test_criterion_08_superoperator_matches_direct_rhs():
     worst_ratio = 0.0
     for dim, h, ls, states in cases:
         omega = float(rng.uniform(0.0, 1.0))
-        liou = build_liouvillian(h, ls, omega)
+        superop = column_stacked_superoperator(build_liouvillian(h, ls, omega).matrix)
         for _ in range(states):
             rho = _random_density(rng, dim)
-            via_matrix = unvectorize_state(liou.matrix @ vectorize_state(rho.entries), dim)
+            via_matrix = unvectorize_state(superop @ vectorize_state(rho.entries), dim)
             direct = lindblad_rhs(h, ls, omega, rho)
             deviation = float(np.abs(via_matrix - direct).max())
             worst_ratio = max(worst_ratio, deviation / (1e-12 * dim * dim))

@@ -197,6 +197,31 @@ class TestSimulate:
         assert text is None
         assert f"error: --t must be nonnegative, got {flags[-1][4:]!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--t", "5e-324"), ("simulate", "--t", "0:1e-310:2"), ("compare", "--t", "1e-310")],
+        ids=["smallest", "grid-end", "compare"],
+    )
+    def test_subnormal_t_is_located_config_error(self, tmp_path, capsys, argv):
+        # scipy's expm_multiply warned "invalid value encountered in scalar divide"
+        # at t = 5e-324; the suite turns warnings into errors (pyproject.toml).
+        command, *flags = argv
+        rc, text = run(tmp_path, command, "--graph", "line:5:1", "--regime", "qw", *flags)
+        assert rc == 2
+        assert text is None
+        assert f"error: --t must be 0 or at least 2.2250738585072014e-308, got {flags[-1]!r}" in capsys.readouterr().err
+
+    def test_subnormal_grid_step_is_located_config_error(self, tmp_path, capsys):
+        rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "3e-308:4e-308:3")
+        assert rc == 2
+        assert text is None
+        assert "error: --t grid steps must be 0 or at least 2.2250738585072014e-308, got '3e-308:4e-308:3'" in capsys.readouterr().err
+
+    def test_smallest_normal_t_runs(self, tmp_path):
+        rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "2.2250738585072014e-308")
+        assert rc == 0
+        assert json.loads(text)["results"][0]["populations"] == [0.0, 0.0, 1.0, 0.0, 0.0]
+
 
 class TestSweep:
     def test_endpoints_and_shape(self, tmp_path):
@@ -267,6 +292,23 @@ class TestAudit:
     def test_custom_without_jump_file(self, tmp_path):
         rc, _ = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "qsw-custom")
         assert rc == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_located_config_error(self, tmp_path, capsys, tol):
+        # --tol nan once passed every audit, and --tol -1 failed exact agreement.
+        rc, text = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "crw", f"--tol={tol}")
+        assert rc == 2
+        assert text is None
+        assert f"error: --tol must be finite and nonnegative, got {tol!r}" in capsys.readouterr().err
+
+    def test_zero_tol_is_accepted(self, tmp_path):
+        # Zero is a valid tolerance. Only the superoperator check can then
+        # fail, on the rounding of the rebuild from real coordinates.
+        rc, text = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "crw", "--tol", "0")
+        doc = json.loads(text)
+        assert doc["config_echo"]["tol"] == 0.0
+        assert {f["kind"] for f in doc["report"]["failures"]} <= {"superoperator"}
+        assert doc["report"]["max_superoperator_deviation"] <= 1e-15
 
 
 class TestEdgeListInput:

@@ -11,16 +11,22 @@ from qsw.evolution import (
     Liouvillian,
     EIGENVALUE_FLOOR,
     StateInvariantError,
+    MIN_POSITIVE_TIME,
     build_liouvillian,
     coherence_l1,
+    column_stacked_superoperator,
+    coordinate_basis,
+    from_coordinates,
     lindblad_rhs,
     populations,
     populations_detailed,
     propagate,
     propagate_detailed,
+    to_coordinates,
     unvectorize_state,
     vectorize_state,
 )
+from qsw.evolution import _check_budgets
 from qsw.graph import build_line, classical_generator, from_edge_list
 from qsw.operators import (
     Hamiltonian,
@@ -99,6 +105,41 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
 
+    # Every tolerance check is False on nan, so these once built states
+    # that failed only inside LAPACK when propagated.
+    def test_rejects_non_finite_entries(self):
+        entries = np.eye(2) / 2.0
+        entries[1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"density matrix entry \(1, 0\) is not finite"):
+            DensityMatrix(entries)
+        with pytest.raises(ValueError, match=r"density matrix entry \(0, 0\) is not finite"):
+            DensityMatrix(np.full((2, 2), np.nan))
+
+    def test_from_populations_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="probability 0 is not finite"):
+            DensityMatrix.from_populations([np.nan, 0, 0, 0, 1])
+
+    def test_pure_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="amplitude 0 is not finite"):
+            DensityMatrix.pure([np.nan, 1])
+
+
+class TestRealCoordinates:
+    def test_round_trip_and_basis(self):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 6):
+            rho = random_state(rng, dim).entries
+            coords = to_coordinates(rho)
+            assert coords.dtype == np.float64
+            # Orthonormal coordinates keep the Hilbert-Schmidt norm.
+            assert np.linalg.norm(coords) == pytest.approx(np.linalg.norm(rho), rel=1e-14)
+            back = from_coordinates(coords, dim)
+            assert np.array_equal(back, back.conj().T)
+            assert np.abs(back - rho).max() <= 1e-15
+            basis = coordinate_basis(dim).toarray()
+            assert np.abs(basis.conj().T @ basis - np.eye(dim * dim)).max() <= 1e-15
+            assert np.abs(basis @ coords - vectorize_state(rho)).max() <= 1e-15
+
 
 class TestLindbladRhs:
     def test_omega_zero_is_pure_commutator(self):
@@ -157,7 +198,8 @@ class TestBuildLiouvillian:
 
     def test_trace_preserving_left_null_vector(self):
         _, _, m, h = line_setup(5)
-        vec_identity = vectorize_state(np.eye(5, dtype=complex))
+        # The trace is the sum of the diagonal coordinates.
+        vec_identity = to_coordinates(np.eye(5, dtype=complex))
         for ls in (edge_jump_operators(m), global_jump_operator(m), empty_jump_operators(5)):
             for omega in (0.0, 0.4, 1.0):
                 liou = build_liouvillian(h, ls, omega)
@@ -194,15 +236,16 @@ class TestBuildLiouvillian:
                 dissipator -= 0.5 * np.kron(ident, k) + 0.5 * np.kron(k.T, ident)
                 scale = max(1.0, np.abs(dissipator).max())
                 for omega in (0.0, 0.3, 0.6, 1.0):
-                    built = build_liouvillian(h, ls, omega).matrix
-                    assert built.format == "csr"
+                    liou = build_liouvillian(h, ls, omega)
+                    assert (liou.matrix.format, liou.matrix.dtype) == ("csr", np.float64)
+                    built = column_stacked_superoperator(liou.matrix)
                     expected = -(1.0 - omega) * 1j * commutator + omega * dissipator
                     assert np.abs(built.toarray() - expected).max() <= 1e-14 * scale, (dim, ls.regime_tag, omega)
 
     def test_dense_and_sparse_agree(self):
         _, _, m, h = line_setup(33)
         ls = edge_jump_operators(m)
-        sparse = build_liouvillian(h, ls, 0.6).matrix.toarray()
+        sparse = column_stacked_superoperator(build_liouvillian(h, ls, 0.6).matrix).toarray()
 
         ident = np.eye(33, dtype=complex)
         he = h.entries
@@ -217,10 +260,10 @@ class TestBuildLiouvillian:
         _, _, m, h = line_setup(5)
         for ls in (edge_jump_operators(m), global_jump_operator(m)):
             for omega in (0.0, 0.5, 1.0):
-                liou = build_liouvillian(h, ls, omega)
+                superop = column_stacked_superoperator(build_liouvillian(h, ls, omega).matrix)
                 for _ in range(10):
                     rho = random_state(rng, 5)
-                    via_matrix = unvectorize_state(liou.matrix @ vectorize_state(rho.entries), 5)
+                    via_matrix = unvectorize_state(superop @ vectorize_state(rho.entries), 5)
                     direct = lindblad_rhs(h, ls, omega, rho)
                     assert np.abs(via_matrix - direct).max() <= 1e-12 * 25
 
@@ -244,6 +287,16 @@ class TestPropagate:
         liou = build_liouvillian(h, edge_jump_operators(m), 1.0)
         with pytest.raises(ValueError):
             propagate(DensityMatrix.basis(3, 0), liou, -1.0)
+
+    @pytest.mark.parametrize("t", [5e-324, MIN_POSITIVE_TIME / 2])
+    def test_subnormal_time_rejected(self, t):
+        # expm_multiply warns "invalid value encountered in scalar divide" at t = 5e-324.
+        _, _, m, h = line_setup(5)
+        liou = build_liouvillian(h, empty_jump_operators(5), 0.0)
+        with pytest.raises(ValueError, match="t must be 0 or at least"):
+            propagate(DensityMatrix.basis(5, 2), liou, t)
+        _, info = propagate_detailed(DensityMatrix.basis(5, 2), liou, MIN_POSITIVE_TIME)
+        assert info.trace_drift <= 1e-15
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):
@@ -273,7 +326,7 @@ class TestPropagate:
         rho0 = DensityMatrix.basis(21, 10)
         state, info = propagate_detailed(rho0, liou, 3.0)
         assert (info.method, info.steps) == ("matrix-exponential", 1)
-        dense = scipy.linalg.expm(liou.matrix.toarray() * 3.0) @ vectorize_state(rho0.entries)
+        dense = scipy.linalg.expm(column_stacked_superoperator(liou.matrix).toarray() * 3.0) @ vectorize_state(rho0.entries)
         assert np.abs(state.entries - unvectorize_state(dense, 21)).max() <= 1e-10
 
     def test_pure_quantum_walk_above_dimension_64_stays_positive(self):
@@ -317,23 +370,33 @@ class TestPropagate:
         assert excinfo.value.trace_drift > 1e-9
         assert isinstance(excinfo.value.min_eigenvalue, float)
 
+    def test_non_finite_state_violates_budgets(self):
+        # A nan drift compares False with every budget, so it once passed them.
+        with pytest.raises(StateInvariantError) as excinfo:
+            _check_budgets(np.full((2, 2), np.nan, dtype=complex), "nan state")
+        assert np.isnan(excinfo.value.trace_drift)
+        assert np.isnan(excinfo.value.min_eigenvalue)
 
-class TestArithmeticRoute:
-    """Real generators on real states run in real arithmetic, everything else in complex."""
 
-    @pytest.mark.parametrize(
-        "omega, complex_state, expected",
-        [(1.0, False, np.float64), (0.5, False, np.complex128), (1.0, True, np.complex128)],
-        ids=["real", "complex-generator", "complex-state"],
-    )
-    def test_operand_dtypes_and_agreement_with_complex_route(self, monkeypatch, omega, complex_state, expected):
-        _, lmap, m, h = line_setup(9)
-        liou = build_liouvillian(h, edge_jump_operators(m), omega)
-        if complex_state:
-            rho0 = DensityMatrix.pure(np.exp(0.3j * np.arange(9)) / 3.0)
-            assert np.abs(rho0.entries.imag).max() > 0.1
-        else:
-            rho0 = DensityMatrix.basis(9, lmap.center)
+class TestRealRoute:
+    def test_every_generator_propagates_on_float64_operands(self, monkeypatch):
+        # Every regime, omega and start state takes the one real route.
+        _, lmap, m, h = line_setup(7)
+        rng = np.random.default_rng(61)
+        custom = []
+        for _ in range(2):
+            op = np.zeros((7, 7), dtype=complex)
+            for _ in range(5):
+                op[rng.integers(7), rng.integers(7)] += rng.standard_normal() + 1j * rng.standard_normal()
+            custom.append(op)
+        sets = (
+            edge_jump_operators(m),
+            global_jump_operator(m),
+            empty_jump_operators(7),
+            JumpOperatorSet(7, tuple(custom), "custom"),
+        )
+        starts = (DensityMatrix.basis(7, lmap.center), DensityMatrix.pure(np.exp(0.3j * np.arange(7)) / np.sqrt(7)))
+        assert np.abs(starts[1].entries.imag).max() > 0.1
         operands = []
 
         def recording_expm_multiply(a, b):
@@ -341,14 +404,18 @@ class TestArithmeticRoute:
             return scipy.sparse.linalg.expm_multiply(a, b)
 
         monkeypatch.setattr(qsw.evolution, "expm_multiply", recording_expm_multiply)
-        state, info = propagate_detailed(rho0, liou, 2.0)
-        assert operands == [(expected, expected)]
-        assert state.entries.dtype == np.complex128
-        assert info.method == "matrix-exponential"
-        reference = scipy.sparse.linalg.expm_multiply(
-            liou.matrix.astype(complex) * 2.0, vectorize_state(rho0.entries).astype(complex)
-        )
-        assert np.abs(state.entries - unvectorize_state(reference, 9)).max() <= 1e-13
+        for ls in sets:
+            for omega in (0.0, 0.5, 1.0):
+                liou = build_liouvillian(h, ls, omega)
+                dense = scipy.linalg.expm(column_stacked_superoperator(liou.matrix).toarray() * 2.0)
+                for rho0 in starts:
+                    operands.clear()
+                    state, info = propagate_detailed(rho0, liou, 2.0)
+                    assert operands == [(np.float64, np.float64)]
+                    assert state.entries.dtype == np.complex128
+                    assert info.method == "matrix-exponential"
+                    reference = unvectorize_state(dense @ vectorize_state(rho0.entries), 7)
+                    assert np.abs(state.entries - reference).max() <= 1e-13, (ls.regime_tag, omega)
 
 
 class TestStateReadouts:

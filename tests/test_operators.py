@@ -415,6 +415,13 @@ class TestAuditAxioms:
         with pytest.raises(ValueError):
             audit_axioms(h, empty_jump_operators(4), g)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # A nan tolerance passed every audit; a negative one failed exact agreement.
+        g, m, h = line_setup(3)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            audit_axioms(h, edge_jump_operators(m), g, tol=tol)
+
     def test_rejects_non_finite_operator_instead_of_passing(self):
         # Every tolerance comparison is False on nan, so a nan entry once
         # produced passed: True with nan deviations and no failures.

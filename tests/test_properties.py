@@ -1,12 +1,20 @@
-"""Property tests of CLI time grids on random connected graphs.
+"""Property tests of CLI time grids and of the graph input boundary.
 
-Hypothesis draws a connected weighted graph (2-8 vertices), a built-in
+For time grids, Hypothesis draws a connected weighted graph (2-8 vertices), a built-in
 regime with its option, a start vertex, omega in [0, 1] (both endpoints
 always in play, so the real and the complex arithmetic routes both run)
 and a short, unordered time grid. Every state the grid's forward chain
 reaches must meet the three state budgets, and every point must agree
 with propagating from the start state directly.
+
+For graphs, it draws vertex counts, edge sets and positive finite weights
+(subnormal ones included): an edge list written with repr weights parses
+back to the same graph, a junk line anywhere after the header is refused
+with a ValueError that names its line, and a Graph does not depend on the
+order or orientation of its input edges.
 """
+
+import string
 
 from types import SimpleNamespace
 from unittest import mock
@@ -26,7 +34,7 @@ from qsw.evolution import (
     populations,
     propagate_detailed,
 )
-from qsw.graph import from_edge_list
+from qsw.graph import Graph, from_edge_list, parse_edge_list
 
 
 @st.composite
@@ -46,7 +54,7 @@ regimes = st.one_of(
     st.tuples(st.just("qsw-global"), st.just("sqrt"), st.sampled_from(["full", "offdiagonal"])),
 )
 omegas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-# A subnormal t only makes scipy's expm_multiply warn about its own scaling; leave it out.
+# Subnormal times are refused (see test_cli); the grid draws only valid ones.
 time_grids = st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=2, max_size=4)
 
 
@@ -87,3 +95,87 @@ def test_time_grid_keeps_budgets_and_matches_per_point_propagation(graph, regime
         state, _ = propagate_detailed(rho0, liou, r["t"])
         assert np.abs(np.array(r["populations"]) - populations(state)).max() <= 1e-12
         assert abs(r["coherence_l1"] - coherence_l1(state)) <= 1e-12
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    weights = draw(st.lists(positive, min_size=len(edges), max_size=len(edges)))
+    return Graph(n, tuple(edges), tuple(weights))
+
+
+def text_of(g: Graph) -> str:
+    lines = [f"vertices {g.n_vertices}"]
+    lines += [f"{u} {v} {w!r}" for (u, v), w in zip(g.edges, g.weights)]
+    return "\n".join(lines) + "\n"
+
+
+tokens = st.text(string.ascii_letters + string.digits + "+-._", min_size=1, max_size=6)
+
+
+def _not_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _not_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def junk_lines(n: int):
+    """Edge lines that are invalid on their own in a graph of n vertices."""
+    vertex = st.integers(0, n - 1)
+    out_of_range = st.one_of(st.integers(n, 10**6), st.integers(-(10**6), -1))
+    distinct = st.tuples(vertex, vertex).filter(lambda uv: uv[0] != uv[1])
+    bad_weight = st.one_of(
+        st.sampled_from(["0", "-0.0", "-1.5", "nan", "inf", "-inf", "1e999"]),
+        tokens.filter(_not_float),
+    )
+    return st.one_of(
+        tokens,
+        st.lists(tokens, min_size=4, max_size=6).map(" ".join),
+        st.tuples(tokens.filter(_not_int), vertex).map(lambda t: f"{t[0]} {t[1]}"),
+        st.tuples(vertex, out_of_range, st.booleans()).map(lambda t: f"{t[0]} {t[1]}" if t[2] else f"{t[1]} {t[0]}"),
+        vertex.map(lambda u: f"{u} {u}"),
+        st.tuples(distinct, bad_weight).map(lambda t: f"{t[0][0]} {t[0][1]} {t[1]}"),
+    )
+
+
+@given(g=graphs())
+def test_edge_list_text_round_trips(g):
+    # Graph equality compares the weights exactly.
+    assert parse_edge_list(text_of(g)) == g
+
+
+@given(g=graphs(), data=st.data())
+def test_junk_line_is_refused_naming_its_line(g, data):
+    lines = text_of(g).splitlines()
+    position = data.draw(st.integers(1, len(lines)))
+    junk = data.draw(junk_lines(g.n_vertices))
+    lines.insert(position, junk)
+    # Every exception other than ValueError fails the test.
+    try:
+        parse_edge_list("\n".join(lines))
+    except ValueError as exc:
+        assert str(exc).startswith(f"line {position + 1}: "), (junk, str(exc))
+    else:
+        raise AssertionError(f"junk line {junk!r} was accepted")
+
+
+@given(g=graphs(), data=st.data())
+def test_graph_ignores_edge_order_and_orientation(g, data):
+    order = data.draw(st.permutations(range(len(g.edges))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    edges = tuple(g.edges[i][::-1] if flip else g.edges[i] for i, flip in zip(order, flips))
+    weights = tuple(g.weights[i] for i in order)
+    assert Graph(g.n_vertices, edges, weights) == g
