@@ -27,6 +27,7 @@ import qsw.cli as cli
 from qsw.evolution import (
     EIGENVALUE_FLOOR,
     HERMITICITY_BUDGET,
+    MIN_POSITIVE_TIME,
     TRACE_BUDGET,
     DensityMatrix,
     build_liouvillian,
@@ -54,8 +55,10 @@ regimes = st.one_of(
     st.tuples(st.just("qsw-global"), st.just("sqrt"), st.sampled_from(["full", "offdiagonal"])),
 )
 omegas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-# Subnormal times are refused (see test_cli); the grid draws only valid ones.
-time_grids = st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=2, max_size=4)
+# Subnormal times and grid steps are refused (see test_cli); the grid draws only valid ones.
+time_grids = st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=2, max_size=4).filter(
+    lambda ts: not any(0 < step < MIN_POSITIVE_TIME for step in np.diff(sorted(ts)))
+)
 
 
 def _within_budgets(arr: np.ndarray) -> bool:
