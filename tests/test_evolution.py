@@ -418,6 +418,39 @@ class TestRealRoute:
                     assert np.abs(state.entries - reference).max() <= 1e-13, (ls.regime_tag, omega)
 
 
+class TestArithmeticRoute:
+    """Generators and states that were once sent to complex arithmetic now run in real arithmetic too."""
+
+    @pytest.mark.parametrize(
+        "omega, complex_state",
+        [(1.0, False), (0.5, False), (1.0, True)],
+        ids=["real", "complex-generator", "complex-state"],
+    )
+    def test_operand_dtypes_and_agreement_with_complex_route(self, monkeypatch, omega, complex_state):
+        _, lmap, m, h = line_setup(9)
+        liou = build_liouvillian(h, edge_jump_operators(m), omega)
+        if complex_state:
+            rho0 = DensityMatrix.pure(np.exp(0.3j * np.arange(9)) / 3.0)
+            assert np.abs(rho0.entries.imag).max() > 0.1
+        else:
+            rho0 = DensityMatrix.basis(9, lmap.center)
+        operands = []
+
+        def recording_expm_multiply(a, b):
+            operands.append((a.dtype, b.dtype))
+            return scipy.sparse.linalg.expm_multiply(a, b)
+
+        monkeypatch.setattr(qsw.evolution, "expm_multiply", recording_expm_multiply)
+        state, info = propagate_detailed(rho0, liou, 2.0)
+        assert operands == [(np.float64, np.float64)]
+        assert state.entries.dtype == np.complex128
+        assert info.method == "matrix-exponential"
+        reference = scipy.sparse.linalg.expm_multiply(
+            column_stacked_superoperator(liou.matrix) * 2.0, vectorize_state(rho0.entries).astype(complex)
+        )
+        assert np.abs(state.entries - unvectorize_state(reference, 9)).max() <= 1e-13
+
+
 class TestStateReadouts:
     def test_populations_of_basis_state(self):
         assert populations(DensityMatrix.basis(4, 1)).tolist() == [0.0, 1.0, 0.0, 0.0]
