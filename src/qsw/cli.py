@@ -136,7 +136,7 @@ def _load_graph(source: str) -> GraphSource:
 
 
 def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
-    """JSON file: a list of operators, each a list of [row, col, re, im] entries."""
+    """JSON file: a list of operators, each a list of [row, col, re, im] entries, none given twice."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -146,11 +146,10 @@ def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
         raise CliError(f"jump-operator file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise CliError("jump-operator file must hold a list of operators")
-    ops = []
+    triplets = []
     for op_index, entries in enumerate(raw):
         if not isinstance(entries, list):
             raise CliError(f"operator {op_index} must be a list of [row, col, re, im] entries")
-        arr = np.zeros((dim, dim), dtype=complex)
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 4:
                 raise CliError(f"operator {op_index}: entries must be [row, col, re, im], got {entry!r}")
@@ -165,9 +164,9 @@ def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
             row, col = int(row), int(col)
             if not (0 <= row < dim and 0 <= col < dim):
                 raise CliError(f"operator {op_index}: index ({row}, {col}) out of range for dim {dim}")
-            arr[row, col] = re_part + 1j * im_part
-        ops.append(arr)
-    return JumpOperatorSet(dim, tuple(ops), CUSTOM)
+            triplets.append((op_index, row, col, re_part + 1j * im_part))
+    number, rows, cols, values = zip(*triplets) if triplets else ((),) * 4
+    return JumpOperatorSet(dim, len(raw), number, rows, cols, values, CUSTOM)
 
 
 def _build_operators(src: GraphSource, args) -> tuple[Hamiltonian, JumpOperatorSet]:

@@ -361,8 +361,8 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
 
     where column k of V is L_k flattened row-major (entry (a, b) at index
     a * dim + b) and the realignment R moves entry ((a, b), (alpha, beta))
-    to (a + dim * alpha, b + dim * beta). K is S^dag S for the matrix S
-    that stacks the operators' nonzeros. Because R(vec(G) vec(I)^dag) is
+    to (a + dim * alpha, b + dim * beta). V and S, the stacked operators
+    with K = S^dag S, come from the set's triplets. As R(vec(G) vec(I)^dag) is
     kron(I, G) and R(vec(I) vec(G)^dag) is kron(conj(G), I), all three
     terms come out of one sparse product
 
@@ -379,28 +379,20 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     if h.dim != ls.dim:
         raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
     dim = h.dim
-    ops = ls.operators if omega > 0.0 else ()
-    # Operator number, row-major index a * dim + b and value of every nonzero.
-    positions = [np.flatnonzero(op != 0) for op in ops]
-    number = np.repeat(np.arange(len(ops)), [p.size for p in positions])
-    index = np.concatenate([np.zeros(0, dtype=np.intp), *positions])
-    values = np.concatenate([np.zeros(0, dtype=complex), *(op.ravel()[p] for op, p in zip(ops, positions))])
-    if not np.isfinite(values).all():
-        raise ValueError(f"jump operator {int(number[~np.isfinite(values)][0])} has non-finite entries")
+    # Operator number, row a, column b and value of every nonzero; none at omega = 0.
+    number, a, b, values = (x if omega > 0.0 else x[:0] for x in (ls.number, ls.rows, ls.cols, ls.values))
 
     gen = scipy.sparse.csr_matrix(h.entries) * (-1j * (1.0 - omega))
     if values.size:
-        stacked = scipy.sparse.csr_matrix(
-            (values, (number * dim + index // dim, index % dim)), shape=(len(ops) * dim, dim)
-        )
+        stacked = scipy.sparse.csr_matrix((values, (number * dim + a, b)), shape=(ls.count * dim, dim))
         gen = gen - (0.5 * omega) * (stacked.conj().T @ stacked)
     gen = gen.tocoo()
 
-    g_col, i_col = len(ops), len(ops) + 1
-    rows = np.concatenate([index, gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)])
+    g_col, i_col = ls.count, ls.count + 1
+    rows = np.concatenate([a * dim + b, gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)])
     cols = np.concatenate([number, np.full(gen.nnz, g_col), np.full(dim, i_col)])
     swapped = np.concatenate([number, np.full(gen.nnz, i_col), np.full(dim, g_col)])
-    shape = (dim * dim, len(ops) + 2)
+    shape = (dim * dim, ls.count + 2)
     left = scipy.sparse.csr_matrix((np.concatenate([values, gen.data, np.ones(dim)]), (rows, cols)), shape=shape)
     # The right factor is built already conjugated and transposed.
     right_dag = scipy.sparse.csr_matrix(

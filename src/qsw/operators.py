@@ -1,7 +1,7 @@
 """Hamiltonians, jump-operator sets, and the transition-rate tensor.
 
 The walk regimes differ only in their operator content, all of it derived
-from the classical generator M:
+from the classical generator M (a JumpOperatorSet keeps nonzeros only):
 
 - Hamiltonian H[a, b] = M[a, b] (coherent hopping),
 - edge-local jump operators, one per ordered vertex pair with a rate,
@@ -38,20 +38,6 @@ EMPTY = "empty"
 CUSTOM = "custom"
 
 
-def _frozen_complex(entries) -> np.ndarray:
-    """entries as a read-only complex array.
-
-    An array that is already read-only, complex and owns its data is
-    shared; anything else is copied, so a caller's array is never frozen
-    or aliased.
-    """
-    if type(entries) is np.ndarray and entries.dtype == complex and not entries.flags.writeable and entries.base is None:
-        return entries
-    arr = np.array(entries, dtype=complex)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Hamiltonian:
     """Hermitian dim x dim matrix, units 1/time (hbar = 1)."""
@@ -59,7 +45,8 @@ class Hamiltonian:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_complex(self.entries)
+        arr = np.array(self.entries, dtype=complex)
+        arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got shape {arr.shape}")
         non_finite = np.argwhere(~np.isfinite(arr))
@@ -76,40 +63,78 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class JumpOperatorSet:
-    """Ordered collection of jump operators with a regime tag.
+    """count jump operators with a regime tag, held as the triplets of their nonzero entries.
 
-    regime_tag is one of "edge-local", "global", "empty", "custom"; the
-    first three are the built-in constructions and carry structural
-    guarantees (see the constructor functions), "custom" is user-supplied.
+    Entry j is values[j] at (rows[j], cols[j]) of operator number[j]; the
+    read-only arrays are sorted by (number, row, column) and hold no zeros,
+    and an all-zero operator still counts. regime_tag is "edge-local",
+    "global" or "empty" for the built-in constructions, or "custom".
     """
 
     dim: int
-    operators: tuple
+    count: int
+    number: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     regime_tag: str
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        if self.dim < 1 or self.count < 0:
+            raise ValueError(f"need a positive dim and a nonnegative count, got {self.dim} and {self.count}")
         if self.regime_tag not in (EDGE_LOCAL, GLOBAL, EMPTY, CUSTOM):
             raise ValueError(f"unknown regime tag {self.regime_tag!r}")
-        ops = []
-        for op in self.operators:
-            arr = _frozen_complex(op)
-            if arr.shape != (self.dim, self.dim):
-                raise ValueError(f"operator shape {arr.shape} does not match dim {self.dim}")
-            ops.append(arr)
-        object.__setattr__(self, "operators", tuple(ops))
+        number, rows, cols = (np.asarray(x) for x in (self.number, self.rows, self.cols))
+        values = np.asarray(self.values, dtype=complex)
+        integers = all(x.dtype.kind in "iu" or x.size == 0 for x in (number, rows, cols))
+        if not (integers and values.ndim == 1 and number.shape == rows.shape == cols.shape == values.shape):
+            found = [f"{x.dtype}{list(x.shape)}" for x in (number, rows, cols, values)]
+            raise ValueError(f"need integer number, rows, cols and values, 1-d and of one length; got {found}")
+        number, rows, cols = (x.astype(np.intp) for x in (number, rows, cols))
+        outside = (number < 0) | (number >= self.count) | (rows < 0) | (rows >= self.dim) | (cols < 0) | (cols >= self.dim)
+        if outside.any():
+            j = np.argmax(outside)
+            raise ValueError(f"jump operator {number[j]}: entry ({rows[j]}, {cols[j]}) is out of range")
+        non_finite = ~np.isfinite(values)
+        if non_finite.any():
+            # Every tolerance comparison is False on nan, so an audit would pass.
+            j = np.argmax(non_finite)
+            raise ValueError(f"jump operator {number[j]} has non-finite entries: ({rows[j]}, {cols[j]}) is {values[j]}")
+        key = (number * self.dim + rows) * self.dim + cols
+        _, order, repeats = np.unique(key, return_index=True, return_counts=True)
+        if (repeats > 1).any():
+            j = order[np.argmax(repeats > 1)]
+            raise ValueError(f"jump operator {number[j]}: entry ({rows[j]}, {cols[j]}) is given twice")
+        order = order[values[order] != 0]
+        for name, arr in (("number", number), ("rows", rows), ("cols", cols), ("values", values)):
+            object.__setattr__(self, name, arr[order])
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, dim: int, operators, regime_tag: str) -> "JumpOperatorSet":
+        """The set of the given dim x dim matrices, held as their nonzero entries."""
+        ops = [np.asarray(op, dtype=complex) for op in operators]
+        if any(op.shape != (dim, dim) for op in ops):
+            raise ValueError(f"operators must be {dim} x {dim}, got shapes {[op.shape for op in ops]}")
+        stack = np.array(ops, dtype=complex).reshape(len(ops), dim, dim)
+        number, rows, cols = np.nonzero(stack)
+        return cls(dim, len(ops), number, rows, cols, stack[number, rows, cols], regime_tag)
+
+    @property
+    def operators(self) -> tuple:
+        """The operators as dense dim x dim matrices, built on demand for the dense routes only."""
+        return tuple(self.stacked())
+
+    def stacked(self) -> np.ndarray:
+        """The operators as one (count, dim, dim) array scattered from the triplets."""
+        stack = np.zeros((self.count, self.dim, self.dim), dtype=complex)
+        stack[self.number, self.rows, self.cols] = self.values
+        return stack
 
     def overlap_sum(self) -> np.ndarray:
         """K = sum_k L_k^dag L_k (zero matrix for the empty set)."""
-        k = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.operators:
-            k += op.conj().T @ op
-        return k
-
-    def stacked(self) -> np.ndarray:
-        """The operators as one (k, dim, dim) array; (0, dim, dim) for the empty set."""
-        return np.array(self.operators, dtype=complex).reshape(len(self.operators), self.dim, self.dim)
+        stack = self.stacked()
+        return np.einsum("kab,kac->bc", stack.conj(), stack)
 
 
 def hamiltonian_from_generator(m: GeneratorMatrix) -> Hamiltonian:
@@ -129,24 +154,15 @@ def edge_jump_operators(m: GeneratorMatrix, amplitude: str = "sqrt") -> JumpOper
     """
     if amplitude not in ("sqrt", "literal"):
         raise ValueError(f"amplitude must be 'sqrt' or 'literal', got {amplitude!r}")
-    a = m.entries
-    ops = []
-    for row in range(m.dim):
-        for col in range(m.dim):
-            if row == col or a[row, col] == 0.0:
-                continue
-            rate = a[row, col]
-            if amplitude == "sqrt":
-                if rate < 0:
-                    raise ValueError(f"negative off-diagonal rate at ({row}, {col})")
-                value = np.sqrt(rate)
-            else:
-                value = rate
-            op = np.zeros((m.dim, m.dim), dtype=complex)
-            op[row, col] = value
-            op.setflags(write=False)
-            ops.append(op)
-    return JumpOperatorSet(m.dim, tuple(ops), EDGE_LOCAL)
+    rows, cols = np.nonzero(m.entries)
+    rows, cols = rows[rows != cols], cols[rows != cols]
+    rates = m.entries[rows, cols]
+    if amplitude == "sqrt":
+        negative = np.flatnonzero(rates < 0)
+        if negative.size:
+            raise ValueError(f"negative off-diagonal rate at ({rows[negative[0]]}, {cols[negative[0]]})")
+        rates = np.sqrt(rates)
+    return JumpOperatorSet(m.dim, rates.size, np.arange(rates.size), rows, cols, rates, EDGE_LOCAL)
 
 
 def global_jump_operator(m: GeneratorMatrix, parts: str = "full") -> JumpOperatorSet:
@@ -156,18 +172,15 @@ def global_jump_operator(m: GeneratorMatrix, parts: str = "full") -> JumpOperato
     """
     if parts not in ("full", "offdiagonal"):
         raise ValueError(f"parts must be 'full' or 'offdiagonal', got {parts!r}")
-    op = np.array(m.entries, dtype=complex)
+    rows, cols = np.nonzero(m.entries)
     if parts == "offdiagonal":
-        np.fill_diagonal(op, 0.0)
-    op.setflags(write=False)
-    return JumpOperatorSet(m.dim, (op,), GLOBAL)
+        rows, cols = rows[rows != cols], cols[rows != cols]
+    return JumpOperatorSet(m.dim, 1, np.zeros(rows.size, dtype=np.intp), rows, cols, m.entries[rows, cols], GLOBAL)
 
 
 def empty_jump_operators(dim: int) -> JumpOperatorSet:
     """The empty set: evolution is then purely Hamiltonian."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return JumpOperatorSet(dim, (), EMPTY)
+    return JumpOperatorSet(dim, 0, (), (), (), (), EMPTY)
 
 
 @dataclass(frozen=True)
@@ -401,10 +414,6 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     adjacency = g.weight_matrix() != 0
     h_entries = h.entries
     stacked = ls.stacked()
-    finite = np.isfinite(stacked).all(axis=(1, 2))
-    if not finite.all():
-        # Every tolerance comparison below is False on nan, so the audit would pass.
-        raise ValueError(f"jump operator {int(np.argmin(finite))} has non-finite entries")
     overlap = ls.overlap_sum()
     tensor = _transition_tensor(h_entries, stacked, overlap)
 

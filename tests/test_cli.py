@@ -415,8 +415,9 @@ class TestCustomRegime:
             ([[[0, 1, 1.0, 0.0]], [[1, 0, 1.0, float("inf")]]], "operator 1: entry [1, 0, 1.0, inf] is not finite"),
             ([[[0, 1.7, 1, 0]]], "operator 0: indices must be integers"),
             ([[[0, 1, "one", 0]]], "operator 0: entries must be numbers"),
+            ([[[1, 0, 1.0, 0.0]], [[0, 1, 1.0, 0.0], [2, 1, 1.0, 0.0], [0, 1, 0.0, 2.0]]], "operator 1: entry (0, 1) is given twice"),
         ],
-        ids=["nan", "inf", "fractional-index", "non-number"],
+        ids=["nan", "inf", "fractional-index", "non-number", "repeated-entry"],
     )
     def test_bad_jump_entries_are_located_config_errors(self, tmp_path, capsys, entries, message):
         jump_file = tmp_path / "bad.json"

@@ -222,7 +222,7 @@ class TestBuildLiouvillian:
                 edge_jump_operators(m),
                 global_jump_operator(m),
                 empty_jump_operators(dim),
-                JumpOperatorSet(dim, tuple(custom), "custom"),
+                JumpOperatorSet.from_dense(dim, custom, "custom"),
             )
             ident = np.eye(dim, dtype=complex)
             he = h.entries
@@ -393,7 +393,7 @@ class TestRealRoute:
             edge_jump_operators(m),
             global_jump_operator(m),
             empty_jump_operators(7),
-            JumpOperatorSet(7, tuple(custom), "custom"),
+            JumpOperatorSet.from_dense(7, custom, "custom"),
         )
         starts = (DensityMatrix.basis(7, lmap.center), DensityMatrix.pure(np.exp(0.3j * np.arange(7)) / np.sqrt(7)))
         assert np.abs(starts[1].entries.imag).max() > 0.1

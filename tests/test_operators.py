@@ -11,12 +11,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qsw.cli
 import qsw.evolution
 import qsw.operators
 from qsw.evolution import lindblad_rhs
 from qsw.graph import GeneratorMatrix, build_line, classical_generator, from_edge_list
 from qsw.operators import (
     EDGE_LOCAL,
+    GLOBAL,
     Hamiltonian,
     JumpOperatorSet,
     _transition_tensor,
@@ -121,25 +123,132 @@ class TestJumpOperatorConstructions:
 
     def test_regime_tag_validation(self):
         with pytest.raises(ValueError):
-            JumpOperatorSet(2, (), "bespoke")
+            JumpOperatorSet.from_dense(2, (), "bespoke")
 
     def test_operator_shape_validation(self):
         with pytest.raises(ValueError):
-            JumpOperatorSet(2, (np.zeros((3, 3)),), "custom")
+            JumpOperatorSet.from_dense(2, (np.zeros((3, 3)),), "custom")
 
     def test_caller_arrays_stay_writeable_and_frozen_ones_are_shared(self):
         op = np.zeros((2, 2), dtype=complex)
-        ls = JumpOperatorSet(2, (op,), "custom")
+        op[1, 0] = 2.0
+        ls = JumpOperatorSet.from_dense(2, (op,), "custom")
         h_entries = np.zeros((2, 2), dtype=complex)
         h = Hamiltonian(h_entries)
-        assert op.flags.writeable and h_entries.flags.writeable
+        values = np.array([3.0 + 0j])
+        raw = JumpOperatorSet(2, 1, np.array([0]), np.array([0]), np.array([1]), values, "custom")
+        assert op.flags.writeable and h_entries.flags.writeable and values.flags.writeable
         op[0, 1] = 1.0
         h_entries[0, 0] = 1.0
-        assert ls.operators[0][0, 1] == 0.0 and h.entries[0, 0] == 0.0
-        # Already read-only complex operators (as the edge-local set builds
-        # them) are held once, not copied.
-        edge = edge_jump_operators(line_setup(3)[1])
-        assert all(a is b for a, b in zip(JumpOperatorSet(3, edge.operators, "custom").operators, edge.operators))
+        values[0] = 4.0
+        assert ls.operators[0][0, 1] == 0.0 and h.entries[0, 0] == 0.0 and raw.values[0] == 3.0
+        # The stored triplets are read-only, so a set cannot change after its checks.
+        for stored in (ls, raw, edge_jump_operators(line_setup(3)[1])):
+            for arr in (stored.number, stored.rows, stored.cols, stored.values):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+
+
+def dense_reference_sets(m):
+    """The built-in sets as the per-pair dense loop built them before triplet storage, via from_dense."""
+    a = m.entries
+    sets = {}
+    for amplitude in ("sqrt", "literal"):
+        ops = []
+        for row in range(m.dim):
+            for col in range(m.dim):
+                if row == col or a[row, col] == 0.0:
+                    continue
+                op = np.zeros((m.dim, m.dim), dtype=complex)
+                op[row, col] = np.sqrt(a[row, col]) if amplitude == "sqrt" else a[row, col]
+                ops.append(op)
+        sets[("edge", amplitude)] = (JumpOperatorSet.from_dense(m.dim, ops, EDGE_LOCAL), edge_jump_operators(m, amplitude))
+    for parts in ("full", "offdiagonal"):
+        op = np.array(a, dtype=complex)
+        if parts == "offdiagonal":
+            np.fill_diagonal(op, 0.0)
+        sets[("global", parts)] = (JumpOperatorSet.from_dense(m.dim, (op,), GLOBAL), global_jump_operator(m, parts))
+    return sets
+
+
+def triplets(ls):
+    return ls.count, ls.number, ls.rows, ls.cols, ls.values
+
+
+class TestTripletStorage:
+    @pytest.mark.parametrize(
+        "count, number, rows, cols, values, message",
+        [
+            (1, [0], [0], [3], [1.0], r"jump operator 0: entry \(0, 3\) is out of range"),
+            (1, [0], [-1], [0], [1.0], r"jump operator 0: entry \(-1, 0\) is out of range"),
+            (2, [0, 2], [0, 1], [1, 0], [1.0, 1.0], r"jump operator 2: entry \(1, 0\) is out of range"),
+            (1, [0, 0], [0, 1], [1], [1.0, 1.0], "of one length"),
+            (1, [0], [0], [1], [[1.0]], "of one length"),
+            (1, [0.0], [0], [1], [1.0], "need integer number, rows, cols"),
+            (2, [1, 0, 1], [0, 1, 0], [1, 2, 1], [1.0, 2.0, 0.0], r"jump operator 1: entry \(0, 1\) is given twice"),
+            (2, [0, 1], [0, 2], [1, 0], [1.0, np.nan], r"jump operator 1 has non-finite entries: \(2, 0\)"),
+            (1, [0], [1], [1], [complex(np.inf, 0.0)], r"jump operator 0 has non-finite entries: \(1, 1\)"),
+            (-1, [], [], [], [], "nonnegative count"),
+        ],
+        ids=["column", "negative-row", "operator-number", "lengths", "values-2d", "float-index", "repeat", "nan", "inf", "count"],
+    )
+    def test_constructor_refuses_bad_triplets_naming_the_entry(self, count, number, rows, cols, values, message):
+        with pytest.raises(ValueError, match=message):
+            JumpOperatorSet(3, count, number, rows, cols, values, "custom")
+
+    def test_keeps_nonzeros_sorted_and_counts_all_zero_operators(self):
+        ls = JumpOperatorSet(3, 4, [2, 0, 2, 1], [1, 2, 0, 0], [0, 1, 2, 0], [5.0, 1j, 2.0, 0.0], "custom")
+        assert ls.count == 4
+        assert ls.number.tolist() == [0, 2, 2]
+        assert ls.rows.tolist() == [2, 0, 1]
+        assert ls.cols.tolist() == [1, 2, 0]
+        assert ls.values.tolist() == [1j, 2.0, 5.0]
+        stack = ls.stacked()
+        assert stack.shape == (4, 3, 3)
+        assert not stack[1].any() and not stack[3].any()
+        assert len(ls.operators) == 4
+
+    @pytest.mark.parametrize("graph", ["line:7", "random"])
+    def test_built_in_sets_match_the_dense_per_pair_reference(self, graph):
+        if graph == "line:7":
+            _, m, h = line_setup(7)
+        else:
+            rng = np.random.default_rng(77)
+            edges = [(u, v, float(rng.uniform(0.3, 2.5))) for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.5]
+            m = classical_generator(from_edge_list(8, edges))
+            h = hamiltonian_from_generator(m)
+        for name, (reference, built) in dense_reference_sets(m).items():
+            for expected, actual in zip(triplets(reference), triplets(built)):
+                assert np.array_equal(expected, actual), name
+            for omega in (0.0, 0.5, 1.0):
+                old = qsw.evolution.build_liouvillian(h, reference, omega).matrix
+                new = qsw.evolution.build_liouvillian(h, built, omega).matrix
+                assert old.shape == new.shape and (old != new).nnz == 0, (name, omega)
+
+    def test_explicit_zero_entry_adds_no_superoperator_entries(self):
+        _, m, h = line_setup(5)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        bare = JumpOperatorSet(5, 2, [0, 0, 1, 1], [0, 1, 3, 4], [1, 2, 2, 3], values, "custom")
+        padded = JumpOperatorSet(5, 2, [0, 0, 1, 1, 1], [0, 1, 3, 4, 2], [1, 2, 2, 3, 2], [*values, 0.0], "custom")
+        for omega in (0.5, 1.0):
+            a = qsw.evolution.build_liouvillian(h, bare, omega).matrix
+            b = qsw.evolution.build_liouvillian(h, padded, omega).matrix
+            assert a.nnz == b.nnz and (a != b).nnz == 0
+
+    def test_production_path_never_densifies_the_set(self, monkeypatch, tmp_path):
+        def refuse(self):
+            raise AssertionError("the production path must read the triplets, not a dense stack")
+
+        _, m, h = line_setup(7)
+        regimes = {**all_regimes(m), "custom": JumpOperatorSet(7, 2, [0, 1], [0, 3], [1, 2], [1.0, 0.5j], "custom")}
+        monkeypatch.setattr(JumpOperatorSet, "stacked", refuse)
+        for ls in regimes.values():
+            for omega in (0.0, 0.5, 1.0):
+                assert qsw.evolution.build_liouvillian(h, ls, omega).matrix.shape == (49, 49)
+        argv = ["sweep", "--graph", "line:21:1", "--regime", "crw", "--omega", "0:1:3", "--output", str(tmp_path / "sweep.csv")]
+        assert qsw.cli.main(argv) == 0
 
 
 class TestTensorElement:
@@ -205,7 +314,7 @@ def random_custom_set(rng, dim):
     """A random Hermitian H and a dense complex three-operator custom set."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     ops = tuple(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(3))
-    return Hamiltonian((a + a.conj().T) / 2.0), JumpOperatorSet(dim, ops, "custom")
+    return Hamiltonian((a + a.conj().T) / 2.0), JumpOperatorSet.from_dense(dim, ops, "custom")
 
 
 class TestTransitionTensor:
@@ -329,7 +438,7 @@ class TestAuditAxioms:
         g, m, h = line_setup(3)
         rogue = np.zeros((3, 3), dtype=complex)
         rogue[0, 2] = 1.0
-        ls = JumpOperatorSet(3, (rogue,), "custom")
+        ls = JumpOperatorSet.from_dense(3, (rogue,), "custom")
         report = audit_axioms(h, ls, g)
         assert not report.passed
         kinds = {f.kind for f in report.failures}
@@ -344,7 +453,7 @@ class TestAuditAxioms:
         rogue = np.zeros((3, 3), dtype=complex)
         rogue[0, 2] = 1.0
         rogue[2, 1] = 0.5 - 0.25j
-        report = audit_axioms(h, JumpOperatorSet(3, (rogue,), EDGE_LOCAL), g)
+        report = audit_axioms(h, JumpOperatorSet.from_dense(3, (rogue,), EDGE_LOCAL), g)
         assert not report.passed
         assert report.move_locality_checked
         listed = [(f.kind, f.indices, f.deviation) for f in report.failures]
@@ -424,14 +533,12 @@ class TestAuditAxioms:
 
     def test_rejects_non_finite_operator_instead_of_passing(self):
         # Every tolerance comparison is False on nan, so a nan entry once
-        # produced passed: True with nan deviations and no failures.
-        g, m, h = line_setup(3)
+        # produced passed: True with nan deviations and no failures. Such a
+        # set can no longer be built, by either way in.
+        _, m, _ = line_setup(3)
         rogue = np.zeros((3, 3), dtype=complex)
         rogue[0, 1] = np.nan
-        ls = JumpOperatorSet(3, (edge_jump_operators(m).operators[0], rogue), "custom")
         with pytest.raises(ValueError, match="jump operator 1 has non-finite entries"):
-            audit_axioms(h, ls, g)
+            JumpOperatorSet.from_dense(3, (edge_jump_operators(m).operators[0], rogue), "custom")
         with pytest.raises(ValueError, match="jump operator 1 has non-finite entries"):
-            qsw.evolution.build_liouvillian(h, ls, 0.5)
-        # omega = 0 never reads the operators.
-        assert qsw.evolution.build_liouvillian(h, ls, 0.0).matrix.nnz > 0
+            JumpOperatorSet(3, 2, [0, 1], [0, 0], [1, 1], [1.0, complex(0.0, np.inf)], "custom")

@@ -12,6 +12,12 @@ For graphs, it draws vertex counts, edge sets and positive finite weights
 back to the same graph, a junk line anywhere after the header is refused
 with a ValueError that names its line, and a Graph does not depend on the
 order or orientation of its input edges.
+
+For jump-operator sets, it draws small complex custom sets (zeros and
+all-zero operators included) and hands their entries to the triplet
+constructor in a random order with explicit zeros mixed in: the stored
+triplets must round-trip through from_dense, stacked() must rebuild the
+drawn matrices, and overlap_sum() must equal the explicit sum of L^dag L.
 """
 
 import string
@@ -36,6 +42,7 @@ from qsw.evolution import (
     propagate_detailed,
 )
 from qsw.graph import Graph, from_edge_list, parse_edge_list
+from qsw.operators import JumpOperatorSet
 
 
 @st.composite
@@ -182,3 +189,34 @@ def test_graph_ignores_edge_order_and_orientation(g, data):
     edges = tuple(g.edges[i][::-1] if flip else g.edges[i] for i, flip in zip(order, flips))
     weights = tuple(g.weights[i] for i in order)
     assert Graph(g.n_vertices, edges, weights) == g
+
+
+@st.composite
+def custom_stacks(draw):
+    """A (count, dim, dim) complex stack with zero entries and all-zero operators."""
+    dim = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+    flat = draw(st.lists(entry, min_size=count * dim * dim, max_size=count * dim * dim))
+    stack = np.array(flat, dtype=complex).reshape(count, dim, dim)
+    stack[sorted(draw(st.sets(st.integers(0, count - 1))) if count else [])] = 0.0
+    return stack
+
+
+@given(stack=custom_stacks(), tag=st.sampled_from(["custom", "edge-local", "global", "empty"]), data=st.data())
+def test_jump_set_triplets_round_trip_and_rebuild_the_matrices(stack, tag, data):
+    count, dim = stack.shape[0], stack.shape[2]
+    # Every nonzero entry plus some explicit zeros, in a random order.
+    zeros = np.argwhere(stack == 0)
+    extra = sorted(data.draw(st.sets(st.integers(0, len(zeros) - 1)))) if len(zeros) else []
+    where = np.concatenate([np.argwhere(stack != 0), zeros[extra]])
+    where = where[np.array(data.draw(st.permutations(range(len(where)))), dtype=int)]
+    ls = JumpOperatorSet(dim, count, *where.T, stack[tuple(where.T)], tag)
+
+    again = JumpOperatorSet.from_dense(dim, ls.operators, tag)
+    assert again.count == ls.count == count
+    for name in ("number", "rows", "cols", "values"):
+        assert np.array_equal(getattr(again, name), getattr(ls, name)), name
+    assert np.array_equal(ls.stacked(), stack)
+    expected = sum((op.conj().T @ op for op in stack), np.zeros((dim, dim), dtype=complex))
+    assert np.abs(ls.overlap_sum() - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
