@@ -228,8 +228,11 @@ def _config_echo(src: GraphSource, args, omegas, ts, origin_label, origin_index)
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file {output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

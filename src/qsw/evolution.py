@@ -216,19 +216,18 @@ def _realign(left: scipy.sparse.csr_matrix, right_dag: scipy.sparse.csr_matrix, 
     rows and columns are pairs flattened row-major, a * dim + b). A
     Lindblad generator maps Hermitian states to Hermitian states, so the
     rows with a > alpha are conjugates of the rows with a <= alpha and are
-    dropped. The term c rho[b, beta] is rewritten in the coordinates of
-    coordinate_basis: rho[b, beta] is x_bb on the diagonal and
-    (x_re +- i x_im) / sqrt(2) off it, with + above the diagonal and -
-    below, where it is the conjugate of the upper pair. Its real part goes
-    to the row's real coordinate and its imaginary part to the row's
-    imaginary one, scaled by sqrt(2) off the diagonal; on a diagonal row
-    the imaginary parts cancel between conjugate columns and are dropped.
-    A column and its conjugate land on the same coordinates: grouping the
-    kept entries by (row pair, column pair) makes them neighbours, and
-    their terms are summed before the CSR matrix is built, so it is built
-    from exactly its nonzeros. Each temporary is freed as soon as it is
-    used (the product first), which keeps the peak memory below that of
-    propagation.
+    dropped. In the coordinates of coordinate_basis rho[b, beta] is x_bb on
+    the diagonal and (x_re +- i x_im) / sqrt(2) off it, + above the
+    diagonal and - below. So a column and its conjugate act through their
+    sum on the real coordinate and their difference, upper minus lower, on
+    the imaginary one. They share the pair index min(b, beta) + dim *
+    max(b, beta), and the CSR constructor sums entries that share a
+    position: built once it gives the sums, and built again at the same
+    positions with the lower entries negated it gives the differences,
+    entry for entry. A sum has at most two addends, so its value does not
+    depend on the constructor's order. Real parts go to the row's real
+    coordinate and imaginary parts to its imaginary one, scaled by sqrt(2)
+    off the diagonal; a diagonal row has no imaginary coordinate.
     """
     n2 = dim * dim
     coo = (left @ right_dag).tocoo(copy=False)
@@ -239,30 +238,12 @@ def _realign(left: scipy.sparse.csr_matrix, right_dag: scipy.sparse.csr_matrix, 
     del coo
     a, b, alpha, beta = a[keep], b[keep], alpha[keep], beta[keep]
     del keep
-    # Column 2 * (index of the pair {b, beta}) + 1 when b > beta: a column
-    # and its conjugate become neighbours in one row, the upper one first.
-    row = a + dim * alpha
-    col = np.minimum(b, beta) + dim * np.maximum(b, beta)
-    col *= 2
-    col += b > beta
-    del a, b, alpha, beta
-    # The CSR constructor sorts each row by column (no entry repeats).
-    grouped = scipy.sparse.csr_matrix((c, (row, col)), shape=(n2, 2 * n2))
-    del row, col, c
-    row = np.repeat(np.arange(n2, dtype=grouped.indices.dtype), np.diff(grouped.indptr))
-    col, c = grouped.indices, grouped.data
-    del grouped
-    lower = (col & 1).astype(bool)
-    col >>= 1
-    starts = np.ones(col.size, dtype=bool)
-    starts[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
-    starts = np.flatnonzero(starts)
-    # The sum over a column and its conjugate, and the same sum with the lower one negated.
-    total = np.add.reduceat(c, starts)
-    np.negative(c, out=c, where=lower)
-    signed = np.add.reduceat(c, starts)
-    row, col = row[starts], col[starts]
-    del c, lower, starts
+    row, col = a + dim * alpha, np.minimum(b, beta) + dim * np.maximum(b, beta)
+    total = scipy.sparse.csr_matrix((c, (row, col)), shape=(n2, n2)).tocoo()
+    c[b > beta] *= -1.0
+    signed = scipy.sparse.csr_matrix((c, (row, col)), shape=(n2, n2)).data
+    del a, b, alpha, beta, c
+    row, col, total = total.row, total.col, total.data
     row_hi, row_lo = np.divmod(row, dim)
     col_hi, col_lo = np.divmod(col, dim)
     row_off, col_off = row_lo != row_hi, col_lo != col_hi
@@ -371,8 +352,10 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     which sums coinciding entries as it goes. The realignment also moves
     each entry into the real coordinates (see _realign), so the complex
     matrix is never stored: the real matrix is R = T^dag L T for the
-    unitary T of coordinate_basis. Every regime and every size takes this
-    one path.
+    unitary T of coordinate_basis. A column rho[b, beta] and its conjugate
+    rho[beta, b] act on the same coordinates, so the realignment sums them
+    by the CSR constructor, once as they are and once with the lower one
+    negated. Every regime and every size takes this one path.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
@@ -427,7 +410,8 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
     A zero t returns rho0 itself, with method "identity" and 0 steps.
     Otherwise rho0 is mapped to its real coordinates (to_coordinates), the
     one expm_multiply call runs on float64 operands, and the result is
-    mapped back to a complex state, Hermitian by construction.
+    mapped back to a complex state, Hermitian by construction. The call is
+    deterministic and leaves the caller's np.random state as it found it.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets or the call raises StateInvariantError rather than returning a
@@ -447,7 +431,14 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    coords = expm_multiply(liouvillian.matrix * t, to_coordinates(rho0.entries))
+    # Once ||tL||_1 is large, expm_multiply picks its steps with onenormest,
+    # which draws from numpy's global RNG; a fixed seed keeps results reproducible.
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        coords = expm_multiply(liouvillian.matrix * t, to_coordinates(rho0.entries))
+    finally:
+        np.random.set_state(rng_state)
     arr = from_coordinates(coords, liouvillian.dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.

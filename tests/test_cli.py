@@ -427,6 +427,25 @@ class TestCustomRegime:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "1"),
+        ("sweep", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:3", "--t", "1"),
+        ("audit", "--graph", "line:5:1", "--regime", "crw"),
+        ("compare", "--graph", "line:5:1", "--regime", "crw", "--t", "1"),
+    ],
+    ids=["simulate", "sweep", "audit", "compare"],
+)
+def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
+    # open() raised FileNotFoundError out of main: a traceback and exit 1, the audit-failure code.
+    rc, text = run(tmp_path, *argv, name="missing/out")
+    assert (rc, text) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file")
+    assert "Traceback" not in err
+
+
 def test_import_does_not_load_scipy_integrate():
     # Propagation needs only scipy.sparse.linalg; scipy.integrate would add
     # about a quarter of a second to every command's start-up.

@@ -50,6 +50,21 @@ def line_setup(n_sites, gamma=1.0):
     return g, lmap, m, hamiltonian_from_generator(m)
 
 
+def kron_parts(h, ls):
+    """The commutator and dissipator of the column-stacked superoperator, from the explicit kron formula."""
+    dim = h.dim
+    ident = np.eye(dim, dtype=complex)
+    he = h.entries
+    commutator = np.kron(ident, he) - np.kron(he.T, ident)
+    k = np.zeros((dim, dim), dtype=complex)
+    dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for op in ls.operators:
+        k += op.conj().T @ op
+        dissipator += np.kron(op.conj(), op)
+    dissipator -= 0.5 * np.kron(ident, k) + 0.5 * np.kron(k.T, ident)
+    return commutator, dissipator
+
+
 def random_state(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
@@ -224,16 +239,8 @@ class TestBuildLiouvillian:
                 empty_jump_operators(dim),
                 JumpOperatorSet.from_dense(dim, custom, "custom"),
             )
-            ident = np.eye(dim, dtype=complex)
-            he = h.entries
-            commutator = np.kron(ident, he) - np.kron(he.T, ident)
             for ls in sets:
-                k = np.zeros((dim, dim), dtype=complex)
-                dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
-                for op in ls.operators:
-                    k += op.conj().T @ op
-                    dissipator += np.kron(op.conj(), op)
-                dissipator -= 0.5 * np.kron(ident, k) + 0.5 * np.kron(k.T, ident)
+                commutator, dissipator = kron_parts(h, ls)
                 scale = max(1.0, np.abs(dissipator).max())
                 for omega in (0.0, 0.3, 0.6, 1.0):
                     liou = build_liouvillian(h, ls, omega)
@@ -241,6 +248,42 @@ class TestBuildLiouvillian:
                     built = column_stacked_superoperator(liou.matrix)
                     expected = -(1.0 - omega) * 1j * commutator + omega * dissipator
                     assert np.abs(built.toarray() - expected).max() <= 1e-14 * scale, (dim, ls.regime_tag, omega)
+
+    def test_stores_exactly_the_nonzeros_of_the_real_coordinate_matrix(self):
+        # Re(T^dag L T) from the explicit kron formula pins both the values and
+        # the sparsity pattern; the dense route leaves ~1e-16 residue where
+        # conjugate columns cancel, hence the threshold.
+        rng = np.random.default_rng(83)
+        line, _ = build_line(7, 1.0)
+        extra = {(0, 3), (1, 6), (2, 7), (4, 7), (0, 5)}
+        weighted = from_edge_list(8, [(u, v, rng.uniform(0.5, 2.0)) for u, v in sorted({(i, i + 1) for i in range(7)} | extra)])
+        for g in (line, weighted):
+            dim = g.n_vertices
+            m = classical_generator(g)
+            h = hamiltonian_from_generator(m)
+            custom = np.zeros((2, dim, dim), dtype=complex)
+            for k, a, b in [(0, 0, 0), (0, 1, 3), (0, 6, 2), (1, 2, 2), (1, 5, 1), (1, 4, 6)]:
+                custom[k, a, b] = rng.standard_normal() + 1j * rng.standard_normal()
+            sets = (
+                edge_jump_operators(m, "sqrt"),
+                edge_jump_operators(m, "literal"),
+                global_jump_operator(m, "full"),
+                global_jump_operator(m, "offdiagonal"),
+                empty_jump_operators(dim),
+                JumpOperatorSet.from_dense(dim, custom, "custom"),
+            )
+            basis = coordinate_basis(dim).toarray()
+            for ls in sets:
+                commutator, dissipator = kron_parts(h, ls)
+                for omega in (0.0, 0.5, 1.0):
+                    matrix = build_liouvillian(h, ls, omega).matrix
+                    ref = (basis.conj().T @ (-(1.0 - omega) * 1j * commutator + omega * dissipator) @ basis).real
+                    scale = max(1.0, np.abs(ref).max())
+                    case = (dim, ls.regime_tag, ls.count, omega)
+                    assert matrix.has_canonical_format, case
+                    assert np.all(matrix.data != 0.0), case
+                    np.testing.assert_array_equal(matrix.toarray() != 0.0, np.abs(ref) > 1e-13 * scale, err_msg=str(case))
+                    assert np.abs(matrix.toarray() - ref).max() <= 1e-14 * scale, case
 
     def test_dense_and_sparse_agree(self):
         _, _, m, h = line_setup(33)
@@ -369,6 +412,22 @@ class TestPropagate:
             propagate(DensityMatrix.basis(3, 0), rogue, 1.0)
         assert excinfo.value.trace_drift > 1e-9
         assert isinstance(excinfo.value.min_eigenvalue, float)
+
+    def test_result_does_not_depend_on_the_global_rng(self):
+        # At this ||tL||_1 expm_multiply's onenormest draws from np.random,
+        # and unseeded its step choice changed the state in the last bits.
+        _, lmap, m, h = line_setup(9, gamma=2.0)
+        liou = build_liouvillian(h, global_jump_operator(m, "offdiagonal"), 2.0 / 3.0)
+        rho0 = DensityMatrix.basis(9, lmap.center)
+        states = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            next_draw = np.random.random()
+            np.random.seed(seed)
+            states.append(propagate(rho0, liou, 5.0).entries.tobytes())
+            # The caller's stream goes on where it was.
+            assert np.random.random() == next_draw
+        assert states[0] == states[1]
 
     def test_non_finite_state_violates_budgets(self):
         # A nan drift compares False with every budget, so it once passed them.
