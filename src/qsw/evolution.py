@@ -18,9 +18,13 @@ size; column_stacked_superoperator rebuilds the complex matrix on
 column-stacked states for checks that need it.
 
 The generator is linear and time-independent, so propagation is the action
-of its exponential, exp(t L) x0, computed in real arithmetic by
-scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput.
-33, 2011) for every regime, omega, start state and size. A time grid is a
+of its exponential, exp(t R) x0, computed in real arithmetic by Algorithm
+3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011) for every
+regime, omega, start state and size (_expm_action). The algorithm works on
+the shifted matrix A = R - mu I, mu = tr(R) / n, and picks its Taylor
+degree and step count from 1-norms of A and of its powers. None of these
+depends on t (the norms of tA are t times those of A), so they are
+computed once per Liouvillian and reused by every step. A time grid is a
 forward chain of such steps, each starting from the state the previous one
 reached (see qsw.cli), so its cost grows with the largest time, not the
 sum of times.
@@ -37,18 +41,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .operators import Hamiltonian, JumpOperatorSet
 
 TRACE_BUDGET = 1e-9
 HERMITICITY_BUDGET = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-# The smallest normal float; expm_multiply's scaling breaks down below it.
+# The smallest normal float. A subnormal t has fewer significant bits, and
+# so would the t-scaled norms and Taylor coefficients the kernel computes
+# from it; such a t is refused rather than propagated.
 MIN_POSITIVE_TIME = float(np.finfo(float).tiny)
+
+# Parameters of Al-Mohy and Higham, "Computing the action of the matrix
+# exponential, with an application to exponential integrators", SIAM J.
+# Sci. Comput. 33 (2011) 488-511, at double precision: the tolerance, the
+# largest Taylor degree, p_max (the largest p with p (p - 1) <= m_max + 1)
+# and ell, the number of columns of the 1-norm estimates.
+_TOL = 2.0**-53
+_M_MAX = 55
+_P_MAX = 8
+_ELL = 2
+# theta_m: the largest ||tA||_1 / s for which the degree-m Taylor
+# polynomial of exp(tA / s) meets the tolerance 2^-53. Degrees 1-30 from
+# Higham and Al-Mohy, "Computing matrix functions", Acta Numerica 19
+# (2010), Table A.3; degrees 35-55 from Al-Mohy and Higham (2011), Table 3.1.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+# Condition (3.13) for one vector: up to this ||tA||_1 the exact 1-norm
+# alone picks the parameters, and no power of A is estimated.
+_NORM_ONLY_BOUND = 2 * _ELL * _P_MAX * (_P_MAX + 3) * (_THETA[_M_MAX] / _M_MAX)
 
 
 class PropagationError(RuntimeError):
@@ -156,7 +188,9 @@ class DensityMatrix:
 class Liouvillian:
     """The generator as a real CSR matrix on the coordinates of coordinate_basis, plus its sources.
 
-    column_stacked_superoperator rebuilds the complex form from it.
+    column_stacked_superoperator rebuilds the complex form from it. The
+    propagation kernel's t-independent set-up is made on the first
+    propagation and kept with the Liouvillian for every later one.
     """
 
     dim: int
@@ -165,9 +199,15 @@ class Liouvillian:
     hamiltonian: Hamiltonian
     jump_operators: JumpOperatorSet
 
+    @cached_property
+    def _shifted(self) -> "_ShiftedGenerator":
+        return _ShiftedGenerator(self.matrix)
+
 
 @dataclass(frozen=True)
 class PropagationInfo:
+    """How a state was propagated; steps counts the sparse matrix-vector products the kernel made."""
+
     method: str
     steps: int
     trace_drift: float
@@ -404,14 +444,118 @@ def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
     return trace_drift, herm_drift, min_eig
 
 
+class _ShiftedGenerator:
+    """A = R - mu I for a real CSR generator R and mu = tr(R) / n, with the 1-norms that size exp(tA).
+
+    Nothing here depends on t, so it is computed once per Liouvillian. A
+    Hamiltonian generator has mu = 0, and A is then R itself.
+    """
+
+    def __init__(self, matrix: scipy.sparse.csr_matrix):
+        n = matrix.shape[0]
+        self.mu = float(matrix.trace()) / n
+        self.matrix = matrix - self.mu * scipy.sparse.identity(n, format="csr") if self.mu else matrix
+        self.onenorm = float(np.bincount(self.matrix.indices, weights=np.abs(self.matrix.data), minlength=n).max())
+        self._powers = None
+
+    def power_norms(self) -> dict[int, float]:
+        """d_p = ||A^p||_1^(1/p) for p = 2 .. p_max + 1, estimated on first use.
+
+        scipy.sparse.linalg.onenormest draws its trial vectors from numpy's
+        global random generator, so the estimates run under a fixed seed
+        and the caller's generator state is restored after them.
+        """
+        if self._powers is None:
+            from scipy.sparse.linalg import aslinearoperator, onenormest
+
+            shifted = aslinearoperator(self.matrix)
+            rng_state = np.random.get_state()
+            np.random.seed(0)
+            try:
+                self._powers = {p: onenormest(shifted**p) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
+            finally:
+                np.random.set_state(rng_state)
+        return self._powers
+
+
+def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
+    """Taylor degree m and step count s for exp(tA), by code fragment 3.1 of Al-Mohy and Higham (2011).
+
+    The pair minimizes the cost m s, the number of products with A; ties
+    go to the first pair in the order the paper scans them.
+    """
+    norm = t * gen.onenorm
+    if norm == 0.0:
+        return 0, 1
+    if norm <= _NORM_ONLY_BOUND:
+        candidates = ((m, math.ceil(norm / theta)) for m, theta in _THETA.items())
+    else:
+        # Equation (3.11): alpha_p(tA) = t max(d_p, d_p+1) bounds the tail
+        # of the degree-m series for every m >= p (p - 1) - 1.
+        d = gen.power_norms()
+        candidates = (
+            (m, math.ceil(t * max(d[p], d[p + 1]) / theta))
+            for p in range(2, _P_MAX + 1)
+            for m, theta in _THETA.items()
+            if m >= p * (p - 1) - 1
+        )
+    m, s = min(candidates, key=lambda ms: ms[0] * ms[1])
+    return m, max(s, 1)
+
+
+def _inf_norm(v: np.ndarray) -> float:
+    return max(v.max(), -v.min())
+
+
+def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
+    """exp(t R) x for the real generator R of liouvillian, and the number of products with A made.
+
+    Algorithm 3.2 of Al-Mohy and Higham (2011): with A = R - mu I,
+    exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
+    Taylor polynomial, summed term by term and cut short once two
+    successive terms are below the tolerance relative to the sum. A and
+    its norms are made once per Liouvillian; each term scales its vector
+    in place, and no matrix is copied per step.
+    """
+    gen = liouvillian._shifted
+    m, s = _taylor_parameters(gen, t)
+    eta = math.exp(t * gen.mu / s)
+    f = np.array(x, dtype=float)
+    matvecs = 0
+    for _ in range(s):
+        b = f
+        c1 = f_norm = _inf_norm(f)
+        for j in range(m):
+            b = gen.matrix @ b
+            matvecs += 1
+            # Two roundings per entry rather than one shared rounded
+            # coefficient, whose error would repeat in each of the s steps.
+            b *= t
+            b /= s * (j + 1)
+            c2 = _inf_norm(b)
+            f += b
+            # ||f||_inf is at most the old norm plus c2; the exact norm is
+            # needed only when that bound lets the test pass.
+            f_norm += c2
+            if c1 + c2 <= _TOL * f_norm:
+                f_norm = _inf_norm(f)
+                if c1 + c2 <= _TOL * f_norm:
+                    break
+            c1 = c2
+        f *= eta
+    return f, matvecs
+
+
 def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
     A zero t returns rho0 itself, with method "identity" and 0 steps.
-    Otherwise rho0 is mapped to its real coordinates (to_coordinates), the
-    one expm_multiply call runs on float64 operands, and the result is
-    mapped back to a complex state, Hermitian by construction. The call is
-    deterministic and leaves the caller's np.random state as it found it.
+    Otherwise rho0 is mapped to its real coordinates (to_coordinates),
+    _expm_action computes exp(t R) on them in float64, and the result is
+    mapped back to a complex state, Hermitian by construction. The info's
+    steps is the number of sparse matrix-vector products the kernel made.
+    The call is deterministic and leaves the caller's np.random state as
+    it found it.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets or the call raises StateInvariantError rather than returning a
@@ -422,7 +566,6 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if 0 < t < MIN_POSITIVE_TIME:
-        # expm_multiply divides by quantities that underflow to 0 at subnormal t.
         raise ValueError(f"t must be 0 or at least {MIN_POSITIVE_TIME}, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
@@ -431,19 +574,12 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    # Once ||tL||_1 is large, expm_multiply picks its steps with onenormest,
-    # which draws from numpy's global RNG; a fixed seed keeps results reproducible.
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        coords = expm_multiply(liouvillian.matrix * t, to_coordinates(rho0.entries))
-    finally:
-        np.random.set_state(rng_state)
+    coords, matvecs = _expm_action(liouvillian, to_coordinates(rho0.entries), t)
     arr = from_coordinates(coords, liouvillian.dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.
     trace_drift, herm_drift, min_eig = _check_budgets(arr, f"state propagated by t={t} violated budgets")
-    return DensityMatrix._prechecked(arr), PropagationInfo("matrix-exponential", 1, trace_drift, herm_drift, min_eig)
+    return DensityMatrix._prechecked(arr), PropagationInfo("matrix-exponential", matvecs, trace_drift, herm_drift, min_eig)
 
 
 def propagate(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> DensityMatrix:

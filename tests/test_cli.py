@@ -91,7 +91,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("grid", ["0:5:11", "5:0:11", "1:3:5"], ids=["ascending", "descending", "offset"])
     @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
-    def test_time_grid_matches_per_point_propagation(self, tmp_path, regime, grid):
+    def test_time_grid_matches_per_point_propagation(self, tmp_path, matvecs, regime, grid):
         rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "0.5", "--t", grid)
         assert rc == 0
         results = json.loads(text)["results"]
@@ -102,48 +102,71 @@ class TestSimulate:
         m = classical_generator(g)
         ls = {"qw": empty_jump_operators(21), "crw": edge_jump_operators(m), "qsw-global": global_jump_operator(m)}[regime]
         liou = build_liouvillian(hamiltonian_from_generator(m), ls, 0.5)
+        # The records count the products of the chain's steps, so together
+        # they count every product the command made.
+        steps = [r["validation"]["solver_steps"] for r in results]
+        assert sum(steps) == len(matvecs)
+        assert [s == 0 for s in steps] == [r["t"] == 0.0 for r in results]
         rho0 = DensityMatrix.basis(21, lmap.center)
         for r in results:
-            state, info = propagate_detailed(rho0, liou, r["t"])
+            state, _ = propagate_detailed(rho0, liou, r["t"])
             assert np.abs(np.array(r["populations"]) - populations(state)).max() <= 1e-12
             assert r["coherence_l1"] == pytest.approx(coherence_l1(state), abs=1e-12)
-            assert r["validation"]["solver_steps"] == info.steps
 
-    def test_time_grid_is_one_forward_chain(self, tmp_path, monkeypatch):
+    def test_time_grid_is_one_forward_chain(self, tmp_path, monkeypatch, matvecs):
         calls = []
 
         def recording_propagate(rho0, liou, t):
+            before = len(matvecs)
             state, info = propagate_detailed(rho0, liou, t)
-            calls.append((rho0, t, state))
+            calls.append((rho0, t, state, len(matvecs) - before))
             return state, info
 
         monkeypatch.setattr(cli, "propagate_detailed", recording_propagate)
         rc, text = run(tmp_path, "simulate", "--graph", "line:11:1", "--regime", "crw", "--omega", "0.5", "--t", "0:5:11")
         assert rc == 0
-        assert sum(t for _, t, _ in calls) == pytest.approx(5.0, abs=1e-12)
+        assert sum(t for _, t, _, _ in calls) == pytest.approx(5.0, abs=1e-12)
         assert np.array_equal(calls[0][0].entries, DensityMatrix.basis(11, 5).entries)
-        for (_, _, previous), (start, _, _) in zip(calls, calls[1:]):
+        for (_, _, previous, _), (start, _, _, _) in zip(calls, calls[1:]):
             assert start is previous
         steps = [r["validation"]["solver_steps"] for r in json.loads(text)["results"]]
-        assert steps == [0] + [1] * 10
+        assert steps == [products for _, _, _, products in calls]
+        assert steps[0] == 0 and min(steps[1:]) > 0
 
-    def test_repeated_time_is_an_identity_step(self, tmp_path):
+    def test_repeated_time_is_an_identity_step(self, tmp_path, matvecs):
         rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "crw", "--t", "2:2:2")
         assert rc == 0
         first, second = json.loads(text)["results"]
-        assert (first["validation"]["solver_steps"], second["validation"]["solver_steps"]) == (1, 0)
+        assert len(matvecs) > 0
+        assert (first["validation"]["solver_steps"], second["validation"]["solver_steps"]) == (len(matvecs), 0)
         assert first["populations"] == second["populations"]
 
     def test_bad_graph_spec(self, tmp_path):
         rc, _ = run(tmp_path, "simulate", "--graph", "line:banana", "--regime", "qw")
         assert rc == 2
 
-    def test_pure_quantum_walk_on_line_101_succeeds(self, tmp_path):
+    def test_pure_quantum_walk_on_line_101_succeeds(self, tmp_path, matvecs):
         rc, text = run(tmp_path, "simulate", "--graph", "line:101:1", "--regime", "qw", "--t", "5")
         assert rc == 0
         validation = json.loads(text)["results"][0]["validation"]
         assert validation["min_eigenvalue"] >= -1e-9
-        assert validation["solver_steps"] == 1
+        assert validation["solver_steps"] == len(matvecs) > 0
+
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (("--regime", "qw", "--t", "0:5:11"), 250),
+            (("--regime", "qsw-global", "--omega", "1", "--t", "200"), 3600),
+        ],
+        ids=["qw-grid", "qsw-global-long-t"],
+    )
+    def test_matvec_budget(self, tmp_path, matvecs, argv, budget):
+        # The Taylor degree and step count set the cost; a slip in choosing
+        # them would multiply the products without changing any result.
+        rc, text = run(tmp_path, "simulate", "--graph", "line:61:1", *argv)
+        assert rc == 0
+        steps = sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"])
+        assert steps == len(matvecs) <= budget
 
     def test_solver_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -447,8 +470,17 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # Propagation needs only scipy.sparse.linalg; scipy.integrate would add
-    # about a quarter of a second to every command's start-up.
+    # scipy.integrate would add about a quarter of a second to every
+    # command's start-up.
     probe = "import sys, qsw.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy_sparse_linalg():
+    # qsw computes the exponential action itself and imports onenormest only
+    # for a large ||tR||_1; scipy.sparse.linalg and the scipy.linalg it loads
+    # would add about 80 ms to every command's start-up.
+    probe = "import sys, qsw.cli; print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

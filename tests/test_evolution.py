@@ -26,7 +26,7 @@ from qsw.evolution import (
     unvectorize_state,
     vectorize_state,
 )
-from qsw.evolution import _check_budgets
+from qsw.evolution import _NORM_ONLY_BOUND, _check_budgets, _expm_action
 from qsw.graph import build_line, classical_generator, from_edge_list
 from qsw.operators import (
     Hamiltonian,
@@ -333,7 +333,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("t", [5e-324, MIN_POSITIVE_TIME / 2])
     def test_subnormal_time_rejected(self, t):
-        # expm_multiply warns "invalid value encountered in scalar divide" at t = 5e-324.
+        # scipy's expm_multiply warned "invalid value encountered in scalar divide" at t = 5e-324.
         _, _, m, h = line_setup(5)
         liou = build_liouvillian(h, empty_jump_operators(5), 0.0)
         with pytest.raises(ValueError, match="t must be 0 or at least"):
@@ -363,12 +363,13 @@ class TestPropagate:
         one_hop = propagate(rho0, liou, 2.5)
         assert np.abs(two_hops.entries - one_hop.entries).max() <= 1e-8
 
-    def test_matches_dense_matrix_exponential(self):
+    def test_matches_dense_matrix_exponential(self, matvecs):
         _, _, m, h = line_setup(21)
         liou = build_liouvillian(h, edge_jump_operators(m), 0.7)
         rho0 = DensityMatrix.basis(21, 10)
         state, info = propagate_detailed(rho0, liou, 3.0)
-        assert (info.method, info.steps) == ("matrix-exponential", 1)
+        assert len(matvecs) > 0
+        assert (info.method, info.steps) == ("matrix-exponential", len(matvecs))
         dense = scipy.linalg.expm(column_stacked_superoperator(liou.matrix).toarray() * 3.0) @ vectorize_state(rho0.entries)
         assert np.abs(state.entries - unvectorize_state(dense, 21)).max() <= 1e-10
 
@@ -407,7 +408,7 @@ class TestPropagate:
         # the output gate, not silently normalized away.
         _, _, m, h = line_setup(3)
         ls = edge_jump_operators(m)
-        rogue = Liouvillian(3, 1.0, np.eye(9, dtype=complex), h, ls)
+        rogue = Liouvillian(3, 1.0, scipy.sparse.csr_matrix(np.eye(9)), h, ls)
         with pytest.raises(StateInvariantError) as excinfo:
             propagate(DensityMatrix.basis(3, 0), rogue, 1.0)
         assert excinfo.value.trace_drift > 1e-9
@@ -458,11 +459,13 @@ class TestRealRoute:
         assert np.abs(starts[1].entries.imag).max() > 0.1
         operands = []
 
-        def recording_expm_multiply(a, b):
-            operands.append((a.dtype, b.dtype))
-            return scipy.sparse.linalg.expm_multiply(a, b)
+        kernel = qsw.evolution._expm_action
 
-        monkeypatch.setattr(qsw.evolution, "expm_multiply", recording_expm_multiply)
+        def recording_expm_action(liouvillian, x, t):
+            operands.append((liouvillian.matrix.dtype, x.dtype))
+            return kernel(liouvillian, x, t)
+
+        monkeypatch.setattr(qsw.evolution, "_expm_action", recording_expm_action)
         for ls in sets:
             for omega in (0.0, 0.5, 1.0):
                 liou = build_liouvillian(h, ls, omega)
@@ -495,11 +498,13 @@ class TestArithmeticRoute:
             rho0 = DensityMatrix.basis(9, lmap.center)
         operands = []
 
-        def recording_expm_multiply(a, b):
-            operands.append((a.dtype, b.dtype))
-            return scipy.sparse.linalg.expm_multiply(a, b)
+        kernel = qsw.evolution._expm_action
 
-        monkeypatch.setattr(qsw.evolution, "expm_multiply", recording_expm_multiply)
+        def recording_expm_action(liouvillian, x, t):
+            operands.append((liouvillian.matrix.dtype, x.dtype))
+            return kernel(liouvillian, x, t)
+
+        monkeypatch.setattr(qsw.evolution, "_expm_action", recording_expm_action)
         state, info = propagate_detailed(rho0, liou, 2.0)
         assert operands == [(np.float64, np.float64)]
         assert state.entries.dtype == np.complex128
@@ -508,6 +513,66 @@ class TestArithmeticRoute:
             column_stacked_superoperator(liou.matrix) * 2.0, vectorize_state(rho0.entries).astype(complex)
         )
         assert np.abs(state.entries - unvectorize_state(reference, 9)).max() <= 1e-13
+
+
+def line9_generator(regime, omega):
+    _, lmap, m, h = line_setup(9)
+    ls = {"qw": empty_jump_operators(9), "crw": edge_jump_operators(m), "qsw-global": global_jump_operator(m)}[regime]
+    return build_liouvillian(h, ls, omega), to_coordinates(DensityMatrix.basis(9, lmap.center).entries)
+
+
+class TestExpmAction:
+    """The in-repo kernel against scipy's expm_multiply, the independent reference."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
+    def test_matches_scipy_where_the_1_norm_picks_the_parameters(self, regime, omega):
+        liou, x = line9_generator(regime, omega)
+        assert 2.0 * liou._shifted.onenorm <= _NORM_ONLY_BOUND
+        coords, _ = _expm_action(liou, x, 2.0)
+        assert np.abs(coords - scipy.sparse.linalg.expm_multiply(liou.matrix * 2.0, x)).max() <= 1e-13
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    def test_matches_scipy_where_norms_of_powers_are_estimated(self, omega):
+        liou, x = line9_generator("qsw-global", omega)
+        assert 200.0 * liou._shifted.onenorm > _NORM_ONLY_BOUND
+        coords, _ = _expm_action(liou, x, 200.0)
+        assert np.abs(coords - scipy.sparse.linalg.expm_multiply(liou.matrix * 200.0, x)).max() <= 1e-13
+
+    def test_long_coherent_walk_matches_schrodinger_oracle(self):
+        # At omega 0 and t = 200 the Taylor sums cancel large terms, so two
+        # correct kernels differ by rounding: here the kernel is 2.8e-13 and
+        # scipy's expm_multiply 5.4e-13 from the oracle's state.
+        _, lmap, m, h = line_setup(9)
+        liou, x = line9_generator("qsw-global", 0.0)
+        assert 200.0 * liou._shifted.onenorm > _NORM_ONLY_BOUND
+        psi0 = np.zeros(9, dtype=complex)
+        psi0[lmap.center] = 1.0
+        psi = schrodinger_solve(h, psi0, 200.0)
+        exact = to_coordinates(np.outer(psi, psi.conj()))
+        coords, _ = _expm_action(liou, x, 200.0)
+        assert np.abs(coords - exact).max() <= 1e-12
+
+    def test_small_norm_propagation_leaves_the_global_rng_alone(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a small ||tR||_1 needs no estimate and no random draws")
+
+        liou, _ = line9_generator("crw", 0.5)
+        monkeypatch.setattr(np.random, "get_state", refuse)
+        _, info = propagate_detailed(DensityMatrix.basis(9, 4), liou, 2.0)
+        assert info.steps > 0
+
+    def test_norms_of_powers_are_estimated_once_per_liouvillian(self, monkeypatch):
+        liou, x = line9_generator("qsw-global", 1.0)
+        first, _ = _expm_action(liou, x, 200.0)
+
+        def refuse():
+            raise AssertionError("the estimates of the first call are reused")
+
+        monkeypatch.setattr(np.random, "get_state", refuse)
+        again, _ = _expm_action(liou, x, 200.0)
+        assert np.array_equal(first, again)
+        _expm_action(liou, x, 300.0)
 
 
 class TestStateReadouts:
