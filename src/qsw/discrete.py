@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import DensityMatrix
-from .graph import Graph
+from .graph import Graph, _square_matrix
 
 
 @dataclass(frozen=True)
@@ -24,15 +24,12 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"stochastic matrix must be square, got shape {arr.shape}")
+        arr = _square_matrix("stochastic matrix", self.entries, float)
         if arr.min() < 0:
             raise ValueError(f"negative entry {arr.min()}")
         col_dev = np.abs(arr.sum(axis=0) - 1.0).max()
         if col_dev > 1e-12:
             raise ValueError(f"column sums deviate from 1 by {col_dev:.3e}")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -52,11 +49,10 @@ class KrausSet:
             raise ValueError("dimension must be positive")
         ops = []
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.operators:
-            arr = np.array(op, dtype=complex)
+        for k, op in enumerate(self.operators):
+            arr = _square_matrix(f"Kraus operator {k}", op, complex)
             if arr.shape != (self.dim, self.dim):
                 raise ValueError(f"operator shape {arr.shape} does not match dim {self.dim}")
-            arr.setflags(write=False)
             ops.append(arr)
             total += arr.conj().T @ arr
         completeness_dev = np.abs(total - np.eye(self.dim)).max()

@@ -46,7 +46,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .operators import Hamiltonian, JumpOperatorSet
+from .graph import _require_finite, _square_matrix
+from .operators import Hamiltonian, JumpOperatorSet, _require_same_dim
 
 TRACE_BUDGET = 1e-9
 HERMITICITY_BUDGET = 1e-10
@@ -101,12 +102,19 @@ class StateInvariantError(PropagationError):
         self.min_eigenvalue = min_eigenvalue
 
 
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    """Every tolerance check is False on nan, so non-finite input must be refused first."""
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        index = tuple(bad[0].tolist())
-        raise ValueError(f"{name} {index[0] if len(index) == 1 else index} is not finite: {arr[index]}")
+def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
+    """Trace drift, Hermiticity drift and minimum eigenvalue of a square arr.
+
+    An empty arr has Hermiticity drift 0 and minimum eigenvalue inf, so only its trace fails.
+    """
+    trace_drift = float(abs(arr.trace() - 1.0))
+    herm_drift = float(np.abs(arr - arr.conj().T).max(initial=0.0))
+    if np.isfinite(arr).all():
+        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min(initial=np.inf))
+    else:
+        # LAPACK fails to converge on non-finite input; the drifts already show it.
+        min_eig = float("nan")
+    return trace_drift, herm_drift, min_eig
 
 
 class DensityMatrix:
@@ -121,20 +129,14 @@ class DensityMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9):
-        arr = np.array(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-        _require_finite("density matrix entry", arr)
-        herm_dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+        arr = _square_matrix("density matrix", entries, complex)
+        trace_dev, herm_dev, min_eig = _state_diagnostics(arr)
         if herm_dev > herm_tol:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
-        trace_dev = abs(arr.trace() - 1.0)
         if trace_dev > trace_tol:
             raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
         if min_eig < eig_floor:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
-        arr.setflags(write=False)
         self.entries = arr
 
     @property
@@ -186,7 +188,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """The generator as a real CSR matrix on the coordinates of coordinate_basis, plus its sources.
+    """The generator as a real CSR matrix on the coordinates of coordinate_basis, at mixing parameter omega.
 
     column_stacked_superoperator rebuilds the complex form from it. The
     propagation kernel's t-independent set-up is made on the first
@@ -196,8 +198,6 @@ class Liouvillian:
     dim: int
     omega: float
     matrix: object
-    hamiltonian: Hamiltonian
-    jump_operators: JumpOperatorSet
 
     @cached_property
     def _shifted(self) -> "_ShiftedGenerator":
@@ -234,8 +234,7 @@ def lindblad_rhs(h: Hamiltonian, ls: JumpOperatorSet, omega: float, rho) -> np.n
     """d(rho)/dt evaluated directly on matrices, no vectorization involved."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    if h.dim != ls.dim:
-        raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
+    _require_same_dim(h, ls)
     r = _state_entries(rho)
     if r.shape != (h.dim, h.dim):
         raise ValueError(f"state shape {r.shape} does not match dim {h.dim}")
@@ -399,8 +398,7 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    if h.dim != ls.dim:
-        raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
+    _require_same_dim(h, ls)
     dim = h.dim
     # Operator number, row a, column b and value of every nonzero; none at omega = 0.
     number, a, b, values = (x if omega > 0.0 else x[:0] for x in (ls.number, ls.rows, ls.cols, ls.values))
@@ -422,18 +420,7 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
         (np.concatenate([omega * values, gen.data, np.ones(dim)]).conj(), (swapped, rows)), shape=shape[::-1]
     )
     mat = _realign(left, right_dag, dim)
-    return Liouvillian(dim, float(omega), mat, h, ls)
-
-
-def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
-    trace_drift = float(abs(arr.trace() - 1.0))
-    herm_drift = float(np.abs(arr - arr.conj().T).max())
-    if np.isfinite(arr).all():
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
-    else:
-        # LAPACK fails to converge on non-finite input; the drifts already show it.
-        min_eig = float("nan")
-    return trace_drift, herm_drift, min_eig
+    return Liouvillian(dim, float(omega), mat)
 
 
 def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:

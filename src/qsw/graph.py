@@ -141,23 +141,38 @@ def from_edge_list(n_vertices: int, edges) -> Graph:
     return Graph(n_vertices, tuple(pairs), tuple(weights))
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    """Every tolerance check is False on nan, so non-finite input must be refused first."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(bad[0].tolist())
+        raise ValueError(f"{name} {index[0] if len(index) == 1 else index} is not finite: {arr[index]}")
+
+
+def _square_matrix(name: str, entries, dtype) -> np.ndarray:
+    """entries as a new read-only square array of dtype; non-finite entries are refused, naming the first."""
+    arr = np.array(entries, dtype=dtype)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    _require_finite(f"{name} entry", arr)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Real square generator matrix M, indexed M[a, b] = rate into a from b.
 
-    The constructor only checks shape and realness; whether the entries
-    actually form a valid stochastic generator is validate_generator's job,
-    so that invalid candidates can be inspected rather than rejected.
+    The constructor only checks shape, realness and finiteness (a nan
+    entry would pass every tolerance check); whether the entries actually
+    form a valid stochastic generator is validate_generator's job, so that
+    invalid candidates can be inspected rather than rejected.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"generator must be square, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _square_matrix("generator", self.entries, float))
 
     @property
     def dim(self) -> int:

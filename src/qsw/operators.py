@@ -26,11 +26,11 @@ evolution module builds for propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import GeneratorMatrix, Graph
+from .graph import GeneratorMatrix, Graph, _square_matrix
 
 EDGE_LOCAL = "edge-local"
 GLOBAL = "global"
@@ -45,13 +45,7 @@ class Hamiltonian:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
-        arr.setflags(write=False)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"Hamiltonian must be square, got shape {arr.shape}")
-        non_finite = np.argwhere(~np.isfinite(arr))
-        if non_finite.size:
-            raise ValueError(f"Hamiltonian entry {tuple(non_finite[0].tolist())} is not finite")
+        arr = _square_matrix("Hamiltonian", self.entries, complex)
         if np.abs(arr - arr.conj().T).max() > 1e-14:
             raise ValueError("Hamiltonian must be Hermitian")
         object.__setattr__(self, "entries", arr)
@@ -90,11 +84,12 @@ class JumpOperatorSet:
         if not (integers and values.ndim == 1 and number.shape == rows.shape == cols.shape == values.shape):
             found = [f"{x.dtype}{list(x.shape)}" for x in (number, rows, cols, values)]
             raise ValueError(f"need integer number, rows, cols and values, 1-d and of one length; got {found}")
-        number, rows, cols = (x.astype(np.intp) for x in (number, rows, cols))
+        # Checked before the cast to intp, which would wrap an index of 2^63 or more to a negative one.
         outside = (number < 0) | (number >= self.count) | (rows < 0) | (rows >= self.dim) | (cols < 0) | (cols >= self.dim)
         if outside.any():
             j = np.argmax(outside)
             raise ValueError(f"jump operator {number[j]}: entry ({rows[j]}, {cols[j]}) is out of range")
+        number, rows, cols = (x.astype(np.intp) for x in (number, rows, cols))
         non_finite = ~np.isfinite(values)
         if non_finite.any():
             # Every tolerance comparison is False on nan, so an audit would pass.
@@ -212,6 +207,11 @@ def _tensor_value(h_entries, ops, overlap, a, alpha, b, beta) -> complex:
     return complex(value)
 
 
+def _require_same_dim(h: Hamiltonian, ls: JumpOperatorSet) -> None:
+    if h.dim != ls.dim:
+        raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
+
+
 def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: int, beta: int) -> TensorElement:
     """The transition tensor element T[(a, alpha), (b, beta)].
 
@@ -220,8 +220,7 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     unweighted generator whose interpolated version the evolution module
     exponentiates. Hamiltonian terms enter once, not once per operator.
     """
-    if h.dim != ls.dim:
-        raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
+    _require_same_dim(h, ls)
     a = _check_index("a", a, h.dim)
     alpha = _check_index("alpha", alpha, h.dim)
     b = _check_index("b", b, h.dim)
@@ -284,8 +283,7 @@ def axiom_rate(h: Hamiltonian, ls: JumpOperatorSet, axiom: int, m: int, n: int |
     m. Conjugate elements follow by Hermiticity of the tensor and are not
     enumerated separately.
     """
-    if h.dim != ls.dim:
-        raise ValueError(f"dimension mismatch: H is {h.dim}, operators are {ls.dim}")
+    _require_same_dim(h, ls)
     if axiom not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"axiom must be 1..6, got {axiom}")
     m = _check_index("m", m, h.dim)
@@ -312,7 +310,7 @@ class AuditFailure:
     deviation: float
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "indices": list(self.indices), "deviation": self.deviation}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -346,23 +344,7 @@ class AxiomAuditReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "dim": self.dim,
-            "tol": self.tol,
-            "tuples_evaluated": self.tuples_evaluated,
-            "comparisons": self.comparisons,
-            "max_formula_deviation": self.max_formula_deviation,
-            "max_hermiticity_deviation": self.max_hermiticity_deviation,
-            "max_superoperator_deviation": self.max_superoperator_deviation,
-            "max_nonadjacent_transfer": self.max_nonadjacent_transfer,
-            "move_locality_checked": self.move_locality_checked,
-            "max_nonlocal_element": self.max_nonlocal_element,
-            "axiom6_max_abs": self.axiom6_max_abs,
-            "axiom6_nonzero": [list(item) for item in self.axiom6_nonzero],
-            "failures": [f.to_dict() for f in self.failures],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _transition_tensor(h_entries: np.ndarray, stacked: np.ndarray, overlap: np.ndarray) -> np.ndarray:
@@ -389,9 +371,10 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
       neighborhood tuple, and the conjugate tuple equals the conjugate;
     - the tensor is Hermitian as a map: T(a,alpha,b,beta) agrees with
       conj(T(alpha,a,beta,b)) everywhere;
-    - the tensor, permuted to column-stacked order, equals L_H + L_D as
-      build_liouvillian assembles them for propagation (rebuilt from its
-      real coordinates by column_stacked_superoperator);
+    - the tensor, permuted to column-stacked order, equals L_H + L_D,
+      twice the generator build_liouvillian assembles for propagation at
+      omega = 1/2 (rebuilt from its real coordinates by
+      column_stacked_superoperator);
     - population transfer between non-adjacent vertices is exactly zero;
     - for the edge-local and empty sets, any element that moves an index
       off an edge is exactly zero (the global set provably spills to
@@ -434,6 +417,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
             max_formula_dev = max(max_formula_dev, dev)
             if dev > tol:
                 failures.append(AuditFailure(f"axiom-{axiom}", idx, dev))
+        return formula
 
     axiom6_max = 0.0
     axiom6_nonzero = []
@@ -448,8 +432,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
                 if l == n:
                     continue
                 compare(5, m, n, l)
-                compare(6, m, n, l)
-                strength = abs(_axiom_value(h_entries, stacked, overlap, 6, m, n, l))
+                strength = abs(compare(6, m, n, l))
                 axiom6_max = max(axiom6_max, strength)
                 if strength > tol:
                     axiom6_nonzero.append((l, n, m, strength))
@@ -459,8 +442,9 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         failures.append(AuditFailure("hermiticity", (), herm_dev))
 
     # Column stacking puts rho[a, alpha] at a + dim * alpha, so the tensor
-    # maps onto the superoperator after swapping each index pair.
-    superop = column_stacked_superoperator(build_liouvillian(h, ls, 0.0).matrix + build_liouvillian(h, ls, 1.0).matrix)
+    # maps onto the superoperator after swapping each index pair. The
+    # generator at omega = 1/2 is (L_H + L_D) / 2, and doubling it is exact.
+    superop = column_stacked_superoperator(2.0 * build_liouvillian(h, ls, 0.5).matrix)
     permuted = tensor.transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
     superop_dev = float(np.abs(permuted - superop.toarray()).max())
     if superop_dev > tol:

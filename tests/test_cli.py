@@ -439,8 +439,10 @@ class TestCustomRegime:
             ([[[0, 1.7, 1, 0]]], "operator 0: indices must be integers"),
             ([[[0, 1, "one", 0]]], "operator 0: entries must be numbers"),
             ([[[1, 0, 1.0, 0.0]], [[0, 1, 1.0, 0.0], [2, 1, 1.0, 0.0], [0, 1, 0.0, 2.0]]], "operator 1: entry (0, 1) is given twice"),
+            ([[[0, 1, 1.0, 0.0]], [[0, 3, 1.0, 0.0]]], "jump operator 1: entry (0, 3) is out of range"),
+            ([[[0, 2**63, 1.0, 0.0]]], "jump operator 0: entry (0, 9223372036854775808) is out of range"),
         ],
-        ids=["nan", "inf", "fractional-index", "non-number", "repeated-entry"],
+        ids=["nan", "inf", "fractional-index", "non-number", "repeated-entry", "index-range", "index-past-int64"],
     )
     def test_bad_jump_entries_are_located_config_errors(self, tmp_path, capsys, entries, message):
         jump_file = tmp_path / "bad.json"

@@ -35,6 +35,12 @@ class TestStochasticMatrix:
         s = StochasticMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
         assert s.dim == 2
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, value):
+        # The sign and column-sum comparisons are False on nan, so it would pass them.
+        with pytest.raises(ValueError, match=r"stochastic matrix entry \(1, 0\) is not finite"):
+            StochasticMatrix(np.array([[1.0, 0.0], [value, 1.0]]))
+
 
 class TestLazyWalkMatrix:
     def test_two_vertex_hop(self):
@@ -90,6 +96,13 @@ class TestKrausConstruction:
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
             KrausSet(2, (bad,))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_operator_entry(self, value):
+        bad = np.eye(2, dtype=complex)
+        bad[1, 1] = value
+        with pytest.raises(ValueError, match=r"Kraus operator 1 entry \(1, 1\) is not finite"):
+            KrausSet(2, (np.zeros((2, 2)), bad))
 
     def test_completeness_for_random_matrices(self):
         rng = np.random.default_rng(41)

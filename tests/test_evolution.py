@@ -406,9 +406,7 @@ class TestPropagate:
     def test_invariant_violation_aborts_with_diagnostics(self):
         # A generator with no trace-preserving structure must be refused at
         # the output gate, not silently normalized away.
-        _, _, m, h = line_setup(3)
-        ls = edge_jump_operators(m)
-        rogue = Liouvillian(3, 1.0, scipy.sparse.csr_matrix(np.eye(9)), h, ls)
+        rogue = Liouvillian(3, 1.0, scipy.sparse.csr_matrix(np.eye(9)))
         with pytest.raises(StateInvariantError) as excinfo:
             propagate(DensityMatrix.basis(3, 0), rogue, 1.0)
         assert excinfo.value.trace_drift > 1e-9

@@ -127,6 +127,12 @@ class TestValidateGenerator:
         assert not report.passed
         assert report.most_negative_off_diagonal == -1.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_is_refused_at_construction(self, value):
+        # Invalid generators are reported, but a non-finite one would pass every tolerance check.
+        with pytest.raises(ValueError, match=r"generator entry \(0, 1\) is not finite"):
+            GeneratorMatrix(np.array([[-1.0, value], [1.0, 0.0]]))
+
     def test_column_sum_violation_fails(self):
         report = validate_generator(GeneratorMatrix(np.array([[-1.0, 0.0], [1.0, 0.5]])))
         assert not report.passed
