@@ -53,10 +53,6 @@ from .oracles import LineWalkSpec, crw_line_analytic, qw_line_analytic, total_va
 REGIMES = ("crw", "qw", "qsw-global", "qsw-custom")
 
 
-class CliError(Exception):
-    """Configuration problem; maps to exit code 2."""
-
-
 @dataclass(frozen=True)
 class GraphSource:
     source: str
@@ -68,7 +64,7 @@ class GraphSource:
 def _require_finite(name: str, text: str, *values: float) -> None:
     """nan and inf would otherwise fail only deep inside the solver."""
     if not np.isfinite(values).all():
-        raise CliError(f"--{name} must be finite, got {text!r}")
+        raise ValueError(f"--{name} must be finite, got {text!r}")
 
 
 def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
@@ -76,19 +72,19 @@ def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(f"{name} grid must be start:stop:count, got {text!r}")
+            raise ValueError(f"{name} grid must be start:stop:count, got {text!r}")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise CliError(f"cannot parse {name} grid {text!r}: {exc}") from None
+            raise ValueError(f"cannot parse {name} grid {text!r}: {exc}") from None
         if count < 2:
-            raise CliError(f"{name} grid count must be at least 2, got {count}")
+            raise ValueError(f"{name} grid count must be at least 2, got {count}")
         _require_finite(name, text, start, stop)
         return [float(v) for v in np.linspace(start, stop, count)], True
     try:
         value = float(text)
     except ValueError as exc:
-        raise CliError(f"cannot parse {name} value {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse {name} value {text!r}: {exc}") from None
     _require_finite(name, text, value)
     return [value], False
 
@@ -97,12 +93,12 @@ def _parse_times(text: str) -> tuple[list[float], bool]:
     """--t values: _parse_values, plus every time nonnegative, and no time or grid step subnormal."""
     ts, was_grid = _parse_values(text, "t")
     if min(ts) < 0:
-        raise CliError(f"--t must be nonnegative, got {text!r}")
+        raise ValueError(f"--t must be nonnegative, got {text!r}")
     if any(0 < t < MIN_POSITIVE_TIME for t in ts):
-        raise CliError(f"--t must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
+        raise ValueError(f"--t must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
     # A grid is propagated as a chain of steps between its sorted times.
     if any(0 < step < MIN_POSITIVE_TIME for step in np.diff(sorted(ts))):
-        raise CliError(f"--t grid steps must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
+        raise ValueError(f"--t grid steps must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
     return ts, was_grid
 
 
@@ -110,9 +106,9 @@ def _parse_tol(text: str) -> float:
     try:
         tol = float(text)
     except ValueError as exc:
-        raise CliError(f"cannot parse --tol value {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse --tol value {text!r}: {exc}") from None
     if not (np.isfinite(tol) and tol >= 0):
-        raise CliError(f"--tol must be finite and nonnegative, got {text!r}")
+        raise ValueError(f"--tol must be finite and nonnegative, got {text!r}")
     return tol
 
 
@@ -120,18 +116,18 @@ def _load_graph(source: str) -> GraphSource:
     if source.startswith("line:"):
         parts = source.split(":")
         if len(parts) != 3:
-            raise CliError(f"line graph spec must be line:<sites>:<gamma>, got {source!r}")
+            raise ValueError(f"line graph spec must be line:<sites>:<gamma>, got {source!r}")
         try:
             n_sites = int(parts[1])
             gamma = float(parts[2])
         except ValueError as exc:
-            raise CliError(f"cannot parse {source!r}: {exc}") from None
+            raise ValueError(f"cannot parse {source!r}: {exc}") from None
         graph, line_map = build_line(n_sites, gamma)
         return GraphSource(source, graph, line_map, gamma)
     try:
         graph = read_edge_list(source)
     except OSError as exc:
-        raise CliError(f"cannot read graph file {source!r}: {exc}") from None
+        raise ValueError(f"cannot read graph file {source!r}: {exc}") from None
     return GraphSource(source, graph, None, None)
 
 
@@ -141,26 +137,26 @@ def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read jump-operator file {path!r}: {exc}") from None
+        raise ValueError(f"cannot read jump-operator file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(f"jump-operator file {path!r} is not valid JSON: {exc}") from None
+        raise ValueError(f"jump-operator file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
-        raise CliError("jump-operator file must hold a list of operators")
+        raise ValueError("jump-operator file must hold a list of operators")
     triplets = []
     for op_index, entries in enumerate(raw):
         if not isinstance(entries, list):
-            raise CliError(f"operator {op_index} must be a list of [row, col, re, im] entries")
+            raise ValueError(f"operator {op_index} must be a list of [row, col, re, im] entries")
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 4:
-                raise CliError(f"operator {op_index}: entries must be [row, col, re, im], got {entry!r}")
+                raise ValueError(f"operator {op_index}: entries must be [row, col, re, im], got {entry!r}")
             try:
                 row, col, re_part, im_part = [float(x) for x in entry]
             except (TypeError, ValueError, OverflowError):
-                raise CliError(f"operator {op_index}: entries must be numbers, got {entry!r}") from None
+                raise ValueError(f"operator {op_index}: entries must be numbers, got {entry!r}") from None
             if not np.isfinite([row, col, re_part, im_part]).all():
-                raise CliError(f"operator {op_index}: entry {entry!r} is not finite")
+                raise ValueError(f"operator {op_index}: entry {entry!r} is not finite")
             if not (row.is_integer() and col.is_integer()):
-                raise CliError(f"operator {op_index}: indices must be integers, got {entry!r}")
+                raise ValueError(f"operator {op_index}: indices must be integers, got {entry!r}")
             triplets.append((op_index, int(row), int(col), re_part + 1j * im_part))
     number, rows, cols, values = zip(*triplets) if triplets else ((),) * 4
     return JumpOperatorSet(dim, len(raw), number, rows, cols, values, CUSTOM)
@@ -176,27 +172,24 @@ def _build_operators(src: GraphSource, args) -> tuple[Hamiltonian, JumpOperatorS
         ls = empty_jump_operators(src.graph.n_vertices)
     elif regime == "qsw-global":
         ls = global_jump_operator(m, args.global_l)
-    elif regime == "qsw-custom":
-        if not args.jump_file:
-            raise CliError("regime qsw-custom requires --jump-file")
-        ls = _load_jump_file(args.jump_file, src.graph.n_vertices)
     else:
-        raise CliError(f"unknown regime {regime!r}")
+        if not args.jump_file:
+            raise ValueError("regime qsw-custom requires --jump-file")
+        ls = _load_jump_file(args.jump_file, src.graph.n_vertices)
     return h, ls
 
 
 def _resolve_origin(src: GraphSource, origin: int | None) -> tuple[int, int]:
     """Returns (label, storage index). Line graphs label by signed position."""
     dim = src.graph.n_vertices
+    label = 0 if origin is None else origin
     if src.line_map is not None:
-        label = 0 if origin is None else origin
         half = src.line_map.half_width
         if not -half <= label <= half:
-            raise CliError(f"origin position {label} outside the line (|position| <= {half})")
+            raise ValueError(f"origin position {label} outside the line (|position| <= {half})")
         return label, src.line_map.index_of(label)
-    label = 0 if origin is None else origin
     if not 0 <= label < dim:
-        raise CliError(f"origin index {label} out of range for {dim} vertices")
+        raise ValueError(f"origin index {label} out of range for {dim} vertices")
     return label, label
 
 
@@ -229,7 +222,7 @@ def _emit(text: str, output: str | None) -> None:
             with open(output, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError(f"cannot write output file {output!r}: {exc}") from None
+            raise ValueError(f"cannot write output file {output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -274,8 +267,9 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     return echo, results
 
 
-def _json_document(echo: dict, results: list[dict]) -> str:
-    doc = {"config_echo": echo, "results": results, "version": __version__}
+def _json_document(echo: dict, key: str, payload) -> str:
+    """The JSON document of every subcommand: its config echo, its payload under key, and the version."""
+    doc = {"config_echo": echo, key: payload, "version": __version__}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -296,7 +290,7 @@ def cmd_simulate(args) -> int:
     ts, _ = _parse_times(args.t)
     echo, results = _run_grid(src, args, omegas, ts)
     if args.format == "json":
-        _emit(_json_document(echo, results), args.output)
+        _emit(_json_document(echo, "results", results), args.output)
     else:
         _emit(_csv_rows(results, _position_labels(src), with_t=True), args.output)
     return 0
@@ -305,16 +299,16 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     src = _load_graph(args.graph)
     if not args.omega:
-        raise CliError("sweep requires --omega start:stop:count")
+        raise ValueError("sweep requires --omega start:stop:count")
     omegas, was_grid = _parse_values(args.omega, "omega")
     if not was_grid:
-        raise CliError("sweep requires an omega grid start:stop:count")
+        raise ValueError("sweep requires an omega grid start:stop:count")
     ts, t_was_grid = _parse_times(args.t)
     if t_was_grid:
-        raise CliError("sweep varies omega only; --t must be a single value")
+        raise ValueError("sweep varies omega only; --t must be a single value")
     echo, results = _run_grid(src, args, omegas, ts)
     if args.format == "json":
-        _emit(_json_document(echo, results), args.output)
+        _emit(_json_document(echo, "results", results), args.output)
     else:
         _emit(_csv_rows(results, _position_labels(src), with_t=False), args.output)
     return 0
@@ -334,8 +328,7 @@ def cmd_audit(args) -> int:
     }
     if args.regime == "qsw-custom":
         echo["jump_file"] = args.jump_file
-    doc = {"config_echo": echo, "report": report.to_dict(), "version": __version__}
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(_json_document(echo, "report", report.to_dict()), args.output)
     if not report.passed:
         first = report.failures[0]
         print(
@@ -356,11 +349,11 @@ def _distribution_variance(probs, labels) -> float:
 def cmd_compare(args) -> int:
     src = _load_graph(args.graph)
     if src.line_map is None:
-        raise CliError("compare needs a line graph; the analytic oracles cover no other family")
+        raise ValueError("compare needs a line graph; the analytic oracles cover no other family")
     omegas, omega_grid = _parse_values(args.omega, "omega") if args.omega else ([_default_omega(args.regime)], False)
     ts, t_grid = _parse_times(args.t)
     if omega_grid or t_grid:
-        raise CliError("compare takes single omega and t values, not grids")
+        raise ValueError("compare takes single omega and t values, not grids")
     echo, results = _run_grid(src, args, omegas, ts)
     entry = results[0]
     labels = _position_labels(src)
@@ -379,8 +372,7 @@ def cmd_compare(args) -> int:
         "qw_tail_mass": float(qw.tail_mass),
     }
     if args.format == "json":
-        doc = {"config_echo": echo, "comparison": comparison, "version": __version__}
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(_json_document(echo, "comparison", comparison), args.output)
     else:
         lines = ["metric,value"]
         for key, value in comparison.items():
@@ -453,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PropagationError as exc:

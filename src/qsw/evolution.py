@@ -103,14 +103,11 @@ class StateInvariantError(PropagationError):
 
 
 def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
-    """Trace drift, Hermiticity drift and minimum eigenvalue of a square arr.
-
-    An empty arr has Hermiticity drift 0 and minimum eigenvalue inf, so only its trace fails.
-    """
+    """Trace drift, Hermiticity drift and minimum eigenvalue of a square arr."""
     trace_drift = float(abs(arr.trace() - 1.0))
-    herm_drift = float(np.abs(arr - arr.conj().T).max(initial=0.0))
+    herm_drift = float(np.abs(arr - arr.conj().T).max())
     if np.isfinite(arr).all():
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min(initial=np.inf))
+        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
     else:
         # LAPACK fails to converge on non-finite input; the drifts already show it.
         min_eig = float("nan")
@@ -188,7 +185,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """The generator as a real CSR matrix on the coordinates of coordinate_basis, at mixing parameter omega.
+    """The generator as a real CSR matrix on the coordinates of coordinate_basis.
 
     column_stacked_superoperator rebuilds the complex form from it. The
     propagation kernel's t-independent set-up is made on the first
@@ -196,7 +193,6 @@ class Liouvillian:
     """
 
     dim: int
-    omega: float
     matrix: object
 
     @cached_property
@@ -403,10 +399,8 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     # Operator number, row a, column b and value of every nonzero; none at omega = 0.
     number, a, b, values = (x if omega > 0.0 else x[:0] for x in (ls.number, ls.rows, ls.cols, ls.values))
 
-    gen = scipy.sparse.csr_matrix(h.entries) * (-1j * (1.0 - omega))
-    if values.size:
-        stacked = scipy.sparse.csr_matrix((values, (number * dim + a, b)), shape=(ls.count * dim, dim))
-        gen = gen - (0.5 * omega) * (stacked.conj().T @ stacked)
+    stacked = scipy.sparse.csr_matrix((values, (number * dim + a, b)), shape=(ls.count * dim, dim))
+    gen = scipy.sparse.csr_matrix(h.entries) * (-1j * (1.0 - omega)) - (0.5 * omega) * (stacked.conj().T @ stacked)
     gen = gen.tocoo()
 
     g_col, i_col = ls.count, ls.count + 1
@@ -420,7 +414,7 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
         (np.concatenate([omega * values, gen.data, np.ones(dim)]).conj(), (swapped, rows)), shape=shape[::-1]
     )
     mat = _realign(left, right_dag, dim)
-    return Liouvillian(dim, float(omega), mat)
+    return Liouvillian(dim, mat)
 
 
 def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
@@ -443,8 +437,8 @@ class _ShiftedGenerator:
         self.mu = float(matrix.trace()) / n
         self.matrix = matrix - self.mu * scipy.sparse.identity(n, format="csr") if self.mu else matrix
         self.onenorm = float(np.bincount(self.matrix.indices, weights=np.abs(self.matrix.data), minlength=n).max())
-        self._powers = None
 
+    @cached_property
     def power_norms(self) -> dict[int, float]:
         """d_p = ||A^p||_1^(1/p) for p = 2 .. p_max + 1, estimated on first use.
 
@@ -452,17 +446,15 @@ class _ShiftedGenerator:
         global random generator, so the estimates run under a fixed seed
         and the caller's generator state is restored after them.
         """
-        if self._powers is None:
-            from scipy.sparse.linalg import aslinearoperator, onenormest
+        from scipy.sparse.linalg import aslinearoperator, onenormest
 
-            shifted = aslinearoperator(self.matrix)
-            rng_state = np.random.get_state()
-            np.random.seed(0)
-            try:
-                self._powers = {p: onenormest(shifted**p) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
-            finally:
-                np.random.set_state(rng_state)
-        return self._powers
+        shifted = aslinearoperator(self.matrix)
+        rng_state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            return {p: onenormest(shifted**p) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
+        finally:
+            np.random.set_state(rng_state)
 
 
 def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
@@ -474,18 +466,17 @@ def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
     norm = t * gen.onenorm
     if norm == 0.0:
         return 0, 1
-    if norm <= _NORM_ONLY_BOUND:
-        candidates = ((m, math.ceil(norm / theta)) for m, theta in _THETA.items())
-    else:
-        # Equation (3.11): alpha_p(tA) = t max(d_p, d_p+1) bounds the tail
-        # of the degree-m series for every m >= p (p - 1) - 1.
-        d = gen.power_norms()
-        candidates = (
-            (m, math.ceil(t * max(d[p], d[p + 1]) / theta))
-            for p in range(2, _P_MAX + 1)
-            for m, theta in _THETA.items()
-            if m >= p * (p - 1) - 1
-        )
+    # Equation (3.11): alpha_p(tA) = t max(d_p, d_p+1) bounds the tail of
+    # the degree-m series for every m >= p (p - 1) - 1. Under condition
+    # (3.13) the exact 1-norm stands in for d_2 = d_3, and p = 2 alone,
+    # which admits every degree, is searched; no power of A is estimated.
+    d, p_max = ({2: gen.onenorm, 3: gen.onenorm}, 2) if norm <= _NORM_ONLY_BOUND else (gen.power_norms, _P_MAX)
+    candidates = (
+        (m, math.ceil(t * max(d[p], d[p + 1]) / theta))
+        for p in range(2, p_max + 1)
+        for m, theta in _THETA.items()
+        if m >= p * (p - 1) - 1
+    )
     m, s = min(candidates, key=lambda ms: ms[0] * ms[1])
     return m, max(s, 1)
 

@@ -71,9 +71,6 @@ class Graph:
                 out.append(a)
         return tuple(sorted(out))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
-
 
 @dataclass(frozen=True)
 class LineIndexMap:
@@ -150,10 +147,12 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _square_matrix(name: str, entries, dtype) -> np.ndarray:
-    """entries as a new read-only square array of dtype; non-finite entries are refused, naming the first."""
+    """entries as a new read-only, nonempty square array of dtype; non-finite entries are refused, naming the first."""
     arr = np.array(entries, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must not be empty, got shape {arr.shape}")
     _require_finite(f"{name} entry", arr)
     arr.setflags(write=False)
     return arr
@@ -209,9 +208,9 @@ def validate_generator(m: GeneratorMatrix, tol: float = 1e-12, graph: Graph | No
     that the off-diagonal sparsity pattern equals the adjacency pattern.
     """
     a = m.entries
-    col_dev = float(np.abs(a.sum(axis=0)).max()) if a.size else 0.0
+    col_dev = float(np.abs(a.sum(axis=0)).max())
     off = a - np.diag(np.diag(a))
-    most_negative = float(off.min()) if a.size else 0.0
+    most_negative = float(off.min())
     sparsity = None
     if graph is not None:
         if graph.n_vertices != m.dim:

@@ -80,7 +80,8 @@ class JumpOperatorSet:
             raise ValueError(f"unknown regime tag {self.regime_tag!r}")
         number, rows, cols = (np.asarray(x) for x in (self.number, self.rows, self.cols))
         values = np.asarray(self.values, dtype=complex)
-        integers = all(x.dtype.kind in "iu" or x.size == 0 for x in (number, rows, cols))
+        # An index past 2^64 arrives as a Python int in an object array; the range check below refuses it.
+        integers = all(x.dtype.kind in "iu" or all(type(v) is int for v in x.flat) for x in (number, rows, cols))
         if not (integers and values.ndim == 1 and number.shape == rows.shape == cols.shape == values.shape):
             found = [f"{x.dtype}{list(x.shape)}" for x in (number, rows, cols, values)]
             raise ValueError(f"need integer number, rows, cols and values, 1-d and of one length; got {found}")
@@ -135,7 +136,7 @@ class JumpOperatorSet:
 def hamiltonian_from_generator(m: GeneratorMatrix) -> Hamiltonian:
     """H with H[a, b] = M[a, b]; requires M symmetric to 1e-12."""
     a = m.entries
-    if a.size and np.abs(a - a.T).max() > 1e-12:
+    if np.abs(a - a.T).max() > 1e-12:
         raise ValueError("generator is not symmetric; cannot form a Hermitian Hamiltonian")
     return Hamiltonian((a + a.T) / 2.0)
 
@@ -308,9 +309,6 @@ class AuditFailure:
     kind: str
     indices: tuple
     deviation: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qsw.cli as cli
+import qsw.operators
 from qsw.evolution import DensityMatrix, PropagationError, build_liouvillian, coherence_l1, populations, propagate_detailed
 from qsw.graph import build_line, classical_generator
 from qsw.operators import edge_jump_operators, empty_jump_operators, global_jump_operator, hamiltonian_from_generator
@@ -312,6 +313,17 @@ class TestAudit:
         assert not report["passed"]
         assert any(f["kind"] == "non-adjacent-transfer" for f in report["failures"])
 
+    @pytest.mark.parametrize("name, kind", [("_axiom_value", "axiom-1"), ("_transition_tensor", "hermiticity")])
+    def test_forced_failure_kind_is_reported_with_exit_1(self, tmp_path, monkeypatch, name, kind):
+        # Neither check fails on a built-in regime, so each is forced by shifting what it compares by i.
+        original = getattr(qsw.operators, name)
+        monkeypatch.setattr(qsw.operators, name, lambda *args: original(*args) + 1j)
+        rc, text = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "crw", name="report.json")
+        assert rc == 1
+        report = json.loads(text)["report"]
+        assert not report["passed"]
+        assert kind in {f["kind"] for f in report["failures"]}
+
     def test_custom_without_jump_file(self, tmp_path):
         rc, _ = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "qsw-custom")
         assert rc == 2
@@ -356,6 +368,13 @@ class TestEdgeListInput:
         rc, _ = run(tmp_path, "simulate", "--graph", str(graph_file), "--regime", "crw")
         assert rc == 2
         assert "line 3: edge weight must be finite" in capsys.readouterr().err
+
+    def test_origin_out_of_range_is_located_config_error(self, tmp_path, capsys):
+        graph_file = tmp_path / "square.edges"
+        graph_file.write_text("vertices 4\n0 1\n1 2\n2 3\n3 0\n")
+        rc, _ = run(tmp_path, "simulate", "--graph", str(graph_file), "--regime", "crw", "--origin", "4")
+        assert rc == 2
+        assert "error: origin index 4 out of range for 4 vertices" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, tmp_path):
         rc, _ = run(tmp_path, "simulate", "--graph", str(tmp_path / "absent.edges"), "--regime", "crw")
@@ -441,8 +460,15 @@ class TestCustomRegime:
             ([[[1, 0, 1.0, 0.0]], [[0, 1, 1.0, 0.0], [2, 1, 1.0, 0.0], [0, 1, 0.0, 2.0]]], "operator 1: entry (0, 1) is given twice"),
             ([[[0, 1, 1.0, 0.0]], [[0, 3, 1.0, 0.0]]], "jump operator 1: entry (0, 3) is out of range"),
             ([[[0, 2**63, 1.0, 0.0]]], "jump operator 0: entry (0, 9223372036854775808) is out of range"),
+            ([[[0, 1e30, 1.0, 0.0]]], "jump operator 0: entry (0, 1000000000000000019884624838656) is out of range"),
+            ({"operators": []}, "jump-operator file must hold a list of operators"),
+            ([{"0": [0, 1, 1.0, 0.0]}], "operator 0 must be a list of [row, col, re, im] entries"),
+            ([[[0, 1, 1.0]]], "operator 0: entries must be [row, col, re, im], got [0, 1, 1.0]"),
         ],
-        ids=["nan", "inf", "fractional-index", "non-number", "repeated-entry", "index-range", "index-past-int64"],
+        ids=[
+            "nan", "inf", "fractional-index", "non-number", "repeated-entry", "index-range", "index-past-int64",
+            "index-past-uint64", "not-a-list", "operator-not-a-list", "entry-not-four",
+        ],
     )
     def test_bad_jump_entries_are_located_config_errors(self, tmp_path, capsys, entries, message):
         jump_file = tmp_path / "bad.json"
@@ -450,6 +476,37 @@ class TestCustomRegime:
         rc, _ = run(tmp_path, "simulate", "--graph", "line:3:1", "--regime", "qsw-custom", "--jump-file", str(jump_file))
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read jump-operator file"), ("[[[0, 1", "is not valid JSON")],
+        ids=["missing", "not-json"],
+    )
+    def test_unreadable_jump_file_is_config_error(self, tmp_path, capsys, text, message):
+        jump_file = tmp_path / "ops.json"
+        if text is not None:
+            jump_file.write_text(text)
+        rc, _ = run(tmp_path, "simulate", "--graph", "line:3:1", "--regime", "qsw-custom", "--jump-file", str(jump_file))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "0:5"), "t grid must be start:stop:count, got '0:5'"),
+        (("simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "0:5:many"), "cannot parse t grid '0:5:many'"),
+        (("simulate", "--graph", "line:5:1", "--regime", "crw", "--omega", "half"), "cannot parse omega value 'half'"),
+        (("audit", "--graph", "line:3:1", "--regime", "crw", "--tol", "tiny"), "cannot parse --tol value 'tiny'"),
+        (("simulate", "--graph", "line:five:1", "--regime", "qw"), "cannot parse 'line:five:1': invalid literal for int()"),
+    ],
+    ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec"],
+)
+def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, message):
+    rc, text = run(tmp_path, *argv)
+    assert rc == 2
+    assert text is None
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from qsw.evolution import (
     unvectorize_state,
     vectorize_state,
 )
-from qsw.evolution import _NORM_ONLY_BOUND, _check_budgets, _expm_action
+from qsw.evolution import _NORM_ONLY_BOUND, _check_budgets, _expm_action, _taylor_parameters
 from qsw.graph import build_line, classical_generator, from_edge_list
 from qsw.operators import (
     Hamiltonian,
@@ -406,7 +406,7 @@ class TestPropagate:
     def test_invariant_violation_aborts_with_diagnostics(self):
         # A generator with no trace-preserving structure must be refused at
         # the output gate, not silently normalized away.
-        rogue = Liouvillian(3, 1.0, scipy.sparse.csr_matrix(np.eye(9)))
+        rogue = Liouvillian(3, scipy.sparse.csr_matrix(np.eye(9)))
         with pytest.raises(StateInvariantError) as excinfo:
             propagate(DensityMatrix.basis(3, 0), rogue, 1.0)
         assert excinfo.value.trace_drift > 1e-9
@@ -571,6 +571,37 @@ class TestExpmAction:
         again, _ = _expm_action(liou, x, 200.0)
         assert np.array_equal(first, again)
         _expm_action(liou, x, 300.0)
+
+
+# (m, s) of the kernel on line:61 at t = 1e-3, 1, 5, 200 and 2000, then at
+# the two adjacent floats that put t ||A||_1 just below and just above
+# _NORM_ONLY_BOUND. qw at omega = 1 has no generator, so no bound to straddle.
+TAYLOR_PARAMETERS = {
+    ("qw", 0.0): [(6, 1), (40, 1), (50, 3), (55, 82), (55, 817), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 6))],
+    ("qw", 0.5): [(6, 1), (25, 1), (45, 2), (55, 41), (55, 409), (26.2445713119593, (55, 7)), (26.24457131195931, (55, 6))],
+    ("qw", 1.0): [(0, 1), (0, 1), (0, 1), (0, 1), (0, 1)],
+    ("crw", 0.0): [(6, 1), (40, 1), (50, 3), (55, 82), (55, 817), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 6))],
+    ("crw", 0.5): [(6, 1), (27, 1), (45, 2), (55, 42), (55, 418), (23.929117966661124, (55, 7)), (23.92911796666113, (50, 6))],
+    ("crw", 1.0): [(5, 1), (24, 1), (40, 2), (55, 42), (55, 411), (31.16903225806451, (55, 7)), (31.16903225806452, (55, 7))],
+    ("qsw-global", 0.0): [(6, 1), (40, 1), (50, 3), (55, 82), (55, 817), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 6))],
+    ("qsw-global", 0.5): [(6, 1), (40, 1), (55, 3), (55, 76), (55, 759), (11.701368980415726, (55, 7)), (11.70136898041573, (55, 5))],
+    ("qsw-global", 1.0): [(6, 1), (45, 1), (55, 4), (55, 123), (55, 1222), (9.277396657863797, (55, 7)), (9.2773966578638, (55, 6))],
+}
+
+
+@pytest.mark.parametrize("regime, omega", list(TAYLOR_PARAMETERS))
+def test_taylor_parameters_are_pinned(regime, omega):
+    _, _, m, h = line_setup(61)
+    ls = {"qw": empty_jump_operators(61), "crw": edge_jump_operators(m), "qsw-global": global_jump_operator(m)}[regime]
+    gen = build_liouvillian(h, ls, omega)._shifted
+    expected = TAYLOR_PARAMETERS[regime, omega]
+    for t, pair in zip((1e-3, 1.0, 5.0, 200.0, 2000.0), expected):
+        assert _taylor_parameters(gen, t) == pair
+    if len(expected) > 5:
+        (below, below_pair), (above, above_pair) = expected[5:]
+        assert below * gen.onenorm <= _NORM_ONLY_BOUND < above * gen.onenorm
+        assert _taylor_parameters(gen, below) == below_pair
+        assert _taylor_parameters(gen, above) == above_pair
 
 
 class TestStateReadouts:

@@ -12,6 +12,9 @@ from qsw.graph import (
     parse_edge_list,
     validate_generator,
 )
+from qsw.discrete import StochasticMatrix
+from qsw.evolution import DensityMatrix
+from qsw.operators import Hamiltonian
 
 
 class TestGraph:
@@ -133,6 +136,15 @@ class TestValidateGenerator:
         with pytest.raises(ValueError, match=r"generator entry \(0, 1\) is not finite"):
             GeneratorMatrix(np.array([[-1.0, value], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "constructor, name",
+        [(GeneratorMatrix, "generator"), (Hamiltonian, "Hamiltonian"), (StochasticMatrix, "stochastic matrix"), (DensityMatrix, "density matrix")],
+    )
+    def test_every_matrix_intake_refuses_the_empty_matrix(self, constructor, name):
+        # No walk has a 0 x 0 matrix; numpy's reductions would fail on it with no location.
+        with pytest.raises(ValueError, match=rf"{name} must not be empty, got shape \(0, 0\)"):
+            constructor(np.zeros((0, 0)))
+
     def test_column_sum_violation_fails(self):
         report = validate_generator(GeneratorMatrix(np.array([[-1.0, 0.0], [1.0, 0.5]])))
         assert not report.passed
@@ -169,6 +181,15 @@ vertices 4
     def test_missing_header(self):
         with pytest.raises(ValueError, match="vertices"):
             parse_edge_list("0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("vertices four\n0 1\n", "line 1: vertex count 'four' is not an integer"), ("# no graph\n\n", "edge list has no 'vertices N' header")],
+        ids=["vertex-count", "no-header"],
+    )
+    def test_header_errors_are_located(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_edge_list(text)
 
     def test_zero_weight_rejected_with_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
