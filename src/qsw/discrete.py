@@ -68,30 +68,20 @@ def lazy_walk_matrix(g: Graph, hold: float) -> StochasticMatrix:
     """
     if not 0.0 <= hold <= 1.0:
         raise ValueError(f"hold must lie in [0, 1], got {hold}")
-    n = g.n_vertices
-    arr = np.zeros((n, n))
-    for b in range(n):
-        neighbors = g.neighbors(b)
-        if not neighbors:
-            if hold != 1.0:
-                raise ValueError(f"vertex {b} is isolated; only hold=1 is stochastic")
-            arr[b, b] = 1.0
-            continue
-        arr[b, b] = hold
-        for a in neighbors:
-            arr[a, b] = (1.0 - hold) / len(neighbors)
+    rows, cols = np.nonzero(g.weight_matrix())
+    degree = np.bincount(cols, minlength=g.n_vertices)
+    if hold != 1.0 and not degree.all():
+        raise ValueError(f"vertex {np.argmin(degree)} is isolated; only hold=1 is stochastic")
+    arr = hold * np.eye(g.n_vertices)
+    arr[rows, cols] = (1.0 - hold) / degree[cols]
     return StochasticMatrix(arr)
 
 
 def kraus_from_stochastic(s: StochasticMatrix) -> KrausSet:
     """One operator sqrt(S[a, b]) |a><b| per nonzero entry of S."""
-    ops = []
-    for a in range(s.dim):
-        for b in range(s.dim):
-            if s.entries[a, b] > 0:
-                op = np.zeros((s.dim, s.dim), dtype=complex)
-                op[a, b] = np.sqrt(s.entries[a, b])
-                ops.append(op)
+    rows, cols = np.nonzero(s.entries > 0)
+    ops = np.zeros((rows.size, s.dim, s.dim), dtype=complex)
+    ops[np.arange(rows.size), rows, cols] = np.sqrt(s.entries[rows, cols])
     return KrausSet(s.dim, tuple(ops))
 
 

@@ -466,6 +466,11 @@ def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
     norm = t * gen.onenorm
     if norm == 0.0:
         return 0, 1
+    # Every candidate step count is at most t ||A||_1 / theta_1.
+    if not math.isfinite(norm / _THETA[1]):
+        raise ValueError(
+            f"t = {t!r} is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = {gen.onenorm!r}"
+        )
     # Equation (3.11): alpha_p(tA) = t max(d_p, d_p+1) bounds the tail of
     # the degree-m series for every m >= p (p - 1) - 1. Under condition
     # (3.13) the exact 1-norm stands in for d_2 = d_3, and p = 2 alone,

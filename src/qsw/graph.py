@@ -229,7 +229,7 @@ def parse_edge_list(text: str) -> Graph:
     full-line or trailing; blank lines are skipped.
     """
     n_vertices = None
-    triples = []
+    weights = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -242,6 +242,8 @@ def parse_edge_list(text: str) -> Graph:
                 n_vertices = int(fields[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
+            if n_vertices < 1:
+                raise ValueError(f"line {lineno}: vertex count must be at least 1, got {n_vertices}")
             continue
         if len(fields) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [weight]', got {line!r}")
@@ -256,13 +258,13 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
         if not (w > 0 and np.isfinite(w)):
             raise ValueError(f"line {lineno}: edge weight must be finite and positive, got {w}")
-        triples.append((u, v, w))
+        pair = (min(u, v), max(u, v))
+        if pair in weights:
+            raise ValueError(f"line {lineno}: duplicate edge {pair}")
+        weights[pair] = w
     if n_vertices is None:
         raise ValueError("edge list has no 'vertices N' header")
-    try:
-        return from_edge_list(n_vertices, triples)
-    except ValueError as exc:
-        raise ValueError(f"invalid edge list: {exc}") from None
+    return Graph(n_vertices, tuple(weights), tuple(weights.values()))
 
 
 def read_edge_list(path) -> Graph:

@@ -78,10 +78,14 @@ class JumpOperatorSet:
             raise ValueError(f"need a positive dim and a nonnegative count, got {self.dim} and {self.count}")
         if self.regime_tag not in (EDGE_LOCAL, GLOBAL, EMPTY, CUSTOM):
             raise ValueError(f"unknown regime tag {self.regime_tag!r}")
-        number, rows, cols = (np.asarray(x) for x in (self.number, self.rows, self.cols))
+        # Index sequences stay exact Python ints, which numpy would round to float64 when
+        # -1 and 2^63 share one; the range check below refuses either, naming its entry.
+        indices = (self.number, self.rows, self.cols)
+        number, rows, cols = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in indices)
         values = np.asarray(self.values, dtype=complex)
-        # An index past 2^64 arrives as a Python int in an object array; the range check below refuses it.
-        integers = all(x.dtype.kind in "iu" or all(type(v) is int for v in x.flat) for x in (number, rows, cols))
+        integers = all(
+            x.dtype.kind in "iu" or all(type(v) is int or isinstance(v, np.integer) for v in x.flat) for x in (number, rows, cols)
+        )
         if not (integers and values.ndim == 1 and number.shape == rows.shape == cols.shape == values.shape):
             found = [f"{x.dtype}{list(x.shape)}" for x in (number, rows, cols, values)]
             raise ValueError(f"need integer number, rows, cols and values, 1-d and of one length; got {found}")
@@ -96,6 +100,12 @@ class JumpOperatorSet:
             # Every tolerance comparison is False on nan, so an audit would pass.
             j = np.argmax(non_finite)
             raise ValueError(f"jump operator {number[j]} has non-finite entries: ({rows[j]}, {cols[j]}) is {values[j]}")
+        # The diagonal of K = sum_k L_k^dag L_k; finite entries can still overflow it.
+        with np.errstate(over="ignore"):
+            k_diagonal = np.bincount(cols, weights=np.abs(values) ** 2, minlength=self.dim)
+        if not np.isfinite(k_diagonal).all():
+            b = np.argmax(~np.isfinite(k_diagonal))
+            raise ValueError(f"K = sum_k L_k^dag L_k overflows: sum_k sum_c |L_k[c, {b}]|^2 of column {b} is not finite")
         key = (number * self.dim + rows) * self.dim + cols
         _, order, repeats = np.unique(key, return_index=True, return_counts=True)
         if (repeats > 1).any():
@@ -230,33 +240,31 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     return TensorElement(a, alpha, b, beta, value)
 
 
-def _axiom_value(h_entries, stacked, overlap, axiom, m, n, l) -> complex:
-    """Closed-form rate of one axiom; stacked is the (k, dim, dim) operator array."""
+def _axiom_value(h_entries, stacked, overlap, axiom, m, n, l):
+    """Closed-form rate of one axiom at scalar indices (a complex scalar) or at index arrays (an array).
+
+    stacked is the (k, dim, dim) operator array; each jump term sums over its operator axis.
+    """
+
+    def jump(a, b, c, d):
+        return (stacked[:, a, b] * np.conj(stacked[:, c, d])).sum(axis=0)
+
     if axiom == 1:
-        return complex(stacked[:, m, m] @ np.conj(stacked[:, m, m]) - overlap[m, m])
+        return jump(m, m, m, m) - overlap[m, m]
     if axiom == 2:
-        return complex(stacked[:, n, m] @ np.conj(stacked[:, n, m]))
+        return jump(n, m, n, m)
     if axiom == 3:
-        jump = stacked[:, m, m] @ np.conj(stacked[:, n, m])
-        return complex(jump + 1j * h_entries[m, n] - 0.5 * overlap[m, n])
+        return jump(m, m, n, m) + 1j * h_entries[m, n] - 0.5 * overlap[m, n]
     if axiom == 4:
-        jump = stacked[:, m, m] @ np.conj(stacked[:, n, n])
-        return complex(
-            jump
-            - 1j * h_entries[m, m]
-            + 1j * h_entries[n, n]
-            - 0.5 * overlap[m, m]
-            - 0.5 * overlap[n, n]
-        )
+        return jump(m, m, n, n) - 1j * h_entries[m, m] + 1j * h_entries[n, n] - 0.5 * overlap[m, m] - 0.5 * overlap[n, n]
     if axiom == 5:
-        jump = stacked[:, l, m] @ np.conj(stacked[:, n, n])
-        return complex(jump - 1j * h_entries[l, m] - 0.5 * overlap[l, m])
+        return jump(l, m, n, n) - 1j * h_entries[l, m] - 0.5 * overlap[l, m]
     # axiom 6
-    return complex(stacked[:, l, m] @ np.conj(stacked[:, n, m]))
+    return jump(l, m, n, m)
 
 
-def axiom_canonical_indices(axiom: int, m: int, n: int | None, l: int | None) -> tuple[int, int, int, int]:
-    """The (a, alpha, b, beta) tensor tuple each axiom formula describes."""
+def axiom_canonical_indices(axiom: int, m, n, l) -> tuple:
+    """The (a, alpha, b, beta) tensor tuple each axiom formula describes, for scalar or array indices."""
     if axiom == 1:
         return (m, m, m, m)
     if axiom == 2:
@@ -300,7 +308,7 @@ def axiom_rate(h: Hamiltonian, ls: JumpOperatorSet, axiom: int, m: int, n: int |
         l = _check_index("l", l, h.dim)
         if l == m or l == n:
             raise ValueError("l, m, n must be pairwise distinct")
-    value = _axiom_value(h.entries, ls.stacked(), ls.overlap_sum(), axiom, m, n, l)
+    value = complex(_axiom_value(h.entries, ls.stacked(), ls.overlap_sum(), axiom, m, n, l))
     return TensorElement(*axiom_canonical_indices(axiom, m, n, l), value)
 
 
@@ -379,9 +387,14 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
       distance two through its L^dag L term, so it is exempt);
     - axiom 6 activity is reported with its nonzero tuples.
 
-    The locality checks are boolean masks over the tensor built from the
-    adjacency matrix; their failures are listed in lexicographic index order.
-    tol must be finite and nonnegative.
+    Every check reads the adjacency matrix. The axiom formulas are evaluated
+    at once over the vertices, ordered edges and wedges it gives, and their
+    failures are listed axiom by axiom: the canonical tuples, then their
+    conjugates, each in lexicographic (m, n, l) order. The locality checks
+    are boolean masks over the tensor; their failures are listed in
+    lexicographic index order. A nan deviation fails its check, and a set
+    whose K overflows is refused when it is built. tol must be finite and
+    nonnegative.
     """
     # evolution imports this module, so the production build is imported here.
     from .evolution import build_liouvillian, column_stacked_superoperator
@@ -398,45 +411,31 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     overlap = ls.overlap_sum()
     tensor = _transition_tensor(h_entries, stacked, overlap)
 
+    # The neighborhood tuples, each kind in lexicographic order: the vertices m, the
+    # ordered edges (m, n), and the wedges (m, n, l) of distinct neighbors n, l of m.
+    distinct = ~np.eye(dim, dtype=bool)
+    edges = (*np.nonzero(adjacency), None)
+    wedges = np.nonzero(adjacency[:, :, None] & adjacency[:, None, :] & distinct)
+    neighborhoods = {1: (np.arange(dim), None, None), 2: edges, 3: edges, 4: edges, 5: wedges, 6: wedges}
     failures = []
-    comparisons = 0
-    max_formula_dev = 0.0
-
-    def compare(axiom, m, n, l):
-        nonlocal comparisons, max_formula_dev
-        indices = axiom_canonical_indices(axiom, m, n, l)
+    deviations = []
+    for axiom, (m, n, l) in neighborhoods.items():
         formula = _axiom_value(h_entries, stacked, overlap, axiom, m, n, l)
-        for idx, expected in (
-            (indices, formula),
-            ((indices[1], indices[0], indices[3], indices[2]), np.conj(formula)),
-        ):
-            dev = abs(tensor[idx] - expected)
-            comparisons += 1
-            max_formula_dev = max(max_formula_dev, dev)
-            if dev > tol:
-                failures.append(AuditFailure(f"axiom-{axiom}", idx, dev))
-        return formula
-
-    axiom6_max = 0.0
-    axiom6_nonzero = []
-    for m in range(dim):
-        compare(1, m, None, None)
-        neighbors = g.neighbors(m)
-        for n in neighbors:
-            compare(2, m, n, None)
-            compare(3, m, n, None)
-            compare(4, m, n, None)
-            for l in neighbors:
-                if l == n:
-                    continue
-                compare(5, m, n, l)
-                strength = abs(compare(6, m, n, l))
-                axiom6_max = max(axiom6_max, strength)
-                if strength > tol:
-                    axiom6_nonzero.append((l, n, m, strength))
+        a, alpha, b, beta = axiom_canonical_indices(axiom, m, n, l)
+        # The canonical tuples, then their conjugates (alpha, a, beta, b).
+        idx = tuple(np.concatenate(pair) for pair in ((a, alpha), (alpha, a), (b, beta), (beta, b)))
+        dev = np.abs(tensor[idx] - np.concatenate([formula, np.conj(formula)]))
+        deviations.append(dev)
+        # Written so that a nan deviation fails.
+        bad = np.flatnonzero(~(dev <= tol))
+        failures += [AuditFailure(f"axiom-{axiom}", tuple(int(i[j]) for i in idx), float(dev[j])) for j in bad]
+    formula_dev = np.concatenate(deviations)
+    # The loop ends on axiom 6, so formula, m, n and l are its own.
+    strength = np.abs(formula)
+    axiom6_nonzero = [(int(l[j]), int(n[j]), int(m[j]), float(strength[j])) for j in np.flatnonzero(strength > tol)]
 
     herm_dev = float(np.abs(tensor - np.conj(tensor.transpose(1, 0, 3, 2))).max())
-    if herm_dev > tol:
+    if not herm_dev <= tol:
         failures.append(AuditFailure("hermiticity", (), herm_dev))
 
     # Column stacking puts rho[a, alpha] at a + dim * alpha, so the tensor
@@ -445,10 +444,10 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     superop = column_stacked_superoperator(2.0 * build_liouvillian(h, ls, 0.5).matrix)
     permuted = tensor.transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
     superop_dev = float(np.abs(permuted - superop.toarray()).max())
-    if superop_dev > tol:
+    if not superop_dev <= tol:
         failures.append(AuditFailure("superoperator", (), superop_dev))
 
-    off = ~adjacency & ~np.eye(dim, dtype=bool)
+    off = ~adjacency & distinct
     transfer = np.abs(np.einsum("aabb->ab", tensor))
     max_transfer = float(transfer.max(where=off, initial=0.0))
     for a, b in np.argwhere(off & (transfer != 0.0)).tolist():
@@ -468,14 +467,14 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         dim=dim,
         tol=float(tol),
         tuples_evaluated=dim**4,
-        comparisons=comparisons,
-        max_formula_deviation=max_formula_dev,
+        comparisons=formula_dev.size,
+        max_formula_deviation=float(formula_dev.max(initial=0.0)),
         max_hermiticity_deviation=herm_dev,
         max_superoperator_deviation=superop_dev,
         max_nonadjacent_transfer=max_transfer,
         move_locality_checked=move_locality,
         max_nonlocal_element=max_nonlocal,
-        axiom6_max_abs=axiom6_max,
+        axiom6_max_abs=float(strength.max(initial=0.0)),
         axiom6_nonzero=tuple(axiom6_nonzero),
         failures=tuple(failures),
         passed=not failures,

@@ -313,11 +313,16 @@ class TestAudit:
         assert not report["passed"]
         assert any(f["kind"] == "non-adjacent-transfer" for f in report["failures"])
 
-    @pytest.mark.parametrize("name, kind", [("_axiom_value", "axiom-1"), ("_transition_tensor", "hermiticity")])
-    def test_forced_failure_kind_is_reported_with_exit_1(self, tmp_path, monkeypatch, name, kind):
-        # Neither check fails on a built-in regime, so each is forced by shifting what it compares by i.
+    @pytest.mark.parametrize(
+        "name, shift, kind",
+        [("_axiom_value", 1j, "axiom-1"), ("_transition_tensor", 1j, "hermiticity"), ("_transition_tensor", np.nan, "hermiticity")],
+        ids=["_axiom_value-axiom-1", "_transition_tensor-hermiticity", "_transition_tensor-nan"],
+    )
+    def test_forced_failure_kind_is_reported_with_exit_1(self, tmp_path, monkeypatch, name, shift, kind):
+        # Neither check fails on a built-in regime, so each is forced by shifting what it compares,
+        # by i or by nan; a nan deviation once passed every check it reached.
         original = getattr(qsw.operators, name)
-        monkeypatch.setattr(qsw.operators, name, lambda *args: original(*args) + 1j)
+        monkeypatch.setattr(qsw.operators, name, lambda *args: original(*args) + shift)
         rc, text = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "crw", name="report.json")
         assert rc == 1
         report = json.loads(text)["report"]
@@ -461,13 +466,14 @@ class TestCustomRegime:
             ([[[0, 1, 1.0, 0.0]], [[0, 3, 1.0, 0.0]]], "jump operator 1: entry (0, 3) is out of range"),
             ([[[0, 2**63, 1.0, 0.0]]], "jump operator 0: entry (0, 9223372036854775808) is out of range"),
             ([[[0, 1e30, 1.0, 0.0]]], "jump operator 0: entry (0, 1000000000000000019884624838656) is out of range"),
+            ([[[-1, 0, 1.0, 0.0], [2**63, 1, 1.0, 0.0]]], "jump operator 0: entry (-1, 0) is out of range"),
             ({"operators": []}, "jump-operator file must hold a list of operators"),
             ([{"0": [0, 1, 1.0, 0.0]}], "operator 0 must be a list of [row, col, re, im] entries"),
             ([[[0, 1, 1.0]]], "operator 0: entries must be [row, col, re, im], got [0, 1, 1.0]"),
         ],
         ids=[
             "nan", "inf", "fractional-index", "non-number", "repeated-entry", "index-range", "index-past-int64",
-            "index-past-uint64", "not-a-list", "operator-not-a-list", "entry-not-four",
+            "index-past-uint64", "negative-and-past-int64", "not-a-list", "operator-not-a-list", "entry-not-four",
         ],
     )
     def test_bad_jump_entries_are_located_config_errors(self, tmp_path, capsys, entries, message):
@@ -499,8 +505,20 @@ class TestCustomRegime:
         (("simulate", "--graph", "line:5:1", "--regime", "crw", "--omega", "half"), "cannot parse omega value 'half'"),
         (("audit", "--graph", "line:3:1", "--regime", "crw", "--tol", "tiny"), "cannot parse --tol value 'tiny'"),
         (("simulate", "--graph", "line:five:1", "--regime", "qw"), "cannot parse 'line:five:1': invalid literal for int()"),
+        (
+            ("audit", "--graph", "line:3:1e200", "--regime", "qsw-global"),
+            "K = sum_k L_k^dag L_k overflows: sum_k sum_c |L_k[c, 0]|^2 of column 0 is not finite",
+        ),
+        (
+            ("simulate", "--graph", "line:3:1", "--regime", "crw", "--t", "1e308"),
+            "t = 1e+308 is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = 2.66",
+        ),
+        (
+            ("simulate", "--graph", "line:3:1e300", "--regime", "crw", "--t", "1"),
+            "t = 1.0 is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = 2.66",
+        ),
     ],
-    ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec"],
+    ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec", "overlap-overflow", "long-t", "large-norm"],
 )
 def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, message):
     rc, text = run(tmp_path, *argv)

@@ -184,8 +184,12 @@ vertices 4
 
     @pytest.mark.parametrize(
         "text, message",
-        [("vertices four\n0 1\n", "line 1: vertex count 'four' is not an integer"), ("# no graph\n\n", "edge list has no 'vertices N' header")],
-        ids=["vertex-count", "no-header"],
+        [
+            ("vertices four\n0 1\n", "line 1: vertex count 'four' is not an integer"),
+            ("# empty\nvertices 0\n", "line 2: vertex count must be at least 1, got 0"),
+            ("# no graph\n\n", "edge list has no 'vertices N' header"),
+        ],
+        ids=["vertex-count", "no-vertices", "no-header"],
     )
     def test_header_errors_are_located(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -208,7 +212,7 @@ vertices 4
             parse_edge_list("vertices 2\nzero one\n")
 
     def test_duplicate_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"line 3: duplicate edge \(0, 1\)"):
             parse_edge_list("vertices 3\n0 1\n1 0 2.0\n")
 
 

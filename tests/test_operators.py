@@ -15,7 +15,7 @@ import qsw.cli
 import qsw.evolution
 import qsw.operators
 from qsw.evolution import lindblad_rhs
-from qsw.graph import GeneratorMatrix, build_line, classical_generator, from_edge_list
+from qsw.graph import GeneratorMatrix, Graph, build_line, classical_generator, from_edge_list
 from qsw.operators import (
     EDGE_LOCAL,
     GLOBAL,
@@ -189,9 +189,10 @@ class TestTripletStorage:
             (2, [1, 0, 1], [0, 1, 0], [1, 2, 1], [1.0, 2.0, 0.0], r"jump operator 1: entry \(0, 1\) is given twice"),
             (2, [0, 1], [0, 2], [1, 0], [1.0, np.nan], r"jump operator 1 has non-finite entries: \(2, 0\)"),
             (1, [0], [1], [1], [complex(np.inf, 0.0)], r"jump operator 0 has non-finite entries: \(1, 1\)"),
+            (2, [0, 1], [0, 2], [1, 1], [1e200, 1.0], r"K = sum_k L_k\^dag L_k overflows: .* of column 1 is not finite"),
             (-1, [], [], [], [], "nonnegative count"),
         ],
-        ids=["column", "negative-row", "operator-number", "lengths", "values-2d", "float-index", "repeat", "nan", "inf", "count"],
+        ids=["column", "negative-row", "operator-number", "lengths", "values-2d", "float-index", "repeat", "nan", "inf", "overlap-overflow", "count"],
     )
     def test_constructor_refuses_bad_triplets_naming_the_entry(self, count, number, rows, cols, values, message):
         with pytest.raises(ValueError, match=message):
@@ -489,9 +490,29 @@ class TestAuditAxioms:
             raise AssertionError("the audit must build the tensor in one contraction")
 
         monkeypatch.setattr(qsw.operators, "_tensor_value", refuse)
+        # The neighborhoods come from the adjacency matrix, not a walk over each vertex's neighbors.
+        monkeypatch.setattr(Graph, "neighbors", refuse)
         g, m, h = line_setup(5)
         for ls in all_regimes(m).values():
             assert audit_axioms(h, ls, g).passed
+
+    def test_axiom_failures_are_listed_axiom_by_axiom(self, monkeypatch):
+        # Each axiom's canonical tuples, then their conjugates, each in lexicographic (m, n, l) order.
+        original = qsw.operators._axiom_value
+
+        def shifted(h, stacked, overlap, axiom, m, n, l):
+            return original(h, stacked, overlap, axiom, m, n, l) + (1j if axiom in (1, 3) else 0.0)
+
+        monkeypatch.setattr(qsw.operators, "_axiom_value", shifted)
+        g, m, h = line_setup(3)
+        report = audit_axioms(h, edge_jump_operators(m), g)
+        assert [(f.kind, f.indices) for f in report.failures] == [
+            *[("axiom-1", (v, v, v, v)) for v in (0, 1, 2, 0, 1, 2)],
+            *[("axiom-3", idx) for idx in ((0, 1, 0, 0), (1, 0, 1, 1), (1, 2, 1, 1), (2, 1, 2, 2))],
+            *[("axiom-3", idx) for idx in ((1, 0, 0, 0), (0, 1, 1, 1), (2, 1, 1, 1), (1, 2, 2, 2))],
+        ]
+        assert all(f.deviation == pytest.approx(1.0) for f in report.failures)
+        assert report.comparisons == 2 * (3 + 3 * 4 + 2 * 2)
 
     def test_passes_on_criterion_7_random_graphs(self):
         # Criterion 7's 50 seeded graphs (2-12 vertices, possibly
