@@ -11,7 +11,8 @@ Graphs come either from the built-in family `line:<sites>:<gamma>` or from
 an edge-list file (see qsw.graph.parse_edge_list). Regimes pick the jump
 operators: crw uses edge-local operators, qw uses none, qsw-global the
 single generator-shaped operator, qsw-custom a user-supplied JSON file.
-The mixing parameter omega defaults to 0 for qw and 1 otherwise.
+The mixing parameter omega lies in [0, 1] and defaults to 0 for qw and 1
+otherwise.
 
 Exit codes: 0 success, 1 audit failure, 2 configuration error, 3 solver
 failure. Output is deterministic: fixed key order, floats rendered with
@@ -21,6 +22,7 @@ repr so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from .evolution import (
     PropagationError,
     build_liouvillian,
     coherence_l1,
+    combine_parts,
     populations,
     propagate_detailed,
 )
@@ -100,6 +103,16 @@ def _parse_times(text: str) -> tuple[list[float], bool]:
     if any(0 < step < MIN_POSITIVE_TIME for step in np.diff(sorted(ts))):
         raise ValueError(f"--t grid steps must be 0 or at least {MIN_POSITIVE_TIME}, got {text!r}")
     return ts, was_grid
+
+
+def _parse_omegas(args) -> tuple[list[float], bool]:
+    """--omega values: _parse_values, plus every omega in [0, 1]; without the flag, the regime's default."""
+    if not args.omega:
+        return [_default_omega(args.regime)], False
+    omegas, was_grid = _parse_values(args.omega, "omega")
+    if not all(0.0 <= w <= 1.0 for w in omegas):
+        raise ValueError(f"--omega must lie in [0, 1], got {args.omega!r}")
+    return omegas, was_grid
 
 
 def _parse_tol(text: str) -> float:
@@ -230,6 +243,10 @@ def _emit(text: str, output: str | None) -> None:
 def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     """Propagate every (omega, t) point; results come in omega-major, grid order.
 
+    The generator's two omega-free parts, R_QW at omega = 0 and R_D at
+    omega = 1, are built once, each only if some omega weighs it, and
+    combine_parts makes the generator of every omega from them. A part
+    that no later omega weighs is let go before the state propagates.
     For each omega the times are visited in ascending order as one forward
     chain: each point steps on from the state the previous one reached, so
     the chain costs what its largest time costs. A zero-length step (t = 0,
@@ -253,9 +270,13 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
             },
         }
 
+    coherent = build_liouvillian(h, ls, 0.0) if any(w < 1.0 for w in omegas) else None
+    dissipative = build_liouvillian(h, ls, 1.0) if any(w > 0.0 for w in omegas) else None
     results = []
-    for omega in omegas:
-        liou = build_liouvillian(h, ls, omega)
+    for k, omega in enumerate(omegas):
+        liou = combine_parts(coherent, dissipative, omega)
+        coherent = coherent if any(w < 1.0 for w in omegas[k + 1 :]) else None
+        dissipative = dissipative if any(w > 0.0 for w in omegas[k + 1 :]) else None
         points = [None] * len(ts)
         state, t_prev = rho0, 0.0
         for i in ascending:
@@ -286,7 +307,7 @@ def _csv_rows(results: list[dict], labels: list[int], with_t: bool) -> str:
 
 def cmd_simulate(args) -> int:
     src = _load_graph(args.graph)
-    omegas, _ = _parse_values(args.omega, "omega") if args.omega else ([_default_omega(args.regime)], False)
+    omegas, _ = _parse_omegas(args)
     ts, _ = _parse_times(args.t)
     echo, results = _run_grid(src, args, omegas, ts)
     if args.format == "json":
@@ -300,7 +321,7 @@ def cmd_sweep(args) -> int:
     src = _load_graph(args.graph)
     if not args.omega:
         raise ValueError("sweep requires --omega start:stop:count")
-    omegas, was_grid = _parse_values(args.omega, "omega")
+    omegas, was_grid = _parse_omegas(args)
     if not was_grid:
         raise ValueError("sweep requires an omega grid start:stop:count")
     ts, t_was_grid = _parse_times(args.t)
@@ -350,7 +371,7 @@ def cmd_compare(args) -> int:
     src = _load_graph(args.graph)
     if src.line_map is None:
         raise ValueError("compare needs a line graph; the analytic oracles cover no other family")
-    omegas, omega_grid = _parse_values(args.omega, "omega") if args.omega else ([_default_omega(args.regime)], False)
+    omegas, omega_grid = _parse_omegas(args)
     ts, t_grid = _parse_times(args.t)
     if omega_grid or t_grid:
         raise ValueError("compare takes single omega and t values, not grids")
@@ -406,6 +427,7 @@ def _add_common(parser: argparse.ArgumentParser, with_origin: bool) -> None:
         parser.add_argument("--origin", type=int, default=None, help="start vertex: signed position on lines, index otherwise")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsw", description="Quantum stochastic walk simulator")
     parser.add_argument("--version", action="version", version=f"qsw {__version__}")

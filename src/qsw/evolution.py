@@ -12,9 +12,10 @@ matrices, so it acts on the dim^2 real coordinates of a Hermitian state in
 an orthonormal basis: rho[a, a], sqrt(2) Re rho[a, alpha] and
 sqrt(2) Im rho[a, alpha] for a < alpha (coordinate_basis). The sqrt(2)
 makes the basis orthonormal, so the coordinate change is unitary.
-build_liouvillian assembles the generator in these coordinates as one
-real dim^2 x dim^2 CSR matrix, by one sparse product for every regime and
-size; column_stacked_superoperator rebuilds the complex matrix on
+build_liouvillian assembles the generator in these coordinates as a
+real dim^2 x dim^2 CSR matrix, the omega-weighted sum of two omega-free
+parts that each take one sparse product for every regime and size;
+column_stacked_superoperator rebuilds the complex matrix on
 column-stacked states for checks that need it.
 
 The generator is linear and time-independent, so propagation is the action
@@ -366,55 +367,91 @@ def column_stacked_superoperator(matrix) -> scipy.sparse.csr_matrix:
     return (basis @ matrix @ basis.conj().T).tocsr()
 
 
-def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liouvillian:
-    """Assemble the interpolated generator as a real CSR matrix in the coordinates of coordinate_basis.
+def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet | None = None) -> scipy.sparse.csr_matrix:
+    """The real-coordinate matrix of rho -> G rho + rho G^dag + sum_k L_k rho L_k^dag.
 
-    Under column stacking, X rho Y becomes kron(Y.T, X) acting on vec(rho).
-    With the effective generator G = -i (1 - omega) H - (omega / 2) K,
-    K = sum_k L_k^dag L_k, the matrix is
+    Under column stacking, X rho Y becomes kron(Y.T, X) acting on vec(rho),
+    so the complex matrix is
 
-        L = kron(I, G) + kron(conj(G), I) + omega R(V V^dag),
+        L = kron(I, G) + kron(conj(G), I) + R(V V^dag),
 
     where column k of V is L_k flattened row-major (entry (a, b) at index
-    a * dim + b) and the realignment R moves entry ((a, b), (alpha, beta))
-    to (a + dim * alpha, b + dim * beta). V and S, the stacked operators
-    with K = S^dag S, come from the set's triplets. As R(vec(G) vec(I)^dag) is
+    a * dim + b), one column for each operator of ls and none without it,
+    and the realignment R moves entry ((a, b), (alpha, beta)) to
+    (a + dim * alpha, b + dim * beta). As R(vec(G) vec(I)^dag) is
     kron(I, G) and R(vec(I) vec(G)^dag) is kron(conj(G), I), all three
     terms come out of one sparse product
 
-        L = R([V, vec(G), vec(I)] [omega V, vec(I), vec(G)]^dag),
+        L = R([V, vec(G), vec(I)] [V, vec(I), vec(G)]^dag),
 
     which sums coinciding entries as it goes. The realignment also moves
     each entry into the real coordinates (see _realign), so the complex
     matrix is never stored: the real matrix is R = T^dag L T for the
-    unitary T of coordinate_basis. A column rho[b, beta] and its conjugate
-    rho[beta, b] act on the same coordinates, so the realignment sums them
-    by the CSR constructor, once as they are and once with the lower one
-    negated. Every regime and every size takes this one path.
+    unitary T of coordinate_basis.
     """
+    dim = gen.shape[0]
+    gen = gen.tocoo()
+    count = 0 if ls is None else ls.count
+    g_col, i_col = count, count + 1
+    rows = [gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)]
+    cols = [np.full(gen.nnz, g_col), np.full(dim, i_col)]
+    values = [gen.data, np.ones(dim)]
+    if ls is not None:
+        rows.insert(0, ls.rows * dim + ls.cols)
+        cols.insert(0, ls.number)
+        values.insert(0, ls.values)
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    # vec(G) and vec(I) trade columns between the factors; the jump columns keep theirs.
+    swapped = np.where(cols < count, cols, g_col + i_col - cols)
+    shape = (dim * dim, count + 2)
+    left = scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
+    # The right factor is built already conjugated and transposed.
+    right_dag = scipy.sparse.csr_matrix((values.conj(), (swapped, rows)), shape=shape[::-1])
+    return _realign(left, right_dag, dim)
+
+
+def _require_omega(omega: float) -> None:
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
+
+
+def combine_parts(coherent: Liouvillian | None, dissipative: Liouvillian | None, omega: float) -> Liouvillian:
+    """The generator at omega, (1 - omega) R_QW + omega R_D, from its two omega-free parts.
+
+    coherent is R_QW and dissipative is R_D, as build_liouvillian returns
+    them at omega = 0 and omega = 1. At either end the one part with
+    nonzero weight is returned itself, and the other may be None.
+    """
+    _require_omega(omega)
+    if omega == 0.0:
+        return coherent
+    if omega == 1.0:
+        return dissipative
+    return Liouvillian(coherent.dim, (1.0 - omega) * coherent.matrix + omega * dissipative.matrix)
+
+
+def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liouvillian:
+    """Assemble the interpolated generator as a real CSR matrix in the coordinates of coordinate_basis.
+
+    The generator is affine in omega, R(omega) = (1 - omega) R_QW +
+    omega R_D. Its two parts are assembled without omega by one sparse
+    product each (see _assemble): the quantum walk R_QW, the commutator
+    -i[H, .], from G = -i H and no jump operators, and the dissipator R_D
+    from G = -K / 2, K = sum_k L_k^dag L_k, and every operator of ls.
+    combine_parts weighs them; a part of zero weight is never built. Every
+    regime and every size takes this one path.
+    """
+    _require_omega(omega)
     _require_same_dim(h, ls)
     dim = h.dim
-    # Operator number, row a, column b and value of every nonzero; none at omega = 0.
-    number, a, b, values = (x if omega > 0.0 else x[:0] for x in (ls.number, ls.rows, ls.cols, ls.values))
-
-    stacked = scipy.sparse.csr_matrix((values, (number * dim + a, b)), shape=(ls.count * dim, dim))
-    gen = scipy.sparse.csr_matrix(h.entries) * (-1j * (1.0 - omega)) - (0.5 * omega) * (stacked.conj().T @ stacked)
-    gen = gen.tocoo()
-
-    g_col, i_col = ls.count, ls.count + 1
-    rows = np.concatenate([a * dim + b, gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)])
-    cols = np.concatenate([number, np.full(gen.nnz, g_col), np.full(dim, i_col)])
-    swapped = np.concatenate([number, np.full(gen.nnz, i_col), np.full(dim, g_col)])
-    shape = (dim * dim, ls.count + 2)
-    left = scipy.sparse.csr_matrix((np.concatenate([values, gen.data, np.ones(dim)]), (rows, cols)), shape=shape)
-    # The right factor is built already conjugated and transposed.
-    right_dag = scipy.sparse.csr_matrix(
-        (np.concatenate([omega * values, gen.data, np.ones(dim)]).conj(), (swapped, rows)), shape=shape[::-1]
-    )
-    mat = _realign(left, right_dag, dim)
-    return Liouvillian(dim, mat)
+    coherent = dissipative = None
+    if omega < 1.0:
+        coherent = Liouvillian(dim, _assemble(scipy.sparse.csr_matrix(h.entries) * -1j))
+    if omega > 0.0:
+        # S stacks the operators, one dim-row block each, so that K = S^dag S.
+        stacked = scipy.sparse.csr_matrix((ls.values, (ls.number * dim + ls.rows, ls.cols)), shape=(ls.count * dim, dim))
+        dissipative = Liouvillian(dim, _assemble(-0.5 * (stacked.conj().T @ stacked), ls))
+    return combine_parts(coherent, dissipative, omega)
 
 
 def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
@@ -444,7 +481,9 @@ class _ShiftedGenerator:
 
         scipy.sparse.linalg.onenormest draws its trial vectors from numpy's
         global random generator, so the estimates run under a fixed seed
-        and the caller's generator state is restored after them.
+        and the caller's generator state is restored after them. An
+        estimate that overflows reads inf or nan, without a warning;
+        _taylor_parameters refuses it.
         """
         from scipy.sparse.linalg import aslinearoperator, onenormest
 
@@ -452,7 +491,8 @@ class _ShiftedGenerator:
         rng_state = np.random.get_state()
         np.random.seed(0)
         try:
-            return {p: onenormest(shifted**p) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
+            with np.errstate(over="ignore", invalid="ignore"):
+                return {p: onenormest(shifted**p) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
         finally:
             np.random.set_state(rng_state)
 
@@ -476,6 +516,12 @@ def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
     # (3.13) the exact 1-norm stands in for d_2 = d_3, and p = 2 alone,
     # which admits every degree, is searched; no power of A is estimated.
     d, p_max = ({2: gen.onenorm, 3: gen.onenorm}, 2) if norm <= _NORM_ONLY_BOUND else (gen.power_norms, _P_MAX)
+    overflowing = [p for p, d_p in d.items() if not math.isfinite(d_p)]
+    if overflowing:
+        raise ValueError(
+            f"cannot size exp(tA) for t = {t!r}: the estimate of ||A^p||_1 overflows for "
+            f"p = {', '.join(map(str, overflowing))}, with ||A||_1 = {gen.onenorm!r}"
+        )
     candidates = (
         (m, math.ceil(t * max(d[p], d[p + 1]) / theta))
         for p in range(2, p_max + 1)

@@ -377,9 +377,9 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
       neighborhood tuple, and the conjugate tuple equals the conjugate;
     - the tensor is Hermitian as a map: T(a,alpha,b,beta) agrees with
       conj(T(alpha,a,beta,b)) everywhere;
-    - the tensor, permuted to column-stacked order, equals L_H + L_D,
-      twice the generator build_liouvillian assembles for propagation at
-      omega = 1/2 (rebuilt from its real coordinates by
+    - the tensor, permuted to column-stacked order, equals L_H + L_D, the
+      sum of the two parts build_liouvillian assembles for propagation at
+      omega = 0 and omega = 1 (rebuilt from its real coordinates by
       column_stacked_superoperator);
     - population transfer between non-adjacent vertices is exactly zero;
     - for the edge-local and empty sets, any element that moves an index
@@ -439,9 +439,8 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         failures.append(AuditFailure("hermiticity", (), herm_dev))
 
     # Column stacking puts rho[a, alpha] at a + dim * alpha, so the tensor
-    # maps onto the superoperator after swapping each index pair. The
-    # generator at omega = 1/2 is (L_H + L_D) / 2, and doubling it is exact.
-    superop = column_stacked_superoperator(2.0 * build_liouvillian(h, ls, 0.5).matrix)
+    # maps onto the superoperator after swapping each index pair.
+    superop = column_stacked_superoperator(build_liouvillian(h, ls, 0.0).matrix + build_liouvillian(h, ls, 1.0).matrix)
     permuted = tensor.transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
     superop_dev = float(np.abs(permuted - superop.toarray()).max())
     if not superop_dev <= tol:

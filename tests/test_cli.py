@@ -7,6 +7,7 @@ files; exit codes and emitted documents are asserted directly.
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -76,7 +77,19 @@ class TestSimulate:
         doc = json.loads(text)
         assert [r["t"] for r in doc["results"]] == [0.0, 1.0, 2.0]
 
-    def test_time_grid_builds_once_per_omega(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, builds, omegas, ts",
+        [
+            (("simulate", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3"), [0.0, 1.0], [0.0, 1.0], [0.0, 1.0, 2.0]),
+            (("sweep", "--regime", "crw", "--omega", "0:1:11", "--t", "1"), [0.0, 1.0], [i / 10 for i in range(11)], [1.0]),
+            (("simulate", "--regime", "crw", "--omega", "0.5", "--t", "1"), [0.0, 1.0], [0.5], [1.0]),
+            (("simulate", "--regime", "crw", "--omega", "1", "--t", "1"), [1.0], [1.0], [1.0]),
+            (("simulate", "--regime", "qw", "--t", "1"), [0.0], [0.0], [1.0]),
+        ],
+        ids=["time-grid", "sweep", "interior", "dissipative", "qw-default"],
+    )
+    def test_time_grid_builds_once_per_omega(self, tmp_path, monkeypatch, argv, builds, omegas, ts):
+        # Each omega-free part is built once per command, and only if some omega weighs it.
         built = []
 
         def counting_build(h, ls, omega):
@@ -84,11 +97,33 @@ class TestSimulate:
             return build_liouvillian(h, ls, omega)
 
         monkeypatch.setattr(cli, "build_liouvillian", counting_build)
-        rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3")
+        rc, text = run(tmp_path, *argv, "--graph", "line:5:1", "--format", "json")
         assert rc == 0
-        assert built == [0.0, 1.0]
-        doc = json.loads(text)
-        assert [(r["omega"], r["t"]) for r in doc["results"]] == [(w, t) for w in (0.0, 1.0) for t in (0.0, 1.0, 2.0)]
+        assert built == builds
+        results = json.loads(text)["results"]
+        assert [(r["omega"], r["t"]) for r in results] == [(pytest.approx(w), t) for w in omegas for t in ts]
+
+    def test_parts_no_later_omega_weighs_are_released_before_propagation(self, tmp_path, monkeypatch):
+        parts = []
+        alive = []
+
+        def recording_build(h, ls, omega):
+            liou = build_liouvillian(h, ls, omega)
+            parts.append((omega, weakref.ref(liou)))
+            return liou
+
+        def recording_propagate(state, liou, t):
+            alive.append([omega for omega, ref in parts if ref() is not None and ref() is not liou])
+            return propagate_detailed(state, liou, t)
+
+        monkeypatch.setattr(cli, "build_liouvillian", recording_build)
+        monkeypatch.setattr(cli, "propagate_detailed", recording_propagate)
+        rc, _ = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "crw", "--omega", "0.5", "--t", "1")
+        assert (rc, alive) == (0, [[]])
+        alive.clear()
+        rc, _ = run(tmp_path, "sweep", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:3", "--t", "1")
+        # At omega 0 the coherent part is the generator itself, and only omega 1 follows omega 0.5.
+        assert (rc, alive) == (0, [[1.0], [1.0], []])
 
     @pytest.mark.parametrize("grid", ["0:5:11", "5:0:11", "1:3:5"], ids=["ascending", "descending", "offset"])
     @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
@@ -517,8 +552,19 @@ class TestCustomRegime:
             ("simulate", "--graph", "line:3:1e300", "--regime", "crw", "--t", "1"),
             "t = 1.0 is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = 2.66",
         ),
+        (("sweep", "--graph", "line:3:1", "--regime", "crw", "--omega", "0:2:3"), "--omega must lie in [0, 1], got '0:2:3'"),
+        (("simulate", "--graph", "line:3:1", "--regime", "crw", "--omega", "-0.5"), "--omega must lie in [0, 1], got '-0.5'"),
+        (
+            ("simulate", "--graph", "line:3:1e40", "--regime", "crw", "--t", "1"),
+            "cannot size exp(tA) for t = 1.0: the estimate of ||A^p||_1 overflows for p = 8, 9, with ||A||_1 = 2.66",
+        ),
+        (
+            ("simulate", "--graph", "line:3:1e40", "--regime", "qw", "--t", "1"),
+            "cannot size exp(tA) for t = 1.0: the estimate of ||A^p||_1 overflows for p = 8, 9, with ||A||_1 = 4.82",
+        ),
     ],
-    ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec", "overlap-overflow", "long-t", "large-norm"],
+    ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec", "overlap-overflow", "long-t", "large-norm"]
+    + ["omega-grid-range", "omega-value-range", "power-norm-overflow-crw", "power-norm-overflow-qw"],
 )
 def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, message):
     rc, text = run(tmp_path, *argv)
@@ -544,6 +590,20 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output file")
     assert "Traceback" not in err
+
+
+def test_repeated_main_calls_do_not_share_values(tmp_path):
+    # The parser is built once per process; each call must still parse from its own defaults.
+    argv = ("simulate", "--graph", "line:5:1", "--regime", "crw", "--omega", "0.5", "--t", "2", "--origin", "1")
+    rc, text = run(tmp_path, *argv, "--format", "csv", name="a")
+    assert rc == 0 and text.startswith("omega,t,position,population\n0.5,2.0,")
+    rc, text = run(tmp_path, "sweep", "--graph", "line:3:1", "--regime", "qw", "--omega", "0:1:2", name="b")
+    assert rc == 0 and text.startswith("omega,position,population\n0.0,")
+    rc, text = run(tmp_path, "simulate", "--graph", "line:3:1", "--regime", "qw", name="c")
+    assert rc == 0
+    echo = json.loads(text)["config_echo"]
+    assert (echo["omega"], echo["t"], echo["origin"]) == ([0.0], [5.0], 0)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_import_does_not_load_scipy_integrate():

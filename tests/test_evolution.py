@@ -15,6 +15,7 @@ from qsw.evolution import (
     build_liouvillian,
     coherence_l1,
     column_stacked_superoperator,
+    combine_parts,
     coordinate_basis,
     from_coordinates,
     lindblad_rhs,
@@ -315,6 +316,33 @@ class TestBuildLiouvillian:
         with pytest.raises(ValueError):
             build_liouvillian(h, edge_jump_operators(m), 1.01)
 
+    @pytest.mark.parametrize("omega, products", [(0.0, 1), (0.5, 2), (1.0, 1)])
+    def test_builds_only_the_parts_omega_weighs(self, monkeypatch, omega, products):
+        _, _, m, h = line_setup(5)
+        assembled = []
+        assemble = qsw.evolution._assemble
+
+        def counting_assemble(*args):
+            assembled.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(qsw.evolution, "_assemble", counting_assemble)
+        build_liouvillian(h, edge_jump_operators(m), omega)
+        assert len(assembled) == products
+
+    def test_combination_of_the_two_parts(self):
+        _, _, m, h = line_setup(5)
+        ls = global_jump_operator(m)
+        coherent, dissipative = build_liouvillian(h, ls, 0.0), build_liouvillian(h, ls, 1.0)
+        assert combine_parts(coherent, None, 0.0) is coherent
+        assert combine_parts(None, dissipative, 1.0) is dissipative
+        mixed = combine_parts(coherent, dissipative, 0.25)
+        expected = 0.75 * coherent.matrix.toarray() + 0.25 * dissipative.matrix.toarray()
+        assert np.array_equal(mixed.matrix.toarray(), expected)
+        assert np.array_equal(build_liouvillian(h, ls, 0.25).matrix.toarray(), expected)
+        with pytest.raises(ValueError, match=r"omega must lie in \[0, 1\], got -0.5"):
+            combine_parts(coherent, dissipative, -0.5)
+
 
 class TestPropagate:
     def test_t_zero_identity(self):
@@ -559,6 +587,15 @@ class TestExpmAction:
         monkeypatch.setattr(np.random, "get_state", refuse)
         _, info = propagate_detailed(DensityMatrix.basis(9, 4), liou, 2.0)
         assert info.steps > 0
+
+    def test_overflowing_norms_of_powers_are_refused(self):
+        # The estimates of ||A^8||_1 and ||A^9||_1 overflow; pytest turns a leaked RuntimeWarning into a failure.
+        g, _ = build_line(3, 1e40)
+        m = classical_generator(g)
+        gen = build_liouvillian(hamiltonian_from_generator(m), edge_jump_operators(m), 1.0)._shifted
+        message = r"cannot size exp\(tA\) for t = 1.0: the estimate of \|\|A\^p\|\|_1 overflows for p = 8, 9, with \|\|A\|\|_1 = 2.66"
+        with pytest.raises(ValueError, match=message):
+            _taylor_parameters(gen, 1.0)
 
     def test_norms_of_powers_are_estimated_once_per_liouvillian(self, monkeypatch):
         liou, x = line9_generator("qsw-global", 1.0)
