@@ -270,13 +270,18 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
             },
         }
 
-    coherent = build_liouvillian(h, ls, 0.0) if any(w < 1.0 for w in omegas) else None
-    dissipative = build_liouvillian(h, ls, 1.0) if any(w > 0.0 for w in omegas) else None
+    # The last omega that weighs each part, -1 if none does.
+    last_coherent = max((k for k, w in enumerate(omegas) if w < 1.0), default=-1)
+    last_dissipative = max((k for k, w in enumerate(omegas) if w > 0.0), default=-1)
+    coherent = build_liouvillian(h, ls, 0.0) if last_coherent >= 0 else None
+    dissipative = build_liouvillian(h, ls, 1.0) if last_dissipative >= 0 else None
     results = []
     for k, omega in enumerate(omegas):
         liou = combine_parts(coherent, dissipative, omega)
-        coherent = coherent if any(w < 1.0 for w in omegas[k + 1 :]) else None
-        dissipative = dissipative if any(w > 0.0 for w in omegas[k + 1 :]) else None
+        if k == last_coherent:
+            coherent = None
+        if k == last_dissipative:
+            dissipative = None
         points = [None] * len(ts)
         state, t_prev = rho0, 0.0
         for i in ascending:

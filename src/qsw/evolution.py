@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse
 
 from .graph import _require_finite, _square_matrix
-from .operators import Hamiltonian, JumpOperatorSet, _require_same_dim
+from .operators import Hamiltonian, JumpOperatorSet, _require_same_dim, empty_jump_operators
 
 TRACE_BUDGET = 1e-9
 HERMITICITY_BUDGET = 1e-10
@@ -367,7 +367,7 @@ def column_stacked_superoperator(matrix) -> scipy.sparse.csr_matrix:
     return (basis @ matrix @ basis.conj().T).tocsr()
 
 
-def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet | None = None) -> scipy.sparse.csr_matrix:
+def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet) -> scipy.sparse.csr_matrix:
     """The real-coordinate matrix of rho -> G rho + rho G^dag + sum_k L_k rho L_k^dag.
 
     Under column stacking, X rho Y becomes kron(Y.T, X) acting on vec(rho),
@@ -376,7 +376,7 @@ def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet | None = None) -> 
         L = kron(I, G) + kron(conj(G), I) + R(V V^dag),
 
     where column k of V is L_k flattened row-major (entry (a, b) at index
-    a * dim + b), one column for each operator of ls and none without it,
+    a * dim + b), one column for each operator of ls (none for the empty set),
     and the realignment R moves entry ((a, b), (alpha, beta)) to
     (a + dim * alpha, b + dim * beta). As R(vec(G) vec(I)^dag) is
     kron(I, G) and R(vec(I) vec(G)^dag) is kron(conj(G), I), all three
@@ -391,16 +391,11 @@ def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet | None = None) -> 
     """
     dim = gen.shape[0]
     gen = gen.tocoo()
-    count = 0 if ls is None else ls.count
+    count = ls.count
     g_col, i_col = count, count + 1
-    rows = [gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)]
-    cols = [np.full(gen.nnz, g_col), np.full(dim, i_col)]
-    values = [gen.data, np.ones(dim)]
-    if ls is not None:
-        rows.insert(0, ls.rows * dim + ls.cols)
-        cols.insert(0, ls.number)
-        values.insert(0, ls.values)
-    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    rows = np.concatenate([ls.rows * dim + ls.cols, gen.row.astype(np.intp) * dim + gen.col, np.arange(dim) * (dim + 1)])
+    cols = np.concatenate([ls.number, np.full(gen.nnz, g_col), np.full(dim, i_col)])
+    values = np.concatenate([ls.values, gen.data, np.ones(dim)])
     # vec(G) and vec(I) trade columns between the factors; the jump columns keep theirs.
     swapped = np.where(cols < count, cols, g_col + i_col - cols)
     shape = (dim * dim, count + 2)
@@ -446,7 +441,7 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     dim = h.dim
     coherent = dissipative = None
     if omega < 1.0:
-        coherent = Liouvillian(dim, _assemble(scipy.sparse.csr_matrix(h.entries) * -1j))
+        coherent = Liouvillian(dim, _assemble(scipy.sparse.csr_matrix(h.entries) * -1j, empty_jump_operators(dim)))
     if omega > 0.0:
         # S stacks the operators, one dim-row block each, so that K = S^dag S.
         stacked = scipy.sparse.csr_matrix((ls.values, (ls.number * dim + ls.rows, ls.cols)), shape=(ls.count * dim, dim))
