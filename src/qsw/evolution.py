@@ -23,9 +23,11 @@ of its exponential, exp(t R) x0, computed in real arithmetic by Algorithm
 3.2 of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011) for every
 regime, omega, start state and size (_expm_action). The algorithm works on
 the shifted matrix A = R - mu I, mu = tr(R) / n, and picks its Taylor
-degree and step count from 1-norms of A and of its powers. None of these
-depends on t (the norms of tA are t times those of A), so they are
-computed once per Liouvillian and reused by every step. A time grid is a
+degree m and step count s from the exact 1-norm of A alone. Neither A nor
+its norm depends on t (||tA||_1 is t ||A||_1), so they are computed once
+per Liouvillian and reused by every step. A step whose m s, the number of
+products with A, would pass _MAX_PRODUCTS is refused before the first
+product is made. A time grid is a
 forward chain of such steps, each starting from the state the previous one
 reached (see qsw.cli), so its cost grows with the largest time, not the
 sum of times.
@@ -60,13 +62,10 @@ MIN_POSITIVE_TIME = float(np.finfo(float).tiny)
 
 # Parameters of Al-Mohy and Higham, "Computing the action of the matrix
 # exponential, with an application to exponential integrators", SIAM J.
-# Sci. Comput. 33 (2011) 488-511, at double precision: the tolerance, the
-# largest Taylor degree, p_max (the largest p with p (p - 1) <= m_max + 1)
-# and ell, the number of columns of the 1-norm estimates.
+# Sci. Comput. 33 (2011) 488-511, at double precision: the tolerance and
+# the largest Taylor degree.
 _TOL = 2.0**-53
 _M_MAX = 55
-_P_MAX = 8
-_ELL = 2
 # theta_m: the largest ||tA||_1 / s for which the degree-m Taylor
 # polynomial of exp(tA / s) meets the tolerance 2^-53. Degrees 1-30 from
 # Higham and Al-Mohy, "Computing matrix functions", Acta Numerica 19
@@ -80,9 +79,10 @@ _THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-# Condition (3.13) for one vector: up to this ||tA||_1 the exact 1-norm
-# alone picks the parameters, and no power of A is estimated.
-_NORM_ONLY_BOUND = 2 * _ELL * _P_MAX * (_P_MAX + 3) * (_THETA[_M_MAX] / _M_MAX)
+# The most products with A that one step of the kernel may make. The
+# largest step of the benchmark workloads makes 7590; a step past the bound
+# would run for minutes or longer, so it is refused before it starts.
+_MAX_PRODUCTS = 10**6
 
 
 class PropagationError(RuntimeError):
@@ -458,7 +458,7 @@ def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
 
 
 class _ShiftedGenerator:
-    """A = R - mu I for a real CSR generator R and mu = tr(R) / n, with the 1-norms that size exp(tA).
+    """A = R - mu I for a real CSR generator R and mu = tr(R) / n, with the exact 1-norm that sizes exp(tA).
 
     Nothing here depends on t, so it is computed once per Liouvillian. A
     Hamiltonian generator has mu = 0, and A is then R itself.
@@ -470,60 +470,28 @@ class _ShiftedGenerator:
         self.matrix = matrix - self.mu * scipy.sparse.identity(n, format="csr") if self.mu else matrix
         self.onenorm = float(np.bincount(self.matrix.indices, weights=np.abs(self.matrix.data), minlength=n).max())
 
-    @cached_property
-    def power_norms(self) -> dict[int, float]:
-        """d_p = ||A^p||_1^(1/p) for p = 2 .. p_max + 1, estimated on first use.
-
-        scipy.sparse.linalg.onenormest draws its trial vectors from numpy's
-        global random generator, so the estimates run under a fixed seed
-        and the caller's generator state is restored after them. An
-        estimate that overflows reads inf or nan, without a warning;
-        _taylor_parameters refuses it.
-        """
-        from scipy.sparse.linalg import aslinearoperator, onenormest
-
-        shifted = aslinearoperator(self.matrix)
-        rng_state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return {p: onenormest(shifted**p) ** (1.0 / p) for p in range(2, _P_MAX + 2)}
-        finally:
-            np.random.set_state(rng_state)
-
 
 def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
-    """Taylor degree m and step count s for exp(tA), by code fragment 3.1 of Al-Mohy and Higham (2011).
+    """Taylor degree m and step count s for exp(tA), from the exact 1-norm of A.
 
-    The pair minimizes the cost m s, the number of products with A; ties
-    go to the first pair in the order the paper scans them.
+    s = ceil(t ||A||_1 / theta_m) steps of degree m meet the tolerance, as
+    ||A^p||_1^(1/p) <= ||A||_1 bounds the tail of every series (Al-Mohy
+    and Higham (2011), equation (3.11)). The pair minimizes the cost m s,
+    the number of products with A; ties go to the lowest m. A step that
+    would make more than _MAX_PRODUCTS products is refused.
     """
     norm = t * gen.onenorm
     if norm == 0.0:
         return 0, 1
-    # Every candidate step count is at most t ||A||_1 / theta_1.
-    if not math.isfinite(norm / _THETA[1]):
+    # m / theta_m is least at m = 55, so every degree needs at least this
+    # many products. Written so that an inf or nan count is refused.
+    products = norm * _M_MAX / _THETA[_M_MAX]
+    if not products <= _MAX_PRODUCTS:
         raise ValueError(
-            f"t = {t!r} is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = {gen.onenorm!r}"
+            f"t = {t!r} is too long for one step of exp(tA): it needs at least {products:.3g} products with A, "
+            f"with ||A||_1 = {gen.onenorm!r}, and the bound is {_MAX_PRODUCTS}"
         )
-    # Equation (3.11): alpha_p(tA) = t max(d_p, d_p+1) bounds the tail of
-    # the degree-m series for every m >= p (p - 1) - 1. Under condition
-    # (3.13) the exact 1-norm stands in for d_2 = d_3, and p = 2 alone,
-    # which admits every degree, is searched; no power of A is estimated.
-    d, p_max = ({2: gen.onenorm, 3: gen.onenorm}, 2) if norm <= _NORM_ONLY_BOUND else (gen.power_norms, _P_MAX)
-    overflowing = [p for p, d_p in d.items() if not math.isfinite(d_p)]
-    if overflowing:
-        raise ValueError(
-            f"cannot size exp(tA) for t = {t!r}: the estimate of ||A^p||_1 overflows for "
-            f"p = {', '.join(map(str, overflowing))}, with ||A||_1 = {gen.onenorm!r}"
-        )
-    candidates = (
-        (m, math.ceil(t * max(d[p], d[p + 1]) / theta))
-        for p in range(2, p_max + 1)
-        for m, theta in _THETA.items()
-        if m >= p * (p - 1) - 1
-    )
-    m, s = min(candidates, key=lambda ms: ms[0] * ms[1])
+    m, s = min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
     return m, max(s, 1)
 
 
@@ -538,7 +506,7 @@ def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.
     exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
     Taylor polynomial, summed term by term and cut short once two
     successive terms are below the tolerance relative to the sum. A and
-    its norms are made once per Liouvillian; each term scales its vector
+    its norm are made once per Liouvillian; each term scales its vector
     in place, and no matrix is copied per step.
     """
     gen = liouvillian._shifted
@@ -578,8 +546,7 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
     _expm_action computes exp(t R) on them in float64, and the result is
     mapped back to a complex state, Hermitian by construction. The info's
     steps is the number of sparse matrix-vector products the kernel made.
-    The call is deterministic and leaves the caller's np.random state as
-    it found it.
+    The call is deterministic and draws no random numbers.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets or the call raises StateInvariantError rather than returning a

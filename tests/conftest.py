@@ -1,10 +1,11 @@
 """Let the CLI subprocesses some tests start import qsw from src/, as the suite itself does.
 
-Also the matvecs fixture, which counts CSR matrix-vector products from
-outside qsw.
+Also the matvecs fixture, which counts sparse matrix-vector products from
+outside qsw, and a time limit on every test.
 """
 
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -13,16 +14,45 @@ import scipy.sparse
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
+# The slowest test takes a few seconds. A refusal that regresses into a
+# runaway kernel then fails its own test instead of hanging the suite.
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail any test that runs longer than TEST_TIME_LIMIT_S seconds of wall time."""
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 @pytest.fixture
 def matvecs(monkeypatch):
-    """A list that grows by one entry per csr_matrix-vector product made while the test runs."""
+    """A list that grows by one entry per sparse matrix-vector product made while the test runs.
+
+    A product with a block of vectors, as scipy's norm estimators make,
+    adds one entry per column. CSR and CSC matrices are both counted, so a
+    product with a transpose is seen too.
+    """
     calls = []
-    product = scipy.sparse.csr_matrix._matmul_vector
 
-    def counted(matrix, vector):
-        calls.append(matrix.shape)
-        return product(matrix, vector)
+    def counting(product, columns):
+        def counted(matrix, other):
+            calls.extend([matrix.shape] * columns(other))
+            return product(matrix, other)
 
-    monkeypatch.setattr(scipy.sparse.csr_matrix, "_matmul_vector", counted)
+        return counted
+
+    for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix):
+        monkeypatch.setattr(cls, "_matmul_vector", counting(cls._matmul_vector, lambda vector: 1))
+        monkeypatch.setattr(cls, "_matmul_multivector", counting(cls._matmul_multivector, lambda block: block.shape[1]))
     return calls

@@ -192,13 +192,17 @@ class TestSimulate:
         "argv, budget",
         [
             (("--regime", "qw", "--t", "0:5:11"), 250),
-            (("--regime", "qsw-global", "--omega", "1", "--t", "200"), 3600),
+            (("--regime", "qsw-global", "--omega", "1", "--t", "200"), 3900),
         ],
         ids=["qw-grid", "qsw-global-long-t"],
     )
     def test_matvec_budget(self, tmp_path, matvecs, argv, budget):
         # The Taylor degree and step count set the cost; a slip in choosing
         # them would multiply the products without changing any result.
+        # matvecs counts every product with a sparse matrix, so sizing the
+        # steps counts too: the long-t command makes 3891 products, where
+        # sizing them from estimates of ||A^p||_1 made 3951 (3599 in the
+        # kernel and 352 in the estimates).
         rc, text = run(tmp_path, "simulate", "--graph", "line:61:1", *argv)
         assert rc == 0
         steps = sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"])
@@ -546,25 +550,34 @@ class TestCustomRegime:
         ),
         (
             ("simulate", "--graph", "line:3:1", "--regime", "crw", "--t", "1e308"),
-            "t = 1e+308 is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = 2.66",
+            "t = 1e+308 is too long for one step of exp(tA): it needs at least inf products with A, "
+            "with ||A||_1 = 2.666666666666667, and the bound is 1000000",
         ),
         (
             ("simulate", "--graph", "line:3:1e300", "--regime", "crw", "--t", "1"),
-            "t = 1.0 is too long to count the steps of exp(tA): t ||A||_1 / theta_1 overflows, with ||A||_1 = 2.66",
+            "t = 1.0 is too long for one step of exp(tA): it needs at least 1.48e+301 products with A, "
+            "with ||A||_1 = 2.6666666666666668e+300, and the bound is 1000000",
         ),
         (("sweep", "--graph", "line:3:1", "--regime", "crw", "--omega", "0:2:3"), "--omega must lie in [0, 1], got '0:2:3'"),
         (("simulate", "--graph", "line:3:1", "--regime", "crw", "--omega", "-0.5"), "--omega must lie in [0, 1], got '-0.5'"),
         (
             ("simulate", "--graph", "line:3:1e40", "--regime", "crw", "--t", "1"),
-            "cannot size exp(tA) for t = 1.0: the estimate of ||A^p||_1 overflows for p = 8, 9, with ||A||_1 = 2.66",
+            "t = 1.0 is too long for one step of exp(tA): it needs at least 1.48e+41 products with A, "
+            "with ||A||_1 = 2.6666666666666664e+40, and the bound is 1000000",
         ),
         (
             ("simulate", "--graph", "line:3:1e40", "--regime", "qw", "--t", "1"),
-            "cannot size exp(tA) for t = 1.0: the estimate of ||A^p||_1 overflows for p = 8, 9, with ||A||_1 = 4.82",
+            "t = 1.0 is too long for one step of exp(tA): it needs at least 2.68e+41 products with A, "
+            "with ||A||_1 = 4.82842712474619e+40, and the bound is 1000000",
+        ),
+        (
+            ("simulate", "--graph", "line:3:1e20", "--regime", "qw", "--t", "1"),
+            "t = 1.0 is too long for one step of exp(tA): it needs at least 2.68e+21 products with A, "
+            "with ||A||_1 = 4.82842712474619e+20, and the bound is 1000000",
         ),
     ],
     ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec", "overlap-overflow", "long-t", "large-norm"]
-    + ["omega-grid-range", "omega-value-range", "power-norm-overflow-crw", "power-norm-overflow-qw"],
+    + ["omega-grid-range", "omega-value-range", "power-norm-overflow-crw", "power-norm-overflow-qw", "runaway-t"],
 )
 def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, message):
     rc, text = run(tmp_path, *argv)
@@ -615,9 +628,22 @@ def test_import_does_not_load_scipy_integrate():
 
 
 def test_import_does_not_load_scipy_sparse_linalg():
-    # qsw computes the exponential action itself and imports onenormest only
-    # for a large ||tR||_1; scipy.sparse.linalg and the scipy.linalg it loads
-    # would add about 80 ms to every command's start-up.
+    # qsw computes the exponential action and sizes its steps itself;
+    # scipy.sparse.linalg and the scipy.linalg it loads would add about
+    # 80 ms to every command's start-up.
     probe = "import sys, qsw.cli; print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_long_t_does_not_load_scipy_sparse_linalg(tmp_path):
+    # A step with t ||A||_1 far past 63.36 is sized from ||A||_1 alone, so
+    # no command loads scipy.sparse.linalg and its 10 MB of memory.
+    argv = ["simulate", "--graph", "line:61:1", "--regime", "qsw-global", "--omega", "1", "--t", "200"]
+    probe = (
+        "import sys, qsw.cli; "
+        f"rc = qsw.cli.main({argv + ['--output', str(tmp_path / 'out')]!r}); "
+        "print(rc, 'scipy.sparse.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 False"

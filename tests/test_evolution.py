@@ -27,7 +27,7 @@ from qsw.evolution import (
     unvectorize_state,
     vectorize_state,
 )
-from qsw.evolution import _NORM_ONLY_BOUND, _check_budgets, _expm_action, _taylor_parameters
+from qsw.evolution import _MAX_PRODUCTS, _check_budgets, _expm_action, _taylor_parameters
 from qsw.graph import build_line, classical_generator, from_edge_list
 from qsw.operators import (
     Hamiltonian,
@@ -441,8 +441,8 @@ class TestPropagate:
         assert isinstance(excinfo.value.min_eigenvalue, float)
 
     def test_result_does_not_depend_on_the_global_rng(self):
-        # At this ||tL||_1 expm_multiply's onenormest draws from np.random,
-        # and unseeded its step choice changed the state in the last bits.
+        # The kernel draws no random numbers, so the state is the same under
+        # every seed and the caller's stream goes on untouched.
         _, lmap, m, h = line_setup(9, gamma=2.0)
         liou = build_liouvillian(h, global_jump_operator(m, "offdiagonal"), 2.0 / 3.0)
         rho0 = DensityMatrix.basis(9, lmap.center)
@@ -554,14 +554,15 @@ class TestExpmAction:
     @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
     def test_matches_scipy_where_the_1_norm_picks_the_parameters(self, regime, omega):
         liou, x = line9_generator(regime, omega)
-        assert 2.0 * liou._shifted.onenorm <= _NORM_ONLY_BOUND
         coords, _ = _expm_action(liou, x, 2.0)
         assert np.abs(coords - scipy.sparse.linalg.expm_multiply(liou.matrix * 2.0, x)).max() <= 1e-13
 
     @pytest.mark.parametrize("omega", [0.5, 1.0])
     def test_matches_scipy_where_norms_of_powers_are_estimated(self, omega):
+        # Past ||tA||_1 = 63.36 scipy sizes its steps from estimates of
+        # ||A^p||_1 and the kernel from ||A||_1 alone; both meet 2^-53.
         liou, x = line9_generator("qsw-global", omega)
-        assert 200.0 * liou._shifted.onenorm > _NORM_ONLY_BOUND
+        assert 200.0 * liou._shifted.onenorm > 63.36
         coords, _ = _expm_action(liou, x, 200.0)
         assert np.abs(coords - scipy.sparse.linalg.expm_multiply(liou.matrix * 200.0, x)).max() <= 1e-13
 
@@ -571,7 +572,6 @@ class TestExpmAction:
         # scipy's expm_multiply 5.4e-13 from the oracle's state.
         _, lmap, m, h = line_setup(9)
         liou, x = line9_generator("qsw-global", 0.0)
-        assert 200.0 * liou._shifted.onenorm > _NORM_ONLY_BOUND
         psi0 = np.zeros(9, dtype=complex)
         psi0[lmap.center] = 1.0
         psi = schrodinger_solve(h, psi0, 200.0)
@@ -580,49 +580,50 @@ class TestExpmAction:
         assert np.abs(coords - exact).max() <= 1e-12
 
     def test_small_norm_propagation_leaves_the_global_rng_alone(self, monkeypatch):
+        # Neither a short step nor a long one (t ||A||_1 = 200 ||A||_1 > 63.36) touches np.random.
         def refuse():
-            raise AssertionError("a small ||tR||_1 needs no estimate and no random draws")
+            raise AssertionError("sizing exp(tA) needs no random draws")
 
-        liou, _ = line9_generator("crw", 0.5)
         monkeypatch.setattr(np.random, "get_state", refuse)
-        _, info = propagate_detailed(DensityMatrix.basis(9, 4), liou, 2.0)
-        assert info.steps > 0
+        for regime, omega, t in (("crw", 0.5, 2.0), ("qsw-global", 1.0, 200.0)):
+            liou, _ = line9_generator(regime, omega)
+            _, info = propagate_detailed(DensityMatrix.basis(9, 4), liou, t)
+            assert info.steps > 0
 
     def test_overflowing_norms_of_powers_are_refused(self):
-        # The estimates of ||A^8||_1 and ||A^9||_1 overflow; pytest turns a leaked RuntimeWarning into a failure.
+        # On line:3:1e40 ||A^8||_1 and ||A^9||_1 overflow a float, and the
+        # step would make about 1e41 products; the product bound refuses it
+        # before any is made. pytest turns a leaked RuntimeWarning into a failure.
         g, _ = build_line(3, 1e40)
         m = classical_generator(g)
         gen = build_liouvillian(hamiltonian_from_generator(m), edge_jump_operators(m), 1.0)._shifted
-        message = r"cannot size exp\(tA\) for t = 1.0: the estimate of \|\|A\^p\|\|_1 overflows for p = 8, 9, with \|\|A\|\|_1 = 2.66"
+        message = (
+            r"t = 1.0 is too long for one step of exp\(tA\): it needs at least 1.48e\+41 products with A, "
+            rf"with \|\|A\|\|_1 = 2.66\d*e\+40, and the bound is {_MAX_PRODUCTS}"
+        )
         with pytest.raises(ValueError, match=message):
             _taylor_parameters(gen, 1.0)
-
-    def test_norms_of_powers_are_estimated_once_per_liouvillian(self, monkeypatch):
-        liou, x = line9_generator("qsw-global", 1.0)
-        first, _ = _expm_action(liou, x, 200.0)
-
-        def refuse():
-            raise AssertionError("the estimates of the first call are reused")
-
-        monkeypatch.setattr(np.random, "get_state", refuse)
-        again, _ = _expm_action(liou, x, 200.0)
-        assert np.array_equal(first, again)
-        _expm_action(liou, x, 300.0)
+        # The longest pinned step, 75 900 products, is not refused.
+        _, _, m, h = line_setup(61)
+        long_step = _taylor_parameters(build_liouvillian(h, global_jump_operator(m), 1.0)._shifted, 2000.0)
+        assert long_step == (55, 1380) and 55 * 1380 <= _MAX_PRODUCTS
 
 
 # (m, s) of the kernel on line:61 at t = 1e-3, 1, 5, 200 and 2000, then at
-# the two adjacent floats that put t ||A||_1 just below and just above
-# _NORM_ONLY_BOUND. qw at omega = 1 has no generator, so no bound to straddle.
+# the two adjacent floats that put t ||A||_1 just below and just above 63.36,
+# past which Al-Mohy and Higham's fragment 3.1 would estimate ||A^p||_1.
+# The exact 1-norm sizes both, so the pair does not jump there. qw at
+# omega = 1 has no generator, so no 1-norm to straddle.
 TAYLOR_PARAMETERS = {
-    ("qw", 0.0): [(6, 1), (40, 1), (50, 3), (55, 82), (55, 817), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 6))],
-    ("qw", 0.5): [(6, 1), (25, 1), (45, 2), (55, 41), (55, 409), (26.2445713119593, (55, 7)), (26.24457131195931, (55, 6))],
+    ("qw", 0.0): [(6, 1), (40, 1), (50, 3), (55, 98), (55, 976), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 7))],
+    ("qw", 0.5): [(6, 1), (25, 1), (45, 2), (55, 49), (55, 488), (26.2445713119593, (55, 7)), (26.24457131195931, (55, 7))],
     ("qw", 1.0): [(0, 1), (0, 1), (0, 1), (0, 1), (0, 1)],
-    ("crw", 0.0): [(6, 1), (40, 1), (50, 3), (55, 82), (55, 817), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 6))],
-    ("crw", 0.5): [(6, 1), (27, 1), (45, 2), (55, 42), (55, 418), (23.929117966661124, (55, 7)), (23.92911796666113, (50, 6))],
+    ("crw", 0.0): [(6, 1), (40, 1), (50, 3), (55, 98), (55, 976), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 7))],
+    ("crw", 0.5): [(6, 1), (27, 1), (45, 2), (55, 54), (55, 535), (23.929117966661124, (55, 7)), (23.92911796666113, (55, 7))],
     ("crw", 1.0): [(5, 1), (24, 1), (40, 2), (55, 42), (55, 411), (31.16903225806451, (55, 7)), (31.16903225806452, (55, 7))],
-    ("qsw-global", 0.0): [(6, 1), (40, 1), (50, 3), (55, 82), (55, 817), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 6))],
-    ("qsw-global", 0.5): [(6, 1), (40, 1), (55, 3), (55, 76), (55, 759), (11.701368980415726, (55, 7)), (11.70136898041573, (55, 5))],
-    ("qsw-global", 1.0): [(6, 1), (45, 1), (55, 4), (55, 123), (55, 1222), (9.277396657863797, (55, 7)), (9.2773966578638, (55, 6))],
+    ("qsw-global", 0.0): [(6, 1), (40, 1), (50, 3), (55, 98), (55, 976), (13.12228565597965, (55, 7)), (13.122285655979654, (55, 7))],
+    ("qsw-global", 0.5): [(6, 1), (40, 1), (55, 3), (55, 110), (55, 1094), (11.701368980415726, (55, 7)), (11.70136898041573, (55, 7))],
+    ("qsw-global", 1.0): [(6, 1), (45, 1), (55, 4), (55, 138), (55, 1380), (9.277396657863797, (55, 7)), (9.2773966578638, (55, 7))],
 }
 
 
@@ -634,11 +635,8 @@ def test_taylor_parameters_are_pinned(regime, omega):
     expected = TAYLOR_PARAMETERS[regime, omega]
     for t, pair in zip((1e-3, 1.0, 5.0, 200.0, 2000.0), expected):
         assert _taylor_parameters(gen, t) == pair
-    if len(expected) > 5:
-        (below, below_pair), (above, above_pair) = expected[5:]
-        assert below * gen.onenorm <= _NORM_ONLY_BOUND < above * gen.onenorm
-        assert _taylor_parameters(gen, below) == below_pair
-        assert _taylor_parameters(gen, above) == above_pair
+    for t, pair in expected[5:]:
+        assert _taylor_parameters(gen, t) == pair
 
 
 class TestStateReadouts:
