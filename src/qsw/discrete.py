@@ -5,6 +5,11 @@ corresponding quantum map uses one Kraus operator per nonzero entry,
 C_(a,b) = sqrt(S[a, b]) |a><b|, so completeness reduces to the column sums
 of S and the map restricted to diagonal states is exactly the Markov
 chain. No coin register is involved.
+
+A Kraus set is held as a jump-operator set, the triplets of its nonzero
+entries. The map rho -> sum_k C_k rho C_k^dag is the jump part of a
+dissipator, so it is applied through the real-coordinate matrix that
+qsw.evolution._assemble builds for one, with G = 0.
 """
 
 from __future__ import annotations
@@ -12,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .evolution import DensityMatrix
+from .evolution import DensityMatrix, _assemble, from_coordinates, to_coordinates
 from .graph import Graph, _square_matrix
+from .operators import CUSTOM, JumpOperatorSet, _check_indices, _jump_term
 
 
 @dataclass(frozen=True)
@@ -39,26 +46,31 @@ class StochasticMatrix:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Operators C_k with sum_k C_k^dag C_k = I within 1e-10."""
+    """Operators C_k with sum_k C_k^dag C_k = I within 1e-10, held as the triplets of their nonzero entries."""
 
-    dim: int
-    operators: tuple
+    operator_set: JumpOperatorSet
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        ops = []
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, op in enumerate(self.operators):
-            arr = _square_matrix(f"Kraus operator {k}", op, complex)
-            if arr.shape != (self.dim, self.dim):
-                raise ValueError(f"operator shape {arr.shape} does not match dim {self.dim}")
-            ops.append(arr)
-            total += arr.conj().T @ arr
-        completeness_dev = np.abs(total - np.eye(self.dim)).max()
-        if completeness_dev > 1e-10:
-            raise ValueError(f"completeness violated: max deviation {completeness_dev:.3e}")
-        object.__setattr__(self, "operators", tuple(ops))
+        deviation = abs(self.operator_set.sparse_overlap_sum() - scipy.sparse.identity(self.dim)).max()
+        if deviation > 1e-10:
+            raise ValueError(f"completeness violated: max deviation {deviation:.3e}")
+        # The map on the real coordinates of qsw.evolution, built once per set.
+        object.__setattr__(self, "_map", _assemble(scipy.sparse.csr_matrix((self.dim, self.dim)), self.operator_set))
+
+    @classmethod
+    def from_dense(cls, dim: int, operators) -> "KrausSet":
+        """The set of the given dim x dim matrices; the first non-finite entry is named."""
+        ops = [_square_matrix(f"Kraus operator {k}", op, complex) for k, op in enumerate(operators)]
+        return cls(JumpOperatorSet.from_dense(dim, ops, CUSTOM))
+
+    @property
+    def dim(self) -> int:
+        return self.operator_set.dim
+
+    @property
+    def operators(self) -> tuple:
+        """The operators as dense dim x dim matrices, built on demand for checks only."""
+        return self.operator_set.operators
 
 
 def lazy_walk_matrix(g: Graph, hold: float) -> StochasticMatrix:
@@ -79,37 +91,27 @@ def lazy_walk_matrix(g: Graph, hold: float) -> StochasticMatrix:
 
 def kraus_from_stochastic(s: StochasticMatrix) -> KrausSet:
     """One operator sqrt(S[a, b]) |a><b| per nonzero entry of S."""
-    rows, cols = np.nonzero(s.entries > 0)
-    ops = np.zeros((rows.size, s.dim, s.dim), dtype=complex)
-    ops[np.arange(rows.size), rows, cols] = np.sqrt(s.entries[rows, cols])
-    return KrausSet(s.dim, tuple(ops))
+    rows, cols = np.nonzero(s.entries)
+    return KrausSet(JumpOperatorSet(s.dim, rows.size, np.arange(rows.size), rows, cols, np.sqrt(s.entries[rows, cols]), CUSTOM))
 
 
 def apply_map(ks: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """rho' = sum_k C_k rho C_k^dag, validated as a state before returning."""
     if rho.dim != ks.dim:
         raise ValueError(f"state dim {rho.dim} does not match map dim {ks.dim}")
-    out = np.zeros((ks.dim, ks.dim), dtype=complex)
-    for op in ks.operators:
-        out += op @ rho.entries @ op.conj().T
+    out = from_coordinates(ks._map @ to_coordinates(rho.entries), ks.dim)
     return DensityMatrix(out, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-9)
 
 
 def map_tensor_element(ks: KrausSet, a: int, alpha: int, b: int, beta: int) -> complex:
     """Transition tensor of the map: sum_k <a|C_k|b> conj(<alpha|C_k|beta>)."""
-    for name, idx in (("a", a), ("alpha", alpha), ("b", b), ("beta", beta)):
-        if not 0 <= idx < ks.dim:
-            raise IndexError(f"index {name}={idx} out of range for dim {ks.dim}")
-    value = 0.0 + 0.0j
-    for op in ks.operators:
-        value += op[a, b] * np.conj(op[alpha, beta])
-    return complex(value)
+    return _jump_term(ks.operator_set, *_check_indices(ks.dim, a=a, alpha=alpha, b=b, beta=beta))
 
 
 def iterate_map(ks: KrausSet, rho0: DensityMatrix, steps: int) -> DensityMatrix:
     """Apply the map steps times; state invariants are checked every step."""
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     state = rho0
     for _ in range(steps):
         state = apply_map(ks, state)

@@ -227,10 +227,14 @@ def _state_entries(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def lindblad_rhs(h: Hamiltonian, ls: JumpOperatorSet, omega: float, rho) -> np.ndarray:
-    """d(rho)/dt evaluated directly on matrices, no vectorization involved."""
+def _require_omega(omega: float) -> None:
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
+
+
+def lindblad_rhs(h: Hamiltonian, ls: JumpOperatorSet, omega: float, rho) -> np.ndarray:
+    """d(rho)/dt evaluated directly on matrices, no vectorization involved."""
+    _require_omega(omega)
     _require_same_dim(h, ls)
     r = _state_entries(rho)
     if r.shape != (h.dim, h.dim):
@@ -405,11 +409,6 @@ def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet) -> scipy.sparse.c
     return _realign(left, right_dag, dim)
 
 
-def _require_omega(omega: float) -> None:
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
-
-
 def combine_parts(coherent: Liouvillian | None, dissipative: Liouvillian | None, omega: float) -> Liouvillian:
     """The generator at omega, (1 - omega) R_QW + omega R_D, from its two omega-free parts.
 
@@ -443,9 +442,7 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     if omega < 1.0:
         coherent = Liouvillian(dim, _assemble(scipy.sparse.csr_matrix(h.entries) * -1j, empty_jump_operators(dim)))
     if omega > 0.0:
-        # S stacks the operators, one dim-row block each, so that K = S^dag S.
-        stacked = scipy.sparse.csr_matrix((ls.values, (ls.number * dim + ls.rows, ls.cols)), shape=(ls.count * dim, dim))
-        dissipative = Liouvillian(dim, _assemble(-0.5 * (stacked.conj().T @ stacked), ls))
+        dissipative = Liouvillian(dim, _assemble(-0.5 * ls.sparse_overlap_sum(), ls))
     return combine_parts(coherent, dissipative, omega)
 
 

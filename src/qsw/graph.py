@@ -14,6 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _add_edge(edges: dict, n_vertices: int, u, v, w) -> None:
+    """Add the edge {u, v} of weight w to edges, keyed by its pair (min, max): the one rule every edge passes."""
+    if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+        raise ValueError(f"edge ({u}, {v}) out of range for {n_vertices} vertices")
+    if u != int(u) or v != int(v):
+        raise ValueError(f"edge ({u}, {v}): vertices must be integers")
+    u, v = int(u), int(v)
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    pair = (min(u, v), max(u, v))
+    if pair in edges:
+        raise ValueError(f"duplicate edge {pair}")
+    w = float(w)
+    if not (w > 0 and np.isfinite(w)):
+        raise ValueError(f"edge weight must be finite and positive, got {w} on {pair}")
+    edges[pair] = w
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph on vertices 0..n_vertices-1.
@@ -32,25 +50,12 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if len(self.edges) != len(self.weights):
             raise ValueError("edges and weights must have equal length")
-        canonical = []
-        seen = set()
+        canonical = {}
         for (u, v), w in zip(self.edges, self.weights):
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.n_vertices} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
-                raise ValueError(f"duplicate edge {pair}")
-            seen.add(pair)
-            w = float(w)
-            if not (w > 0 and np.isfinite(w)):
-                raise ValueError(f"edge {pair} has weight {w}; weights must be finite and positive")
-            canonical.append((pair, w))
-        canonical.sort()
-        object.__setattr__(self, "edges", tuple(pair for pair, _ in canonical))
-        object.__setattr__(self, "weights", tuple(w for _, w in canonical))
+            _add_edge(canonical, self.n_vertices, u, v, w)
+        pairs = sorted(canonical)
+        object.__setattr__(self, "edges", tuple(pairs))
+        object.__setattr__(self, "weights", tuple(canonical[pair] for pair in pairs))
 
     def weight_matrix(self) -> np.ndarray:
         """Symmetric matrix W with W[u, v] = gamma_uv on edges, else 0."""
@@ -123,19 +128,11 @@ def build_line(n_sites: int, gamma: float) -> tuple[Graph, LineIndexMap]:
 def from_edge_list(n_vertices: int, edges) -> Graph:
     """Build a Graph from (u, v, weight) triples; weight may be omitted (:= 1).
 
-    Duplicate pairs in either order, self-loops, out-of-range indices and
+    Duplicate pairs in either order, self-loops, out-of-range or fractional indices and
     nonpositive or non-finite weights are rejected.
     """
-    pairs, weights = [], []
-    for item in edges:
-        if len(item) == 2:
-            u, v = item
-            w = 1.0
-        else:
-            u, v, w = item
-        pairs.append((u, v))
-        weights.append(w)
-    return Graph(n_vertices, tuple(pairs), tuple(weights))
+    triples = [(*item, 1.0) if len(item) == 2 else item for item in edges]
+    return Graph(n_vertices, tuple((u, v) for u, v, _ in triples), tuple(w for _, _, w in triples))
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -252,16 +249,10 @@ def parse_edge_list(text: str) -> Graph:
             w = float(fields[2]) if len(fields) == 3 else 1.0
         except ValueError:
             raise ValueError(f"line {lineno}: could not parse edge {line!r}") from None
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for {n_vertices} vertices")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
-        if not (w > 0 and np.isfinite(w)):
-            raise ValueError(f"line {lineno}: edge weight must be finite and positive, got {w}")
-        pair = (min(u, v), max(u, v))
-        if pair in weights:
-            raise ValueError(f"line {lineno}: duplicate edge {pair}")
-        weights[pair] = w
+        try:
+            _add_edge(weights, n_vertices, u, v, w)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if n_vertices is None:
         raise ValueError("edge list has no 'vertices N' header")
     return Graph(n_vertices, tuple(weights), tuple(weights.values()))

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .graph import GeneratorMatrix, Graph, _square_matrix
 
@@ -139,8 +140,12 @@ class JumpOperatorSet:
 
     def overlap_sum(self) -> np.ndarray:
         """K = sum_k L_k^dag L_k (zero matrix for the empty set)."""
-        stack = self.stacked()
-        return np.einsum("kab,kac->bc", stack.conj(), stack)
+        return self.sparse_overlap_sum().toarray()
+
+    def sparse_overlap_sum(self) -> scipy.sparse.csr_matrix:
+        """K as S^dag S, where the sparse S stacks the operators in dim-row blocks; no dense stack is made."""
+        stacked = scipy.sparse.csr_matrix((self.values, (self.number * self.dim + self.rows, self.cols)), shape=(self.count * self.dim, self.dim))
+        return stacked.conj().T @ stacked
 
 
 def hamiltonian_from_generator(m: GeneratorMatrix) -> Hamiltonian:
@@ -200,22 +205,22 @@ class TensorElement:
     value: complex
 
 
-def _check_index(name: str, value: int, dim: int) -> int:
-    value = int(value)
-    if not 0 <= value < dim:
-        raise IndexError(f"index {name}={value} out of range for dim {dim}")
-    return value
+def _check_indices(dim: int, **indices) -> tuple:
+    """The named indices as ints, in order; the first that is not an integer in [0, dim) is refused, by name."""
+    for name, value in indices.items():
+        if not (0 <= value < dim and value == int(value)):
+            raise IndexError(f"index {name}={value} is not an integer in [0, {dim})")
+    return tuple(int(value) for value in indices.values())
 
 
-def _tensor_value(h_entries, ops, overlap, a, alpha, b, beta) -> complex:
-    value = 0.0 + 0.0j
-    if alpha == beta:
-        value += -1j * h_entries[a, b] - 0.5 * overlap[a, b]
-    if a == b:
-        value += 1j * h_entries[beta, alpha] - 0.5 * overlap[beta, alpha]
-    for op in ops:
-        value += op[a, b] * np.conj(op[alpha, beta])
-    return complex(value)
+def _jump_term(ls: JumpOperatorSet, a: int, alpha: int, b: int, beta: int) -> complex:
+    """sum_k <a|L_k|b> conj(<alpha|L_k|beta>) from the triplets of ls.
+
+    An operator has at most one entry at each position, so the two are matched by operator number.
+    """
+    first, second = ((ls.rows == row) & (ls.cols == col) for row, col in ((a, b), (alpha, beta)))
+    _, i, j = np.intersect1d(ls.number[first], ls.number[second], assume_unique=True, return_indices=True)
+    return complex(np.sum(ls.values[first][i] * ls.values[second][j].conj()))
 
 
 def _require_same_dim(h: Hamiltonian, ls: JumpOperatorSet) -> None:
@@ -232,12 +237,13 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     exponentiates. Hamiltonian terms enter once, not once per operator.
     """
     _require_same_dim(h, ls)
-    a = _check_index("a", a, h.dim)
-    alpha = _check_index("alpha", alpha, h.dim)
-    b = _check_index("b", b, h.dim)
-    beta = _check_index("beta", beta, h.dim)
-    value = _tensor_value(h.entries, ls.operators, ls.overlap_sum(), a, alpha, b, beta)
-    return TensorElement(a, alpha, b, beta, value)
+    a, alpha, b, beta = _check_indices(h.dim, a=a, alpha=alpha, b=b, beta=beta)
+    value, he, overlap = _jump_term(ls, a, alpha, b, beta), h.entries, ls.overlap_sum()
+    if alpha == beta:
+        value += -1j * he[a, b] - 0.5 * overlap[a, b]
+    if a == b:
+        value += 1j * he[beta, alpha] - 0.5 * overlap[beta, alpha]
+    return TensorElement(a, alpha, b, beta, complex(value))
 
 
 def _axiom_value(h_entries, stacked, overlap, axiom, m, n, l):
@@ -295,17 +301,17 @@ def axiom_rate(h: Hamiltonian, ls: JumpOperatorSet, axiom: int, m: int, n: int |
     _require_same_dim(h, ls)
     if axiom not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"axiom must be 1..6, got {axiom}")
-    m = _check_index("m", m, h.dim)
+    (m,) = _check_indices(h.dim, m=m)
     if axiom >= 2:
         if n is None:
             raise ValueError(f"axiom {axiom} requires n")
-        n = _check_index("n", n, h.dim)
+        (n,) = _check_indices(h.dim, n=n)
         if n == m:
             raise ValueError("m and n must be distinct")
     if axiom >= 5:
         if l is None:
             raise ValueError(f"axiom {axiom} requires l")
-        l = _check_index("l", l, h.dim)
+        (l,) = _check_indices(h.dim, l=l)
         if l == m or l == n:
             raise ValueError("l, m, n must be pairwise distinct")
     value = complex(_axiom_value(h.entries, ls.stacked(), ls.overlap_sum(), axiom, m, n, l))

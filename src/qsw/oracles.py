@@ -33,10 +33,10 @@ class LineWalkSpec:
     def __post_init__(self):
         if self.n_sites < 3 or self.n_sites % 2 == 0:
             raise ValueError(f"n_sites must be odd and >= 3, got {self.n_sites}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if not (self.t >= 0 and math.isfinite(self.t)):
+            raise ValueError(f"t must be finite and nonnegative, got {self.t}")
 
     @property
     def half_width(self) -> int:
@@ -156,8 +156,8 @@ def classical_master_solve(m: GeneratorMatrix, p0: np.ndarray, t: float) -> np.n
         raise ValueError("p0 must sum to 1")
     if np.abs(a - a.T).max() > 1e-12:
         raise ValueError("generator must be symmetric for the eigendecomposition route")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     w, v = np.linalg.eigh(a)
     return v @ (np.exp(w * t) * (v.T @ p0))
 
@@ -174,6 +174,8 @@ def schrodinger_solve(h, psi0: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"psi0 has shape {psi0.shape}, expected ({entries.shape[0]},)")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     w, v = np.linalg.eigh(entries)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
 

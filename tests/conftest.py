@@ -1,11 +1,13 @@
 """Let the CLI subprocesses some tests start import qsw from src/, as the suite itself does.
 
 Also the matvecs fixture, which counts sparse matrix-vector products from
-outside qsw, and a time limit on every test.
+outside qsw, the traced_peak fixture, which measures the memory a call
+allocates, and a time limit on every test.
 """
 
 import os
 import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,24 @@ def matvecs(monkeypatch):
         monkeypatch.setattr(cls, "_matmul_vector", counting(cls._matmul_vector, lambda vector: 1))
         monkeypatch.setattr(cls, "_matmul_multivector", counting(cls._matmul_multivector, lambda block: block.shape[1]))
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn() and returns its result with the peak bytes tracemalloc saw it hold.
+
+    numpy and scipy.sparse arrays are traced, so the peak covers their
+    buffers. It is measured from the bytes already held when fn starts.
+    """
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -14,6 +14,7 @@ from qsw.discrete import (
 )
 from qsw.evolution import DensityMatrix
 from qsw.graph import build_line, from_edge_list
+from qsw.operators import JumpOperatorSet
 
 
 def random_stochastic(rng, dim):
@@ -95,14 +96,14 @@ class TestKrausConstruction:
         bad = np.zeros((2, 2), dtype=complex)
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
-            KrausSet(2, (bad,))
+            KrausSet.from_dense(2, (bad,))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_operator_entry(self, value):
         bad = np.eye(2, dtype=complex)
         bad[1, 1] = value
         with pytest.raises(ValueError, match=r"Kraus operator 1 entry \(1, 1\) is not finite"):
-            KrausSet(2, (np.zeros((2, 2)), bad))
+            KrausSet.from_dense(2, (np.zeros((2, 2)), bad))
 
     def test_completeness_for_random_matrices(self):
         rng = np.random.default_rng(41)
@@ -115,7 +116,7 @@ class TestKrausConstruction:
 
 class TestApplyMap:
     def test_identity_set_preserves_state(self):
-        ks = KrausSet(2, (np.eye(2, dtype=complex),))
+        ks = KrausSet.from_dense(2, (np.eye(2, dtype=complex),))
         rho = DensityMatrix.pure(np.array([0.6, 0.8]))
         out = apply_map(ks, rho)
         assert np.allclose(out.entries, rho.entries, atol=1e-15)
@@ -132,7 +133,7 @@ class TestApplyMap:
 
     def test_unitary_swap_permutes_coherences(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        ks = KrausSet(2, (swap,))
+        ks = KrausSet.from_dense(2, (swap,))
         rho = DensityMatrix(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))
         out = apply_map(ks, rho)
         assert out.entries[0, 0] == pytest.approx(0.3)
@@ -146,14 +147,46 @@ class TestApplyMap:
         assert np.allclose(out.entries, np.diag([0.5, 0.5]), atol=1e-15)
 
     def test_dimension_mismatch(self):
-        ks = KrausSet(2, (np.eye(2, dtype=complex),))
+        ks = KrausSet.from_dense(2, (np.eye(2, dtype=complex),))
         with pytest.raises(ValueError):
             apply_map(ks, DensityMatrix.basis(3, 0))
+
+    def test_matches_explicit_operator_sum(self):
+        rng = np.random.default_rng(45)
+        for dim in range(2, 7):
+            for count in (1, 2, 5):
+                # The stacked blocks of an isometry satisfy sum_k C_k^dag C_k = I.
+                gauss = rng.standard_normal((count * dim, dim)) + 1j * rng.standard_normal((count * dim, dim))
+                ops = np.linalg.qr(gauss)[0].reshape(count, dim, dim)
+                ks = KrausSet.from_dense(dim, ops)
+                a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T))
+                explicit = sum(op @ rho.entries @ op.conj().T for op in ops)
+                assert np.abs(apply_map(ks, rho).entries - explicit).max() <= 1e-13
+
+    def test_line_walk_holds_no_dense_operators(self, monkeypatch, traced_peak):
+        # 301 dense 101 x 101 operators would hold 49 MB.
+        def refuse(self):
+            raise AssertionError("a Kraus set must not be scattered into a dense stack")
+
+        monkeypatch.setattr(JumpOperatorSet, "stacked", refuse)
+        g, _ = build_line(101, 1.0)
+        s = lazy_walk_matrix(g, hold=0.5)
+
+        def walk():
+            ks = kraus_from_stochastic(s)
+            return iterate_map(ks, DensityMatrix.basis(101, 50), 5), map_tensor_element(ks, 49, 49, 50, 50)
+
+        (out, element), peak = traced_peak(walk)
+        assert peak < 5e6
+        assert element == pytest.approx(0.25)
+        expected = np.linalg.matrix_power(s.entries, 5)[:, 50]
+        assert np.abs(np.diag(out.entries).real - expected).max() <= 1e-12
 
 
 class TestMapTensorElement:
     def test_identity_set_elements(self):
-        ks = KrausSet(3, (np.eye(3, dtype=complex),))
+        ks = KrausSet.from_dense(3, (np.eye(3, dtype=complex),))
         assert map_tensor_element(ks, 1, 1, 1, 1) == 1.0
         assert map_tensor_element(ks, 0, 0, 2, 2) == 0.0
 
@@ -162,9 +195,11 @@ class TestMapTensorElement:
         assert map_tensor_element(ks, 0, 0, 1, 1) == 1.0
 
     def test_index_bounds(self):
-        ks = KrausSet(2, (np.eye(2, dtype=complex),))
+        ks = KrausSet.from_dense(2, (np.eye(2, dtype=complex),))
         with pytest.raises(IndexError):
             map_tensor_element(ks, 2, 0, 0, 0)
+        with pytest.raises(IndexError, match=r"index alpha=0.5 is not an integer"):
+            map_tensor_element(ks, 0, 0.5, 0, 0)
 
     def test_entrywise_tensor_equals_apply_map(self):
         rng = np.random.default_rng(43)
@@ -187,7 +222,7 @@ class TestMapTensorElement:
 
 class TestIterateMap:
     def test_zero_steps(self):
-        ks = KrausSet(2, (np.eye(2, dtype=complex),))
+        ks = KrausSet.from_dense(2, (np.eye(2, dtype=complex),))
         rho = DensityMatrix.basis(2, 1)
         assert iterate_map(ks, rho, 0) is rho
 
@@ -209,6 +244,12 @@ class TestIterateMap:
         assert np.allclose(out.entries, rho.entries, atol=1e-14)
 
     def test_negative_steps(self):
-        ks = KrausSet(2, (np.eye(2, dtype=complex),))
+        ks = KrausSet.from_dense(2, (np.eye(2, dtype=complex),))
         with pytest.raises(ValueError):
             iterate_map(ks, DensityMatrix.basis(2, 0), -1)
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, "2"])
+    def test_non_integer_steps(self, steps):
+        ks = KrausSet.from_dense(2, (np.eye(2, dtype=complex),))
+        with pytest.raises(ValueError, match=f"steps must be a nonnegative integer, got {steps!r}"):
+            iterate_map(ks, DensityMatrix.basis(2, 0), steps)

@@ -34,6 +34,11 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, ((0, 3),), (1.0,))
 
+    def test_rejects_fractional_vertex(self):
+        # Once truncated silently to the edges (0, 1) and (1, 2).
+        with pytest.raises(ValueError, match=r"edge \(0.5, 1.7\): vertices must be integers"):
+            from_edge_list(3, [(0.5, 1.7), (1, 2)])
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             Graph(3, ((0, 1),), (0.0,))

@@ -300,6 +300,11 @@ class TestTensorElement:
             tensor_element(h, ls, 3, 0, 0, 0)
         with pytest.raises(IndexError):
             tensor_element(h, ls, 0, 0, 0, -1)
+        # A fractional index was once truncated to the element at its integer part.
+        with pytest.raises(IndexError, match=r"index a=0.5 is not an integer in \[0, 3\)"):
+            tensor_element(h, ls, 0.5, 0, 0, 0)
+        with pytest.raises(IndexError, match=r"index m=1.9 is not an integer in \[0, 3\)"):
+            axiom_rate(h, ls, 2, 1.9, 0.2)
         other = empty_jump_operators(4)
         with pytest.raises(ValueError):
             tensor_element(h, other, 0, 0, 0, 0)
@@ -489,7 +494,7 @@ class TestAuditAxioms:
         def refuse(*args):
             raise AssertionError("the audit must build the tensor in one contraction")
 
-        monkeypatch.setattr(qsw.operators, "_tensor_value", refuse)
+        monkeypatch.setattr(qsw.operators, "_jump_term", refuse)
         # The neighborhoods come from the adjacency matrix, not a walk over each vertex's neighbors.
         monkeypatch.setattr(Graph, "neighbors", refuse)
         g, m, h = line_setup(5)

@@ -164,6 +164,11 @@ class TestLineDistributions:
             LineWalkSpec(11, 0.0, 1.0)
         with pytest.raises(ValueError):
             LineWalkSpec(11, 1.0, -0.5)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"gamma must be finite and positive, got {value}"):
+                LineWalkSpec(11, value, 1.0)
+            with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {value}"):
+                LineWalkSpec(11, 1.0, value)
 
 
 class TestClassicalMasterSolve:
@@ -219,6 +224,9 @@ class TestClassicalMasterSolve:
             classical_master_solve(m, np.array([0.7, 0.7]), 1.0)
         with pytest.raises(ValueError):
             classical_master_solve(m, np.array([1.0, 0.0]), -1.0)
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
+                classical_master_solve(m, np.array([1.0, 0.0]), t)
 
 
 class TestSchrodingerSolve:
@@ -248,6 +256,9 @@ class TestSchrodingerSolve:
         h = Hamiltonian([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             schrodinger_solve(h, np.array([1.0, 1.0], dtype=complex), 1.0)
+        for t in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
+                schrodinger_solve(h, np.array([1.0, 0.0], dtype=complex), t)
 
 
 class TestTotalVariation:
