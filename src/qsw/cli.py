@@ -64,7 +64,7 @@ class GraphSource:
     gamma: float | None
 
 
-def _require_finite(name: str, text: str, *values: float) -> None:
+def _require_finite_flag(name: str, text: str, *values: float) -> None:
     """nan and inf would otherwise fail only deep inside the solver."""
     if not np.isfinite(values).all():
         raise ValueError(f"--{name} must be finite, got {text!r}")
@@ -82,13 +82,13 @@ def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
             raise ValueError(f"cannot parse {name} grid {text!r}: {exc}") from None
         if count < 2:
             raise ValueError(f"{name} grid count must be at least 2, got {count}")
-        _require_finite(name, text, start, stop)
+        _require_finite_flag(name, text, start, stop)
         return [float(v) for v in np.linspace(start, stop, count)], True
     try:
         value = float(text)
     except ValueError as exc:
         raise ValueError(f"cannot parse {name} value {text!r}: {exc}") from None
-    _require_finite(name, text, value)
+    _require_finite_flag(name, text, value)
     return [value], False
 
 

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse
 
 from .evolution import DensityMatrix, _assemble, from_coordinates, to_coordinates
-from .graph import Graph, _square_matrix
-from .operators import CUSTOM, JumpOperatorSet, _check_indices, _jump_term
+from .graph import Graph, _check_indices, _square_matrix
+from .operators import CUSTOM, JumpOperatorSet, _jump_term
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ def apply_map(ks: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 def map_tensor_element(ks: KrausSet, a: int, alpha: int, b: int, beta: int) -> complex:
     """Transition tensor of the map: sum_k <a|C_k|b> conj(<alpha|C_k|beta>)."""
-    return _jump_term(ks.operator_set, *_check_indices(ks.dim, a=a, alpha=alpha, b=b, beta=beta))
+    a, alpha, b, beta = _check_indices(range(ks.dim), a=a, alpha=alpha, b=b, beta=beta)
+    return _jump_term(ks.operator_set, a, b, alpha, beta)
 
 
 def iterate_map(ks: KrausSet, rho0: DensityMatrix, steps: int) -> DensityMatrix:

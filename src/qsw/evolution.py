@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .graph import _require_finite, _square_matrix
+from .graph import _check_indices, _require_finite, _square_matrix
 from .operators import Hamiltonian, JumpOperatorSet, _require_same_dim, empty_jump_operators
 
 TRACE_BUDGET = 1e-9
@@ -152,8 +152,7 @@ class DensityMatrix:
     @classmethod
     def basis(cls, dim: int, index: int) -> "DensityMatrix":
         """The pure state concentrated on one basis vertex."""
-        if not 0 <= index < dim:
-            raise IndexError(f"index {index} out of range for dim {dim}")
+        (index,) = _check_indices(range(dim), vertex=index)
         arr = np.zeros((dim, dim), dtype=complex)
         arr[index, index] = 1.0
         return cls(arr)

@@ -100,13 +100,11 @@ class LineIndexMap:
 
     def index_of(self, position: int) -> int:
         k = self.half_width
-        if not -k <= position <= k:
-            raise IndexError(f"position {position} outside [-{k}, {k}]")
+        (position,) = _check_indices(range(-k, k + 1), position=position)
         return position + k
 
     def position_of(self, index: int) -> int:
-        if not 0 <= index < self.n_sites:
-            raise IndexError(f"storage index {index} out of range")
+        (index,) = _check_indices(range(self.n_sites), index=index)
         return index - self.half_width
 
 
@@ -141,6 +139,14 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
     if bad.size:
         index = tuple(bad[0].tolist())
         raise ValueError(f"{name} {index[0] if len(index) == 1 else index} is not finite: {arr[index]}")
+
+
+def _check_indices(valid: range, **indices) -> tuple:
+    """The named indices as ints, in order; the first that is not an integer in valid is refused, by name."""
+    for name, value in indices.items():
+        if not (valid.start <= value < valid.stop and value == int(value)):
+            raise IndexError(f"index {name}={value} is not an integer in [{valid.start}, {valid.stop})")
+    return tuple(int(value) for value in indices.values())
 
 
 def _square_matrix(name: str, entries, dtype) -> np.ndarray:

@@ -17,21 +17,23 @@ tensor
 
 with K = sum_k L_k^dag L_k and the Hamiltonian terms applied exactly once.
 axiom_rate evaluates the six closed-form rates a graph-constrained walk
-generator exhibits on vertex neighborhoods. audit_axioms builds the whole
-tensor by one contraction over the stacked operators, cross-checks the
-axiom formulas against it on every neighborhood, checks locality with
-adjacency masks, and checks the tensor against the superoperator the
-evolution module builds for propagation.
+generator exhibits on vertex neighborhoods. Both read the jump terms and K
+from the triplets of the set. audit_axioms builds the whole tensor, its
+jump part as one sparse product of the triplets, cross-checks the axiom
+formulas, evaluated on the dense operator stack, against it on every
+neighborhood, checks locality with adjacency masks, and checks the tensor
+against the superoperator the evolution module builds for propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse
 
-from .graph import GeneratorMatrix, Graph, _square_matrix
+from .graph import GeneratorMatrix, Graph, _check_indices, _square_matrix
 
 EDGE_LOCAL = "edge-local"
 GLOBAL = "global"
@@ -138,12 +140,8 @@ class JumpOperatorSet:
         stack[self.number, self.rows, self.cols] = self.values
         return stack
 
-    def overlap_sum(self) -> np.ndarray:
-        """K = sum_k L_k^dag L_k (zero matrix for the empty set)."""
-        return self.sparse_overlap_sum().toarray()
-
     def sparse_overlap_sum(self) -> scipy.sparse.csr_matrix:
-        """K as S^dag S, where the sparse S stacks the operators in dim-row blocks; no dense stack is made."""
+        """K = sum_k L_k^dag L_k as S^dag S, the sparse S stacking the operators in dim-row blocks; no dense stack is made."""
         stacked = scipy.sparse.csr_matrix((self.values, (self.number * self.dim + self.rows, self.cols)), shape=(self.count * self.dim, self.dim))
         return stacked.conj().T @ stacked
 
@@ -205,20 +203,12 @@ class TensorElement:
     value: complex
 
 
-def _check_indices(dim: int, **indices) -> tuple:
-    """The named indices as ints, in order; the first that is not an integer in [0, dim) is refused, by name."""
-    for name, value in indices.items():
-        if not (0 <= value < dim and value == int(value)):
-            raise IndexError(f"index {name}={value} is not an integer in [0, {dim})")
-    return tuple(int(value) for value in indices.values())
-
-
-def _jump_term(ls: JumpOperatorSet, a: int, alpha: int, b: int, beta: int) -> complex:
-    """sum_k <a|L_k|b> conj(<alpha|L_k|beta>) from the triplets of ls.
+def _jump_term(ls: JumpOperatorSet, a: int, b: int, c: int, d: int) -> complex:
+    """sum_k L_k[a, b] conj(L_k[c, d]) from the triplets of ls.
 
     An operator has at most one entry at each position, so the two are matched by operator number.
     """
-    first, second = ((ls.rows == row) & (ls.cols == col) for row, col in ((a, b), (alpha, beta)))
+    first, second = ((ls.rows == row) & (ls.cols == col) for row, col in ((a, b), (c, d)))
     _, i, j = np.intersect1d(ls.number[first], ls.number[second], assume_unique=True, return_indices=True)
     return complex(np.sum(ls.values[first][i] * ls.values[second][j].conj()))
 
@@ -237,8 +227,8 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     exponentiates. Hamiltonian terms enter once, not once per operator.
     """
     _require_same_dim(h, ls)
-    a, alpha, b, beta = _check_indices(h.dim, a=a, alpha=alpha, b=b, beta=beta)
-    value, he, overlap = _jump_term(ls, a, alpha, b, beta), h.entries, ls.overlap_sum()
+    a, alpha, b, beta = _check_indices(range(h.dim), a=a, alpha=alpha, b=b, beta=beta)
+    value, he, overlap = _jump_term(ls, a, b, alpha, beta), h.entries, ls.sparse_overlap_sum()
     if alpha == beta:
         value += -1j * he[a, b] - 0.5 * overlap[a, b]
     if a == b:
@@ -246,15 +236,11 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     return TensorElement(a, alpha, b, beta, complex(value))
 
 
-def _axiom_value(h_entries, stacked, overlap, axiom, m, n, l):
+def _axiom_value(h_entries, jump, overlap, axiom, m, n, l):
     """Closed-form rate of one axiom at scalar indices (a complex scalar) or at index arrays (an array).
 
-    stacked is the (k, dim, dim) operator array; each jump term sums over its operator axis.
+    jump(a, b, c, d) is sum_k L_k[a, b] conj(L_k[c, d]) at those indices, and overlap is K.
     """
-
-    def jump(a, b, c, d):
-        return (stacked[:, a, b] * np.conj(stacked[:, c, d])).sum(axis=0)
-
     if axiom == 1:
         return jump(m, m, m, m) - overlap[m, m]
     if axiom == 2:
@@ -301,20 +287,20 @@ def axiom_rate(h: Hamiltonian, ls: JumpOperatorSet, axiom: int, m: int, n: int |
     _require_same_dim(h, ls)
     if axiom not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"axiom must be 1..6, got {axiom}")
-    (m,) = _check_indices(h.dim, m=m)
+    (m,) = _check_indices(range(h.dim), m=m)
     if axiom >= 2:
         if n is None:
             raise ValueError(f"axiom {axiom} requires n")
-        (n,) = _check_indices(h.dim, n=n)
+        (n,) = _check_indices(range(h.dim), n=n)
         if n == m:
             raise ValueError("m and n must be distinct")
     if axiom >= 5:
         if l is None:
             raise ValueError(f"axiom {axiom} requires l")
-        (l,) = _check_indices(h.dim, l=l)
+        (l,) = _check_indices(range(h.dim), l=l)
         if l == m or l == n:
             raise ValueError("l, m, n must be pairwise distinct")
-    value = complex(_axiom_value(h.entries, ls.stacked(), ls.overlap_sum(), axiom, m, n, l))
+    value = complex(_axiom_value(h.entries, partial(_jump_term, ls), ls.sparse_overlap_sum(), axiom, m, n, l))
     return TensorElement(*axiom_canonical_indices(axiom, m, n, l), value)
 
 
@@ -359,14 +345,17 @@ class AxiomAuditReport:
         return asdict(self)
 
 
-def _transition_tensor(h_entries: np.ndarray, stacked: np.ndarray, overlap: np.ndarray) -> np.ndarray:
-    """The whole tensor T[a, alpha, b, beta] from the (k, dim, dim) operator stack.
+def _transition_tensor(h_entries: np.ndarray, ls: JumpOperatorSet, overlap: np.ndarray) -> np.ndarray:
+    """The whole tensor T[a, alpha, b, beta] from the triplets of ls and the dense K.
 
-    The jump part sum_k L_k[a, b] conj(L_k[alpha, beta]) is one contraction;
-    the two delta terms are added on the alpha == beta and a == b slices.
+    The jump part sum_k L_k[a, b] conj(L_k[alpha, beta]) is one sparse product
+    V V^dag, where column k of the (dim^2, count) matrix V is L_k flattened by
+    rows; the two delta terms are added on the alpha == beta and a == b slices.
     """
-    tensor = np.einsum("kab,kcd->acbd", stacked, stacked.conj())
-    diag = np.arange(h_entries.shape[0])
+    dim = ls.dim
+    flat = scipy.sparse.csr_matrix((ls.values, (ls.rows * dim + ls.cols, ls.number)), shape=(dim * dim, ls.count))
+    tensor = (flat @ flat.conj().T).toarray().reshape((dim,) * 4).transpose(0, 2, 1, 3)
+    diag = np.arange(dim)
     # tensor[:, i, :, i] is indexed [i, a, b]; tensor[i, :, i, :] is [i, alpha, beta].
     tensor[:, diag, :, diag] += -1j * h_entries - 0.5 * overlap
     tensor[diag, :, diag, :] += (1j * h_entries - 0.5 * overlap).T
@@ -376,11 +365,12 @@ def _transition_tensor(h_entries: np.ndarray, stacked: np.ndarray, overlap: np.n
 def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-10) -> AxiomAuditReport:
     """Verify the axiom formulas against the full transition tensor.
 
-    Builds every tensor element of the graph (dim^4 tuples) with one
-    contraction over the stacked operators, then checks:
+    Builds every tensor element of the graph (dim^4 tuples), its jump part
+    as one sparse product of the triplets, then checks:
 
-    - each axiom formula equals its tensor element on every applicable
-      neighborhood tuple, and the conjugate tuple equals the conjugate;
+    - each axiom formula, read from the dense operator stack, equals its
+      tensor element on every applicable neighborhood tuple, and the
+      conjugate tuple equals the conjugate;
     - the tensor is Hermitian as a map: T(a,alpha,b,beta) agrees with
       conj(T(alpha,a,beta,b)) everywhere;
     - the tensor, permuted to column-stacked order, equals L_H + L_D, the
@@ -413,9 +403,12 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         raise ValueError("Hamiltonian, operators and graph dimensions must agree")
     adjacency = g.weight_matrix() != 0
     h_entries = h.entries
+    overlap = ls.sparse_overlap_sum().toarray()
+    tensor = _transition_tensor(h_entries, ls, overlap)
     stacked = ls.stacked()
-    overlap = ls.overlap_sum()
-    tensor = _transition_tensor(h_entries, stacked, overlap)
+
+    def jump(a, b, c, d):
+        return (stacked[:, a, b] * np.conj(stacked[:, c, d])).sum(axis=0)
 
     # The neighborhood tuples, each kind in lexicographic order: the vertices m, the
     # ordered edges (m, n), and the wedges (m, n, l) of distinct neighbors n, l of m.
@@ -426,7 +419,7 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     failures = []
     deviations = []
     for axiom, (m, n, l) in neighborhoods.items():
-        formula = _axiom_value(h_entries, stacked, overlap, axiom, m, n, l)
+        formula = _axiom_value(h_entries, jump, overlap, axiom, m, n, l)
         a, alpha, b, beta = axiom_canonical_indices(axiom, m, n, l)
         # The canonical tuples, then their conjugates (alpha, a, beta, b).
         idx = tuple(np.concatenate(pair) for pair in ((a, alpha), (alpha, a), (b, beta), (beta, b)))
@@ -453,7 +446,8 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         failures.append(AuditFailure("superoperator", (), superop_dev))
 
     off = ~adjacency & distinct
-    transfer = np.abs(np.einsum("aabb->ab", tensor))
+    # rho[a, a] sits at a * (dim + 1) in column-stacked order, so this is |T[a, a, b, b]|.
+    transfer = np.abs(permuted[:: dim + 1, :: dim + 1])
     max_transfer = float(transfer.max(where=off, initial=0.0))
     for a, b in np.argwhere(off & (transfer != 0.0)).tolist():
         failures.append(AuditFailure("non-adjacent-transfer", (a, a, b, b), float(transfer[a, b])))

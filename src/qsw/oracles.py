@@ -4,8 +4,8 @@ Closed-form infinite-line distributions (Bessel functions computed by
 downward recurrence), brute-force classical and Schrodinger solvers via
 eigendecomposition, and the total variation distance. Everything here is
 kept on a code path disjoint from the evolution module (no superoperators,
-no Pade exponentials, no adaptive stepping) so that agreement between the
-two routes is a genuine cross-check rather than a tautology.
+no truncated Taylor action of the exponential) so that agreement between
+the two routes is a genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations

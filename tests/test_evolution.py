@@ -81,6 +81,9 @@ class TestDensityMatrix:
     def test_basis_index_error(self):
         with pytest.raises(IndexError):
             DensityMatrix.basis(3, 3)
+        # A fractional vertex once failed inside numpy's indexing, unlocated.
+        with pytest.raises(IndexError, match=r"index vertex=1.5 is not an integer in \[0, 3\)"):
+            DensityMatrix.basis(3, 1.5)
 
     def test_pure_plus_state(self):
         rho = DensityMatrix.pure(np.array([1.0, 1.0]) / np.sqrt(2))

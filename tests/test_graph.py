@@ -100,6 +100,16 @@ class TestBuildLine:
             lmap.index_of(3)
         with pytest.raises(IndexError):
             lmap.position_of(5)
+        # A fractional position or index was once shifted, not refused.
+        with pytest.raises(IndexError, match=r"index position=0.5 is not an integer in \[-2, 3\)"):
+            lmap.index_of(0.5)
+        with pytest.raises(IndexError, match=r"index index=1.5 is not an integer in \[0, 5\)"):
+            lmap.position_of(1.5)
+
+    def test_integral_values_map_to_ints(self):
+        _, lmap = build_line(5, 1.0)
+        assert type(lmap.index_of(2.0)) is int and lmap.index_of(2.0) == 4
+        assert type(lmap.position_of(np.int64(0))) is int and lmap.position_of(np.int64(0)) == -2
 
 
 class TestClassicalGenerator:

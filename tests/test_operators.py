@@ -119,7 +119,7 @@ class TestJumpOperatorConstructions:
         ls = empty_jump_operators(4)
         assert ls.regime_tag == "empty"
         assert ls.operators == ()
-        assert np.array_equal(ls.overlap_sum(), np.zeros((4, 4)))
+        assert np.array_equal(ls.sparse_overlap_sum().toarray(), np.zeros((4, 4)))
 
     def test_regime_tag_validation(self):
         with pytest.raises(ValueError):
@@ -326,7 +326,7 @@ def random_custom_set(rng, dim):
 class TestTransitionTensor:
     @staticmethod
     def assert_matches_per_tuple_route(h, ls):
-        tensor = _transition_tensor(h.entries, ls.stacked(), ls.overlap_sum())
+        tensor = _transition_tensor(h.entries, ls, ls.sparse_overlap_sum().toarray())
         assert tensor.shape == (h.dim,) * 4
         for idx in np.ndindex(tensor.shape):
             assert abs(tensor[idx] - tensor_element(h, ls, *idx).value) <= 1e-14, idx
@@ -341,8 +341,44 @@ class TestTransitionTensor:
         h, ls = random_custom_set(np.random.default_rng(dim), dim)
         self.assert_matches_per_tuple_route(h, ls)
 
+    @staticmethod
+    def assert_equals_einsum_contraction(h, ls):
+        # The reference contracts the dense operator stack; the two delta terms are added as in the tensor.
+        stacked, overlap = ls.stacked(), ls.sparse_overlap_sum().toarray()
+        expected = np.einsum("kab,kcd->acbd", stacked, stacked.conj())
+        diag = np.arange(h.dim)
+        expected[:, diag, :, diag] += -1j * h.entries - 0.5 * overlap
+        expected[diag, :, diag, :] += (1j * h.entries - 0.5 * overlap).T
+        assert np.array_equal(_transition_tensor(h.entries, ls, overlap), expected), ls.regime_tag
+
+    @pytest.mark.parametrize("n_sites", [5, 9])
+    def test_sparse_product_equals_einsum_for_built_in_regimes(self, n_sites):
+        _, m, h = line_setup(n_sites, gamma=1.7)
+        for ls in (*all_regimes(m).values(), edge_jump_operators(m, "literal"), global_jump_operator(m, "offdiagonal")):
+            self.assert_equals_einsum_contraction(h, ls)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6, 7])
+    def test_sparse_product_equals_einsum_for_overlapping_custom_sets(self, dim):
+        # Several operators share most positions, so most jump entries sum several products.
+        rng = np.random.default_rng(1000 + dim)
+        h, dense = random_custom_set(rng, dim)
+        self.assert_equals_einsum_contraction(h, dense)
+        for count in (2, 5):
+            shape = (count, dim, dim)
+            ops = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (rng.random(shape) < 0.6)
+            self.assert_equals_einsum_contraction(h, JumpOperatorSet.from_dense(dim, [*ops, np.zeros((dim, dim))], "custom"))
+
 
 class TestAxiomRate:
+    def test_scalar_readers_build_no_dense_stack(self, traced_peak):
+        # line:151 crw has 300 jump operators, whose dense (count, dim, dim) stack alone is 109 MB.
+        _, m, h = line_setup(151)
+        ls = edge_jump_operators(m)
+        rate, rate_peak = traced_peak(lambda: axiom_rate(h, ls, 2, 75, 76))
+        element, element_peak = traced_peak(lambda: tensor_element(h, ls, 75, 75, 76, 76))
+        assert rate.value == pytest.approx(1.0) and element.value == pytest.approx(1.0)
+        assert rate_peak < 2 * 2**20 and element_peak < 2 * 2**20, (rate_peak, element_peak)
+
     def test_each_axiom_matches_tensor_at_canonical_tuple(self):
         _, m, h = line_setup(5)
         for ls in all_regimes(m).values():

@@ -17,7 +17,7 @@ For jump-operator sets, it draws small complex custom sets (zeros and
 all-zero operators included) and hands their entries to the triplet
 constructor in a random order with explicit zeros mixed in: the stored
 triplets must round-trip through from_dense, stacked() must rebuild the
-drawn matrices, and overlap_sum() must equal the explicit sum of L^dag L.
+drawn matrices, and sparse_overlap_sum() must equal the explicit sum of L^dag L.
 """
 
 import string
@@ -219,4 +219,4 @@ def test_jump_set_triplets_round_trip_and_rebuild_the_matrices(stack, tag, data)
         assert np.array_equal(getattr(again, name), getattr(ls, name)), name
     assert np.array_equal(ls.stacked(), stack)
     expected = sum((op.conj().T @ op for op in stack), np.zeros((dim, dim), dtype=complex))
-    assert np.abs(ls.overlap_sum() - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
+    assert np.abs(ls.sparse_overlap_sum().toarray() - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
