@@ -458,11 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=cmd_audit)
 
     p_cmp = sub.add_parser("compare", help="distances from the line-walk oracles")
-    _add_common(p_cmp, with_origin=True)
+    _add_common(p_cmp, with_origin=False)
     p_cmp.add_argument("--omega", default=None, help="mixing parameter (single value)")
     p_cmp.add_argument("--t", default="5", help="evolution time (single value)")
     p_cmp.add_argument("--format", choices=("json", "csv"), default="json")
-    p_cmp.set_defaults(func=cmd_compare)
+    # The oracles start at position 0, so compare takes no --origin; _run_grid reads the attribute.
+    p_cmp.set_defaults(func=cmd_compare, origin=None)
 
     return parser
 

@@ -64,9 +64,6 @@ class Graph:
             w[u, v] = w[v, u] = rate
         return w
 
-    def degree(self, v: int) -> int:
-        return sum(1 for (a, b) in self.edges if v in (a, b))
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = []
         for a, b in self.edges:
@@ -79,9 +76,18 @@ class Graph:
 
 @dataclass(frozen=True)
 class LineIndexMap:
-    """Maps signed line positions -k..+k to storage indices 0..n_sites-1."""
+    """Maps signed line positions -k..+k to storage indices 0..n_sites-1.
+
+    n_sites must be an odd integer >= 3, so that the walker origin (signed
+    position 0) sits at the middle storage index.
+    """
 
     n_sites: int
+
+    def __post_init__(self):
+        n = self.n_sites
+        if not (isinstance(n, (int, np.integer)) and n >= 3 and n % 2 == 1):
+            raise ValueError(f"n_sites must be odd and >= 3, got {n}")
 
     @property
     def half_width(self) -> int:
@@ -111,16 +117,14 @@ class LineIndexMap:
 def build_line(n_sites: int, gamma: float) -> tuple[Graph, LineIndexMap]:
     """Path graph of n_sites vertices with uniform hop rate gamma.
 
-    n_sites must be odd and >= 3 so the walker origin (signed position 0)
-    sits at the middle storage index. Returns the graph together with the
-    signed-position index map.
+    Returns the graph together with the signed-position index map, which
+    holds the rule on n_sites.
     """
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValueError(f"n_sites must be odd and >= 3, got {n_sites}")
+    line = LineIndexMap(n_sites)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     edges = tuple((j, j + 1) for j in range(n_sites - 1))
-    return Graph(n_sites, edges, (float(gamma),) * (n_sites - 1)), LineIndexMap(n_sites)
+    return Graph(n_sites, edges, (float(gamma),) * (n_sites - 1)), line
 
 
 def from_edge_list(n_vertices: int, edges) -> Graph:

