@@ -195,6 +195,13 @@ class Liouvillian:
     dim: int
     matrix: object
 
+    def __post_init__(self):
+        # A matrix of another shape or kind would fail deep in the kernel, or pass as a budget violation.
+        n, m = self.dim * self.dim, self.matrix
+        if not (scipy.sparse.issparse(m) and m.format == "csr" and m.dtype == np.float64 and m.shape == (n, n)):
+            found = f"{type(m).__name__} of dtype {getattr(m, 'dtype', None)} and shape {np.shape(m)}"
+            raise ValueError(f"a Liouvillian of dim {self.dim} needs a float64 CSR matrix of shape ({n}, {n}), got {found}")
+
     @cached_property
     def _shifted(self) -> "_ShiftedGenerator":
         return _ShiftedGenerator(self.matrix)

@@ -236,72 +236,50 @@ def tensor_element(h: Hamiltonian, ls: JumpOperatorSet, a: int, alpha: int, b: i
     return TensorElement(a, alpha, b, beta, complex(value))
 
 
-def _axiom_value(h_entries, jump, overlap, axiom, m, n, l):
-    """Closed-form rate of one axiom at scalar indices (a complex scalar) or at index arrays (an array).
+# How many vertices each axiom's neighborhood holds: m alone, an edge (m, n), or a wedge (m, n, l).
+_NEIGHBORHOOD_SIZE = {1: 1, 2: 2, 3: 2, 4: 2, 5: 3, 6: 3}
+
+
+def _axiom(h_entries, jump, overlap, axiom, m, n=None, l=None):
+    """One axiom's tensor tuple (a, alpha, b, beta) and closed-form rate, at scalar indices or at index arrays.
 
     jump(a, b, c, d) is sum_k L_k[a, b] conj(L_k[c, d]) at those indices, and overlap is K.
+    The rates are the paper's closed forms, resolved by hand and not read off the tensor rule.
     """
-    if axiom == 1:
-        return jump(m, m, m, m) - overlap[m, m]
-    if axiom == 2:
-        return jump(n, m, n, m)
-    if axiom == 3:
-        return jump(m, m, n, m) + 1j * h_entries[m, n] - 0.5 * overlap[m, n]
-    if axiom == 4:
-        return jump(m, m, n, n) - 1j * h_entries[m, m] + 1j * h_entries[n, n] - 0.5 * overlap[m, m] - 0.5 * overlap[n, n]
-    if axiom == 5:
-        return jump(l, m, n, n) - 1j * h_entries[l, m] - 0.5 * overlap[l, m]
-    # axiom 6
-    return jump(l, m, n, m)
-
-
-def axiom_canonical_indices(axiom: int, m, n, l) -> tuple:
-    """The (a, alpha, b, beta) tensor tuple each axiom formula describes, for scalar or array indices."""
-    if axiom == 1:
-        return (m, m, m, m)
-    if axiom == 2:
-        return (n, n, m, m)
-    if axiom == 3:
-        return (m, n, m, m)
-    if axiom == 4:
-        return (m, n, m, n)
-    if axiom == 5:
-        return (l, n, m, n)
-    return (l, n, m, m)
+    if axiom == 1:  # population m self-rate
+        return (m, m, m, m), jump(m, m, m, m) - overlap[m, m]
+    if axiom == 2:  # population transfer m -> n
+        return (n, n, m, m), jump(n, m, n, m)
+    if axiom == 3:  # population m -> coherence (m, n)
+        return (m, n, m, m), jump(m, m, n, m) + 1j * h_entries[m, n] - 0.5 * overlap[m, n]
+    if axiom == 4:  # coherence (m, n) self-rate
+        return (m, n, m, n), jump(m, m, n, n) - 1j * h_entries[m, m] + 1j * h_entries[n, n] - 0.5 * overlap[m, m] - 0.5 * overlap[n, n]
+    if axiom == 5:  # coherence (m, n) -> (l, n)
+        return (l, n, m, n), jump(l, m, n, n) - 1j * h_entries[l, m] - 0.5 * overlap[l, m]
+    return (l, n, m, m), jump(l, m, n, m)  # axiom 6: population m -> coherence (l, n)
 
 
 def axiom_rate(h: Hamiltonian, ls: JumpOperatorSet, axiom: int, m: int, n: int | None = None, l: int | None = None) -> TensorElement:
-    """Closed-form rate for one of the six neighborhood transition axioms.
+    """Closed-form rate of one of the six neighborhood transition axioms (see _axiom), at its tensor tuple.
 
-    1: population m self-rate          T[(m,m),(m,m)]
-    2: population transfer m -> n      T[(n,n),(m,m)]
-    3: population m -> coherence (m,n) T[(m,n),(m,m)]
-    4: coherence (m,n) self-rate       T[(m,n),(m,n)]
-    5: coherence (m,n) -> (l,n)        T[(l,n),(m,n)]
-    6: population m -> coherence (l,n) T[(l,n),(m,m)]
-
-    Axioms 2-4 need n, axioms 5-6 need l and n, all pairwise distinct from
-    m. Conjugate elements follow by Hermiticity of the tensor and are not
-    enumerated separately.
+    Axiom 1 reads the vertex m, axioms 2-4 the edge (m, n) and axioms 5-6 the wedge (m, n, l); those indices
+    are required and pairwise distinct, and the others are ignored. Conjugate elements follow by
+    Hermiticity of the tensor and are not enumerated separately.
     """
     _require_same_dim(h, ls)
-    if axiom not in (1, 2, 3, 4, 5, 6):
+    if axiom not in _NEIGHBORHOOD_SIZE:
         raise ValueError(f"axiom must be 1..6, got {axiom}")
-    (m,) = _check_indices(range(h.dim), m=m)
-    if axiom >= 2:
-        if n is None:
-            raise ValueError(f"axiom {axiom} requires n")
-        (n,) = _check_indices(range(h.dim), n=n)
-        if n == m:
-            raise ValueError("m and n must be distinct")
-    if axiom >= 5:
-        if l is None:
-            raise ValueError(f"axiom {axiom} requires l")
-        (l,) = _check_indices(range(h.dim), l=l)
-        if l == m or l == n:
-            raise ValueError("l, m, n must be pairwise distinct")
-    value = complex(_axiom_value(h.entries, partial(_jump_term, ls), ls.sparse_overlap_sum(), axiom, m, n, l))
-    return TensorElement(*axiom_canonical_indices(axiom, m, n, l), value)
+    names = ("m", "n", "l")[: _NEIGHBORHOOD_SIZE[axiom]]
+    indices = []
+    for name, value in zip(names, (m, n, l)):
+        if value is None:
+            raise ValueError(f"axiom {axiom} requires {name}")
+        (value,) = _check_indices(range(h.dim), **{name: value})
+        if value in indices:
+            raise ValueError(f"{name} = {value} repeats {names[indices.index(value)]}; {', '.join(names)} must be pairwise distinct")
+        indices.append(value)
+    element, rate = _axiom(h.entries, partial(_jump_term, ls), ls.sparse_overlap_sum(), axiom, *indices)
+    return TensorElement(*element, complex(rate))
 
 
 @dataclass(frozen=True)
@@ -410,17 +388,14 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
     def jump(a, b, c, d):
         return (stacked[:, a, b] * np.conj(stacked[:, c, d])).sum(axis=0)
 
-    # The neighborhood tuples, each kind in lexicographic order: the vertices m, the
-    # ordered edges (m, n), and the wedges (m, n, l) of distinct neighbors n, l of m.
+    # The neighborhoods of each size, in lexicographic order: the vertices m, the ordered
+    # edges (m, n), and the wedges (m, n, l) of distinct neighbors n, l of m.
     distinct = ~np.eye(dim, dtype=bool)
-    edges = (*np.nonzero(adjacency), None)
-    wedges = np.nonzero(adjacency[:, :, None] & adjacency[:, None, :] & distinct)
-    neighborhoods = {1: (np.arange(dim), None, None), 2: edges, 3: edges, 4: edges, 5: wedges, 6: wedges}
+    neighborhoods = {1: (np.arange(dim),), 2: np.nonzero(adjacency), 3: np.nonzero(adjacency[:, :, None] & adjacency[:, None, :] & distinct)}
+    rows = {axiom: _axiom(h_entries, jump, overlap, axiom, *neighborhoods[size]) for axiom, size in _NEIGHBORHOOD_SIZE.items()}
     failures = []
     deviations = []
-    for axiom, (m, n, l) in neighborhoods.items():
-        formula = _axiom_value(h_entries, jump, overlap, axiom, m, n, l)
-        a, alpha, b, beta = axiom_canonical_indices(axiom, m, n, l)
+    for axiom, ((a, alpha, b, beta), formula) in rows.items():
         # The canonical tuples, then their conjugates (alpha, a, beta, b).
         idx = tuple(np.concatenate(pair) for pair in ((a, alpha), (alpha, a), (b, beta), (beta, b)))
         dev = np.abs(tensor[idx] - np.concatenate([formula, np.conj(formula)]))
@@ -429,9 +404,10 @@ def audit_axioms(h: Hamiltonian, ls: JumpOperatorSet, g: Graph, tol: float = 1e-
         bad = np.flatnonzero(~(dev <= tol))
         failures += [AuditFailure(f"axiom-{axiom}", tuple(int(i[j]) for i in idx), float(dev[j])) for j in bad]
     formula_dev = np.concatenate(deviations)
-    # The loop ends on axiom 6, so formula, m, n and l are its own.
-    strength = np.abs(formula)
-    axiom6_nonzero = [(int(l[j]), int(n[j]), int(m[j]), float(strength[j])) for j in np.flatnonzero(strength > tol)]
+    # Axiom 6's own tuples (l, n, m, m) and rates.
+    (a, alpha, b, _), rate = rows[6]
+    strength = np.abs(rate)
+    axiom6_nonzero = [(int(a[j]), int(alpha[j]), int(b[j]), float(strength[j])) for j in np.flatnonzero(strength > tol)]
 
     herm_dev = float(np.abs(tensor - np.conj(tensor.transpose(1, 0, 3, 2))).max())
     if not herm_dev <= tol:

@@ -20,6 +20,8 @@ from .graph import GeneratorMatrix, LineIndexMap
 # Rescaling guard for the downward recurrences.
 _BIG = 1e250
 _SMALL = 1e-250
+# The largest argument the recurrence takes, above the 1.8e5 compare reaches; see _miller_downward.
+_MAX_X = 2e5
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,24 @@ def _miller_downward(n_max: int, x: float, sign: float, step: int) -> np.ndarray
     and x up to 40, against the power series to 1e-11 at orders up to 40
     and x from 0.05 to 10, and against the leading term to 1e-15 at x from
     5e-324 to 1e-60.
+
+    The recurrence takes O(x) time and 8 bytes per unit of x whatever
+    n_max, so an x past _MAX_X is refused before anything is allocated. No
+    compare command of the CLI for crw at any omega, or qw at omega = 0, on
+    a line of hop rate gamma reaches it: an interior site's population
+    column of the generator holds two entries omega gamma and two
+    sqrt(2) (1 - omega) gamma off the diagonal, so ||A||_1 >= 2 gamma, and
+    qsw.evolution's _MAX_PRODUCTS = 1e6 admits only t ||A||_1 <= 1e6 *
+    theta_55 / 55 = 1.8e5, so x = 2 gamma t <= 1.8e5. Weaker generators (qw
+    or the global set near omega = 1, literal amplitudes at small gamma)
+    pass that bound at a longer t, and are refused here.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if x > _MAX_X:
+        raise ValueError(f"Bessel argument x = {x!r} (2 gamma t on a line) is past {_MAX_X:g}; the recurrence takes O(x) time and memory")
     if x > 0.0:
         start = max(n_max, int(math.ceil(x))) + int(math.ceil(math.sqrt(40.0 * (n_max + 1)))) + 20
         arr = np.zeros(start + 2)

@@ -354,14 +354,22 @@ class TestAudit:
 
     @pytest.mark.parametrize(
         "name, shift, kind",
-        [("_axiom_value", 1j, "axiom-1"), ("_transition_tensor", 1j, "hermiticity"), ("_transition_tensor", np.nan, "hermiticity")],
-        ids=["_axiom_value-axiom-1", "_transition_tensor-hermiticity", "_transition_tensor-nan"],
+        [("_axiom", 1j, "axiom-1"), ("_transition_tensor", 1j, "hermiticity"), ("_transition_tensor", np.nan, "hermiticity")],
+        ids=["_axiom-axiom-1", "_transition_tensor-hermiticity", "_transition_tensor-nan"],
     )
     def test_forced_failure_kind_is_reported_with_exit_1(self, tmp_path, monkeypatch, name, shift, kind):
         # Neither check fails on a built-in regime, so each is forced by shifting what it compares,
-        # by i or by nan; a nan deviation once passed every check it reached.
+        # by i or by nan; a nan deviation once passed every check it reached. _axiom returns
+        # an axiom's tuple with its rate, and only the rate is shifted.
         original = getattr(qsw.operators, name)
-        monkeypatch.setattr(qsw.operators, name, lambda *args: original(*args) + shift)
+
+        def shifted(*args):
+            if name == "_axiom":
+                element, rate = original(*args)
+                return element, rate + shift
+            return original(*args) + shift
+
+        monkeypatch.setattr(qsw.operators, name, shifted)
         rc, text = run(tmp_path, "audit", "--graph", "line:3:1", "--regime", "crw", name="report.json")
         assert rc == 1
         report = json.loads(text)["report"]
@@ -457,6 +465,14 @@ class TestCompare:
             run(tmp_path, "compare", "--graph", "line:61:1", "--regime", "crw", "--omega", "1", "--t", "5", "--origin", "10")
         assert exc.value.code == 2
         assert "unrecognized arguments: --origin 10" in capsys.readouterr().err
+
+    def test_long_time_past_the_oracle_bound_is_refused(self, tmp_path, capsys):
+        # qw at omega = 1 has no generator, so the product bound admits any t; the oracles'
+        # recurrence once then allocated 8 bytes per unit of 2 gamma t.
+        rc, text = run(tmp_path, "compare", "--graph", "line:5:1", "--regime", "qw", "--omega", "1", "--t", "1e9")
+        assert rc == 2
+        assert text is None
+        assert "Bessel argument x = 2000000000.0 (2 gamma t on a line) is past 200000" in capsys.readouterr().err
 
     def test_tiny_time_gives_finite_fields(self, tmp_path):
         # At t = 1e-100 the oracles' recurrence once overflowed and every oracle field read NaN.

@@ -142,6 +142,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="amplitude 0 is not finite"):
             DensityMatrix.pure([np.nan, 1])
 
+    def test_from_populations_rejects_empty_vector(self):
+        with pytest.raises(ValueError, match="empty probability vector"):
+            DensityMatrix.from_populations([])
+
 
 class TestRealCoordinates:
     def test_round_trip_and_basis(self):
@@ -201,8 +205,27 @@ class TestLindbladRhs:
         with pytest.raises(ValueError):
             lindblad_rhs(h, ls, -0.1, rho)
 
+    def test_state_of_another_dim_is_refused(self):
+        _, _, m, h = line_setup(3)
+        with pytest.raises(ValueError, match=r"state shape \(2, 2\) does not match dim 3"):
+            lindblad_rhs(h, edge_jump_operators(m), 0.5, DensityMatrix.basis(2, 0))
+
 
 class TestBuildLiouvillian:
+    @pytest.mark.parametrize(
+        "matrix, found",
+        [
+            (scipy.sparse.csr_matrix(-np.eye(16)), r"csr_matrix of dtype float64 and shape \(16, 16\)"),
+            (scipy.sparse.csr_matrix(-np.eye(10)), r"csr_matrix of dtype float64 and shape \(10, 10\)"),
+            (-np.eye(9), r"ndarray of dtype float64 and shape \(9, 9\)"),
+        ],
+        ids=["dim-4", "side-10", "dense"],
+    )
+    def test_matrix_that_does_not_fit_dim_is_refused(self, matrix, found):
+        # Once accepted, then reported as a solver failure by the trace budget, or an AttributeError in the kernel.
+        with pytest.raises(ValueError, match=rf"^a Liouvillian of dim 3 needs a float64 CSR matrix of shape \(9, 9\), got {found}$"):
+            Liouvillian(3, matrix)
+
     def test_commutator_spectrum(self):
         h = Hamiltonian([[0.0, 1.0], [1.0, 0.0]])
         liou = build_liouvillian(h, empty_jump_operators(2), 0.0)

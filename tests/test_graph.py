@@ -46,6 +46,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, ((0, 1),), (-2.0,))
 
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError, match="graph needs at least one vertex"):
+            Graph(0, (), ())
+
+    def test_rejects_edges_and_weights_of_unequal_length(self):
+        with pytest.raises(ValueError, match="edges and weights must have equal length"):
+            Graph(3, ((0, 1), (1, 2)), (1.0,))
+
     def test_rejects_non_finite_weight(self):
         for w in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
@@ -167,6 +175,20 @@ class TestValidateGenerator:
         # No walk has a 0 x 0 matrix; numpy's reductions would fail on it with no location.
         with pytest.raises(ValueError, match=rf"{name} must not be empty, got shape \(0, 0\)"):
             constructor(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "constructor, name",
+        [(GeneratorMatrix, "generator"), (Hamiltonian, "Hamiltonian"), (StochasticMatrix, "stochastic matrix"), (DensityMatrix, "density matrix")],
+    )
+    def test_every_matrix_intake_refuses_a_non_square_matrix(self, constructor, name):
+        with pytest.raises(ValueError, match=rf"{name} must be square, got shape \(2, 3\)"):
+            constructor(np.zeros((2, 3)))
+
+    def test_reference_graph_of_another_size_is_refused(self):
+        g, _ = build_line(5, 1.0)
+        h, _ = build_line(3, 1.0)
+        with pytest.raises(ValueError, match="reference graph dimension does not match generator"):
+            validate_generator(classical_generator(g), graph=h)
 
     def test_column_sum_violation_fails(self):
         report = validate_generator(GeneratorMatrix(np.array([[-1.0, 0.0], [1.0, 0.5]])))

@@ -108,6 +108,11 @@ class TestJumpOperatorConstructions:
         assert len(ls.operators) == 1
         assert np.array_equal(ls.operators[0], m.entries.astype(complex))
 
+    def test_unknown_parts(self):
+        _, m, _ = line_setup(3)
+        with pytest.raises(ValueError, match=r"parts must be 'full' or 'offdiagonal', got 'diagonal'"):
+            global_jump_operator(m, parts="diagonal")
+
     def test_global_offdiagonal_zeroes_diagonal(self):
         _, m, _ = line_setup(3)
         ls = global_jump_operator(m, parts="offdiagonal")
@@ -446,6 +451,30 @@ class TestAxiomRate:
         with pytest.raises(IndexError):
             axiom_rate(h, ls, 2, 0, n=5)
 
+    @pytest.mark.parametrize(
+        "axiom, indices, error, message",
+        [
+            (1, {"m": None}, ValueError, r"^axiom 1 requires m$"),
+            (4, {"m": 0}, ValueError, r"^axiom 4 requires n$"),
+            (6, {"m": 0, "n": 1}, ValueError, r"^axiom 6 requires l$"),
+            (5, {"m": 0, "n": 1, "l": 3}, IndexError, r"^index l=3 is not an integer in \[0, 3\)$"),
+            (2, {"m": 2, "n": 2}, ValueError, r"^n = 2 repeats m; m, n must be pairwise distinct$"),
+            (5, {"m": 0, "n": 1, "l": 1}, ValueError, r"^l = 1 repeats n; m, n, l must be pairwise distinct$"),
+        ],
+        ids=["missing-m", "missing-n", "missing-l", "l-out-of-range", "n-repeats-m", "l-repeats-n"],
+    )
+    def test_refusals_name_the_index(self, axiom, indices, error, message):
+        # Each axiom reads m alone, an edge (m, n) or a wedge (m, n, l), and only those indices.
+        _, m, h = line_setup(3)
+        with pytest.raises(error, match=message):
+            axiom_rate(h, edge_jump_operators(m), axiom, **indices)
+
+    def test_reads_only_the_indices_of_its_neighborhood(self):
+        _, m, h = line_setup(3)
+        ls = edge_jump_operators(m)
+        assert axiom_rate(h, ls, 1, 0, n=0, l=7) == axiom_rate(h, ls, 1, 0)
+        assert axiom_rate(h, ls, 4, 0, n=1, l=0) == axiom_rate(h, ls, 4, 0, n=1)
+
 
 class TestAuditAxioms:
     def test_passes_on_line_for_all_regimes(self):
@@ -539,12 +568,13 @@ class TestAuditAxioms:
 
     def test_axiom_failures_are_listed_axiom_by_axiom(self, monkeypatch):
         # Each axiom's canonical tuples, then their conjugates, each in lexicographic (m, n, l) order.
-        original = qsw.operators._axiom_value
+        original = qsw.operators._axiom
 
-        def shifted(h, stacked, overlap, axiom, m, n, l):
-            return original(h, stacked, overlap, axiom, m, n, l) + (1j if axiom in (1, 3) else 0.0)
+        def shifted(h, jump, overlap, axiom, *indices):
+            element, rate = original(h, jump, overlap, axiom, *indices)
+            return element, rate + (1j if axiom in (1, 3) else 0.0)
 
-        monkeypatch.setattr(qsw.operators, "_axiom_value", shifted)
+        monkeypatch.setattr(qsw.operators, "_axiom", shifted)
         g, m, h = line_setup(3)
         report = audit_axioms(h, edge_jump_operators(m), g)
         assert [(f.kind, f.indices) for f in report.failures] == [

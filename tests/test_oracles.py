@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from qsw.graph import classical_generator, from_edge_list
+from qsw.graph import GeneratorMatrix, classical_generator, from_edge_list
 from qsw.operators import Hamiltonian
 from qsw.oracles import (
+    _MAX_X,
     LineWalkSpec,
     bessel_j_sequence,
     classical_master_solve,
@@ -111,6 +112,27 @@ class TestBesselSequences:
         leading = [(x / 2.0) ** n / math.factorial(n) for n in range(31)]
         for sequence in (bessel_j_sequence, scaled_bessel_i_sequence):
             assert np.abs(sequence(30, x) - leading).max() <= 1e-15
+
+    @pytest.mark.parametrize("n_max, x, message", [(-1, 1.0, "n_max must be nonnegative"), (3, -1.0, "x must be nonnegative")])
+    def test_refuses_negative_order_or_argument(self, n_max, x, message):
+        for sequence in (bessel_j_sequence, scaled_bessel_i_sequence):
+            with pytest.raises(ValueError, match=message):
+                sequence(n_max, x)
+
+    def test_argument_past_the_bound_is_refused_before_any_allocation(self, traced_peak):
+        # The recurrence once allocated 8 bytes per unit of x whatever the window: about 8 GB near t = 5e8.
+        x = math.nextafter(_MAX_X, math.inf)
+        for sequence in (bessel_j_sequence, scaled_bessel_i_sequence):
+
+            def call():
+                with pytest.raises(ValueError, match=rf"^Bessel argument x = {x!r} \(2 gamma t on a line\) is past 200000;"):
+                    sequence(3, x)
+
+            _, peak = traced_peak(call)
+            assert peak < 8 * _MAX_X / 100
+        for oracle in (crw_line_analytic, qw_line_analytic):
+            with pytest.raises(ValueError, match=r"Bessel argument x = 2000000000.0 "):
+                oracle(LineWalkSpec(5, 1.0, 1e9))
 
     def test_j_squares_sum_to_one(self):
         seq = bessel_j_sequence(80, 10.0)
@@ -236,6 +258,8 @@ class TestClassicalMasterSolve:
             classical_master_solve(m, np.array([0.7, 0.7]), 1.0)
         with pytest.raises(ValueError):
             classical_master_solve(m, np.array([1.0, 0.0]), -1.0)
+        with pytest.raises(ValueError, match="generator must be symmetric for the eigendecomposition route"):
+            classical_master_solve(GeneratorMatrix([[-1.0, 2.0], [1.0, -2.0]]), np.array([1.0, 0.0]), 1.0)
         for t in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
                 classical_master_solve(m, np.array([1.0, 0.0]), t)
@@ -268,6 +292,8 @@ class TestSchrodingerSolve:
         h = Hamiltonian([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             schrodinger_solve(h, np.array([1.0, 1.0], dtype=complex), 1.0)
+        with pytest.raises(ValueError, match=r"psi0 has shape \(3,\), expected \(2,\)"):
+            schrodinger_solve(h, np.array([1.0, 0.0, 0.0], dtype=complex), 1.0)
         for t in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
                 schrodinger_solve(h, np.array([1.0, 0.0], dtype=complex), t)

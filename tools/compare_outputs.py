@@ -3,9 +3,11 @@
     python3 tools/compare_outputs.py PARENT CHANGE
 
 Runs every command that perfbench/workloads.py lists (all workloads,
-seed 0), plus a qsw-custom audit whose operators overlap at every position
-they touch, once per checkout. Each checkout runs in a fresh interpreter
-that imports qsw from its src/. BLAS threads are left as the caller set
+seed 0), plus the audits those leave out, once per checkout: qw, crw with
+literal amplitudes, qsw-global without the diagonal, and a qsw-custom set
+whose operators overlap at every position they touch. So the axiom rows
+are compared under every operator set the CLI builds. Each checkout runs
+in a fresh interpreter that imports qsw from its src/. BLAS threads are left as the caller set
 them, so run it under OPENBLAS_NUM_THREADS=1 and =2 to compare both.
 
 For each command it prints "identical" when the output file, the exit
@@ -45,6 +47,14 @@ def custom_audit(work_dir: Path) -> tuple:
     return ("audit", "--graph", "line:9:1", "--regime", "qsw-custom", "--jump-file", str(jump_file))
 
 
+# The audits of the operator sets that no workload audits, on line:9 at hop rate 2.
+AUDITS = [
+    ("--regime", "qw"),
+    ("--regime", "crw", "--amplitude-convention", "literal"),
+    ("--regime", "qsw-global", "--global-l", "offdiagonal"),
+]
+
+
 def run_commands(work_dir: Path) -> list:
     """Run every command with qsw.cli.main in this process: (argv, exit code, stderr, output text) each."""
     import qsw.cli
@@ -53,6 +63,7 @@ def run_commands(work_dir: Path) -> list:
     from workloads import WORKLOADS, commands
 
     argvs = [command.argv for workload in WORKLOADS for command in commands(workload, SEED, work_dir)]
+    argvs += [("audit", "--graph", "line:9:2", *options) for options in AUDITS]
     results = []
     for i, argv in enumerate([*argvs, custom_audit(work_dir)]):
         output = work_dir / f"compare{i}.out"
