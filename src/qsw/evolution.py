@@ -32,6 +32,16 @@ forward chain of such steps, each starting from the state the previous one
 reached (see qsw.cli), so its cost grows with the largest time, not the
 sum of times.
 
+At omega = 1 the kernel runs on the invariant block of the start state
+alone: the coordinates reachable from its support along R's nonzero
+pattern, which exp(tR) never leaves. This is the paper's classical limit
+made visible: with edge-local operators a vertex start state stays on the
+dim populations, where R is the classical generator, and with real
+operators it stays on the dim (dim + 1) / 2 real coordinates. A generator
+with a coherent part (omega < 1) is not searched: on every graph measured
+its start states reached every coordinate, and the search alone would
+cost up to a quarter of the kernel.
+
 Propagation never renormalizes. If a propagated state drifts past the
 trace, Hermiticity or positivity budgets the solver raises
 StateInvariantError with the measured drifts, because silent repair would
@@ -80,8 +90,9 @@ _THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 # The most products with A that one step of the kernel may make. The
-# largest step of the benchmark workloads makes 7590; a step past the bound
-# would run for minutes or longer, so it is refused before it starts.
+# largest step of the benchmark workloads may make 7645 (m = 55, s = 139);
+# a step past the bound would run for minutes or longer, so it is refused
+# before it starts.
 _MAX_PRODUCTS = 10**6
 
 
@@ -190,10 +201,16 @@ class Liouvillian:
     column_stacked_superoperator rebuilds the complex form from it. The
     propagation kernel's t-independent set-up is made on the first
     propagation and kept with the Liouvillian for every later one.
+    dissipative_only marks the dissipative part R_D alone, as
+    build_liouvillian makes it at omega = 1; only such a generator is
+    searched for the invariant block a start state reaches, and that
+    block too is kept for every later propagation. The block is exact for
+    any generator; the mark only says where the search is worth its cost.
     """
 
     dim: int
     matrix: object
+    dissipative_only: bool = False
 
     def __post_init__(self):
         # A matrix of another shape or kind would fail deep in the kernel, or pass as a budget violation.
@@ -205,6 +222,69 @@ class Liouvillian:
     @cached_property
     def _shifted(self) -> "_ShiftedGenerator":
         return _ShiftedGenerator(self.matrix)
+
+    @cached_property
+    def _blocks(self) -> list:
+        """The reached sets searched so far: (member mask, _InvariantBlock, or None where every coordinate is reached)."""
+        return []
+
+    def _block(self, support: np.ndarray) -> "_InvariantBlock | None":
+        """The invariant block of the coordinates reachable from support; None if that is every coordinate.
+
+        A reached set is closed under R, so it also holds every support
+        that a state starting in it reaches: the set found for the first
+        step of a time grid serves every later step without a search.
+        """
+        for member, block in self._blocks:
+            if member[support].all():
+                return block
+        member = _reached(self.matrix, support)
+        index = np.flatnonzero(member)
+        block = None if index.size == member.size else _InvariantBlock(index, self.matrix[index][:, index])
+        self._blocks.append((member, block))
+        return block
+
+
+@dataclass(frozen=True)
+class _InvariantBlock:
+    """The principal submatrix of a generator R on a coordinate set that R never leaves, and that set.
+
+    No column of R in the set has a nonzero row outside it, so exp(tR)
+    maps a vector supported on the set to one supported on it, where it
+    equals exp(t R_BB) applied to the vector's entries in the set. The
+    block has its own shift and 1-norm (_ShiftedGenerator), so the kernel
+    sizes its steps from R_BB alone.
+    """
+
+    index: np.ndarray
+    matrix: object
+
+    @cached_property
+    def _shifted(self) -> "_ShiftedGenerator":
+        return _ShiftedGenerator(self.matrix)
+
+
+def _reached(matrix: scipy.sparse.csr_matrix, support: np.ndarray) -> np.ndarray:
+    """A mask of the coordinates reachable from support along the nonzero pattern of R.
+
+    A forward search over the columns of R, one level per pass: the rows
+    of the frontier's columns that are not yet reached form the next
+    frontier. The set it returns contains support and is closed under R.
+    """
+    csc = matrix.tocsc()
+    indptr, indices = csc.indptr, csc.indices
+    member = np.zeros(matrix.shape[0], dtype=bool)
+    member[support] = True
+    frontier = support
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # The positions of every entry in the frontier's columns, one column after another.
+        ends = np.cumsum(counts)
+        rows = indices[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+        frontier = np.unique(rows[~member[rows]])
+        member[frontier] = True
+    return member
 
 
 @dataclass(frozen=True)
@@ -448,7 +528,7 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     if omega < 1.0:
         coherent = Liouvillian(dim, _assemble(scipy.sparse.csr_matrix(h.entries) * -1j, empty_jump_operators(dim)))
     if omega > 0.0:
-        dissipative = Liouvillian(dim, _assemble(-0.5 * ls.sparse_overlap_sum(), ls))
+        dissipative = Liouvillian(dim, _assemble(-0.5 * ls.sparse_overlap_sum(), ls), dissipative_only=True)
     return combine_parts(coherent, dissipative, omega)
 
 
@@ -505,6 +585,9 @@ def _inf_norm(v: np.ndarray) -> float:
 def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     """exp(t R) x for the real generator R of liouvillian, and the number of products with A made.
 
+    liouvillian is a Liouvillian, or the _InvariantBlock of one, whose R
+    is the principal submatrix on the block and x the block's entries.
+
     Algorithm 3.2 of Al-Mohy and Higham (2011): with A = R - mu I,
     exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
     Taylor polynomial, summed term by term and cut short once two
@@ -547,7 +630,10 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
     A zero t returns rho0 itself, with method "identity" and 0 steps.
     Otherwise rho0 is mapped to its real coordinates (to_coordinates),
     _expm_action computes exp(t R) on them in float64, and the result is
-    mapped back to a complex state, Hermitian by construction. The info's
+    mapped back to a complex state, Hermitian by construction. For a
+    dissipative_only generator the kernel runs on the invariant block of
+    rho0's coordinates (Liouvillian._block), if that is not every
+    coordinate, and the result is scattered back into all of them. The info's
     steps is the number of sparse matrix-vector products the kernel made.
     The call is deterministic and draws no random numbers.
 
@@ -568,7 +654,14 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    coords, matvecs = _expm_action(liouvillian, to_coordinates(rho0.entries), t)
+    coords = to_coordinates(rho0.entries)
+    block = liouvillian._block(np.flatnonzero(coords)) if liouvillian.dissipative_only else None
+    if block is None:
+        coords, matvecs = _expm_action(liouvillian, coords, t)
+    else:
+        inside, matvecs = _expm_action(block, coords[block.index], t)
+        coords = np.zeros_like(coords)
+        coords[block.index] = inside
     arr = from_coordinates(coords, liouvillian.dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.

@@ -54,7 +54,7 @@ class LineDistribution:
 
 
 def _miller_downward(n_max: int, x: float, sign: float, step: int) -> np.ndarray:
-    """b_n / (b_0 + 2 sum_{k>=1} b_{k*step}) for n = 0..n_max, x >= 0.
+    """b_n / (b_0 + 2 sum_{k>=1} b_{k*step}) for n = 0..n_max and a finite x >= 0.
 
     b comes from the downward recurrence b_{k-1} = (2k/x) b_k + sign*b_{k+1}:
     sign=-1 with step 2 gives J_n(x), sign=+1 with step 1 gives
@@ -84,6 +84,9 @@ def _miller_downward(n_max: int, x: float, sign: float, step: int) -> np.ndarray
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    # Every comparison below is False on nan, which would reach the leading-term branch.
+    if not math.isfinite(x):
+        raise ValueError(f"Bessel argument x must be finite, got {x!r}")
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x > _MAX_X:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qsw.cli as cli
+import qsw.evolution
 import qsw.operators
 from qsw.evolution import DensityMatrix, PropagationError, build_liouvillian, coherence_l1, populations, propagate_detailed
 from qsw.graph import build_line, classical_generator
@@ -200,9 +201,10 @@ class TestSimulate:
         # The Taylor degree and step count set the cost; a slip in choosing
         # them would multiply the products without changing any result.
         # matvecs counts every product with a sparse matrix, so sizing the
-        # steps counts too: the long-t command makes 3891 products, where
-        # sizing them from estimates of ||A^p||_1 made 3951 (3599 in the
-        # kernel and 352 in the estimates).
+        # steps counts too: the long-t command makes 3786 products on the
+        # 1891 real coordinates its start state reaches. On all 3721
+        # coordinates it made 3891, and sizing the steps from estimates of
+        # ||A^p||_1 made 3951 (3599 in the kernel and 352 in the estimates).
         rc, text = run(tmp_path, "simulate", "--graph", "line:61:1", *argv)
         assert rc == 0
         steps = sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"])
@@ -284,6 +286,59 @@ class TestSimulate:
         rc, text = run(tmp_path, "simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "2.2250738585072014e-308")
         assert rc == 0
         assert json.loads(text)["results"][0]["populations"] == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+class TestInvariantBlock:
+    """At omega 1 the kernel multiplies only the coordinates the start state reaches."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """A list that grows by one entry per search for an invariant block."""
+        calls = []
+        search = qsw.evolution._reached
+
+        def counting_search(matrix, support):
+            calls.append(matrix.shape)
+            return search(matrix, support)
+
+        monkeypatch.setattr(qsw.evolution, "_reached", counting_search)
+        return calls
+
+    def test_crw_at_omega_1_propagates_the_populations_alone(self, tmp_path, matvecs, searches):
+        # The classical walk: a vertex start state never leaves the 151 populations.
+        rc, text = run(tmp_path, "simulate", "--graph", "line:151:1", "--regime", "crw", "--omega", "1")
+        assert rc == 0
+        assert json.loads(text)["results"][0]["validation"]["solver_steps"] == len(matvecs) > 0
+        assert set(matvecs) == {(151, 151)}
+        assert searches == [(151**2, 151**2)]
+
+    @pytest.mark.parametrize(
+        "argv", [("--regime", "crw", "--omega", "0.5"), ("--regime", "qw")], ids=["interior-omega", "qw"]
+    )
+    def test_a_generator_with_a_coherent_part_is_not_searched(self, tmp_path, matvecs, searches, argv):
+        rc, _ = run(tmp_path, "simulate", "--graph", "line:21:1", *argv, "--t", "0:2:3")
+        assert rc == 0
+        assert len(matvecs) > 0 and set(matvecs) == {(21**2, 21**2)}
+        assert searches == []
+
+    @pytest.mark.parametrize("regime, block", [("crw", 21), ("qsw-global", 21 * 22 // 2)])
+    def test_a_time_grid_at_omega_1_searches_once(self, tmp_path, matvecs, searches, regime, block):
+        # Real operators keep a vertex start state on the n(n+1)/2 real coordinates.
+        rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "1", "--t", "0:5:11")
+        assert rc == 0
+        assert sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"]) == len(matvecs) > 0
+        assert set(matvecs) == {(block, block)}
+        assert len(searches) == 1
+
+    def test_a_start_that_reaches_every_coordinate_runs_on_the_full_matrix(self, matvecs, searches):
+        g, _ = build_line(7, 1.0)
+        m = classical_generator(g)
+        liou = build_liouvillian(hamiltonian_from_generator(m), edge_jump_operators(m), 1.0)
+        state = DensityMatrix.pure(np.exp(0.3j * np.arange(7)) / np.sqrt(7))
+        for _ in range(2):
+            state, _ = propagate_detailed(state, liou, 1.0)
+        assert len(matvecs) > 0 and set(matvecs) == {(49, 49)}
+        assert len(searches) == 1
 
 
 class TestSweep:
@@ -585,9 +640,11 @@ class TestCustomRegime:
             "with ||A||_1 = 2.666666666666667, and the bound is 1000000",
         ),
         (
+            # A is the block of the 3 populations the start state reaches; on
+            # all 9 coordinates ||A||_1 read 2.6666666666666668e+300. Both are 8e300 / 3.
             ("simulate", "--graph", "line:3:1e300", "--regime", "crw", "--t", "1"),
             "t = 1.0 is too long for one step of exp(tA): it needs at least 1.48e+301 products with A, "
-            "with ||A||_1 = 2.6666666666666668e+300, and the bound is 1000000",
+            "with ||A||_1 = 2.6666666666666662e+300, and the bound is 1000000",
         ),
         (("sweep", "--graph", "line:3:1", "--regime", "crw", "--omega", "0:2:3"), "--omega must lie in [0, 1], got '0:2:3'"),
         (("simulate", "--graph", "line:3:1", "--regime", "crw", "--omega", "-0.5"), "--omega must lie in [0, 1], got '-0.5'"),

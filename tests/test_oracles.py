@@ -119,6 +119,13 @@ class TestBesselSequences:
             with pytest.raises(ValueError, match=message):
                 sequence(n_max, x)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_argument(self, x):
+        # nan once passed every check and came back as [1, nan, nan, nan].
+        for sequence in (bessel_j_sequence, scaled_bessel_i_sequence):
+            with pytest.raises(ValueError, match=rf"^Bessel argument x must be finite, got {x!r}$"):
+                sequence(3, x)
+
     def test_argument_past_the_bound_is_refused_before_any_allocation(self, traced_peak):
         # The recurrence once allocated 8 bytes per unit of x whatever the window: about 8 GB near t = 5e8.
         x = math.nextafter(_MAX_X, math.inf)

@@ -36,13 +36,17 @@ from qsw.evolution import (
     MIN_POSITIVE_TIME,
     TRACE_BUDGET,
     DensityMatrix,
+    Liouvillian,
+    _expm_action,
     build_liouvillian,
     coherence_l1,
+    from_coordinates,
     populations,
     propagate_detailed,
+    to_coordinates,
 )
-from qsw.graph import Graph, from_edge_list, parse_edge_list
-from qsw.operators import JumpOperatorSet
+from qsw.graph import Graph, classical_generator, from_edge_list, parse_edge_list
+from qsw.operators import JumpOperatorSet, hamiltonian_from_generator
 
 
 @st.composite
@@ -105,6 +109,46 @@ def test_time_grid_keeps_budgets_and_matches_per_point_propagation(graph, regime
         state, _ = propagate_detailed(rho0, liou, r["t"])
         assert np.abs(np.array(r["populations"]) - populations(state)).max() <= 1e-12
         assert abs(r["coherence_l1"] - coherence_l1(state)) <= 1e-12
+
+
+@st.composite
+def complex_custom_sets(draw, dim):
+    """One to three operators of dim x dim, each with a few complex entries of magnitude at most 1."""
+    count = draw(st.integers(1, 3))
+    entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    operators = np.zeros((count, dim, dim), dtype=complex)
+    for op in operators:
+        for (a, b), value in draw(st.dictionaries(cells, entry, min_size=1, max_size=4)).items():
+            op[a, b] = value
+    return JumpOperatorSet.from_dense(dim, operators, "custom")
+
+
+@settings(deadline=None, max_examples=60)
+@given(graph=connected_graphs(), regime=st.one_of(regimes, st.just(("qsw-custom", "sqrt", "full"))), data=st.data())
+def test_invariant_block_matches_the_full_kernel_at_omega_1(graph, regime, data):
+    # At omega 1 the kernel multiplies only the coordinates the start state
+    # reaches, with the block's own shift and norm; the full kernel must agree.
+    n = graph.n_vertices
+    name, amplitude, global_l = regime
+    if name == "qsw-custom":
+        h = hamiltonian_from_generator(classical_generator(graph))
+        ls = data.draw(complex_custom_sets(n))
+    else:
+        args = SimpleNamespace(regime=name, amplitude_convention=amplitude, global_l=global_l, jump_file=None)
+        h, ls = cli._build_operators(cli.GraphSource("random", graph, None, None), args)
+    # A vertex, or a superposition of two with a complex phase, which starts on imaginary coordinates too.
+    first, second = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    amplitudes = np.zeros(n, dtype=complex)
+    amplitudes[first] += 1.0
+    amplitudes[second] += np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi)))
+    rho0 = DensityMatrix.pure(amplitudes / np.linalg.norm(amplitudes))
+    t = data.draw(st.floats(1e-3, 2.0))
+
+    liou = build_liouvillian(h, ls, 1.0)
+    state, _ = propagate_detailed(rho0, liou, t)
+    full, _ = _expm_action(Liouvillian(liou.dim, liou.matrix), to_coordinates(rho0.entries), t)
+    assert np.abs(state.entries - from_coordinates(full, n)).max() <= 1e-14
 
 
 @st.composite
