@@ -24,6 +24,7 @@ from .evolution import (
     Liouvillian,
     PropagationError,
     PropagationInfo,
+    QuantumWalk,
     StateInvariantError,
     build_liouvillian,
     coherence_l1,
@@ -84,6 +85,7 @@ __all__ = [
     "Liouvillian",
     "PropagationError",
     "PropagationInfo",
+    "QuantumWalk",
     "StateInvariantError",
     "StochasticMatrix",
     "TensorElement",

@@ -27,10 +27,19 @@ degree m and step count s from the exact 1-norm of A alone. Neither A nor
 its norm depends on t (||tA||_1 is t ||A||_1), so they are computed once
 per Liouvillian and reused by every step. A step whose m s, the number of
 products with A, would pass _MAX_PRODUCTS is refused before the first
-product is made. A time grid is a
-forward chain of such steps, each starting from the state the previous one
-reached (see qsw.cli), so its cost grows with the largest time, not the
-sum of times.
+product is made. A time grid is a forward chain of such steps, each
+starting from the state the previous one reached (see qsw.cli). Each step
+pays its own Taylor series, so a chain costs more than one step to its
+largest time: line:101 qsw-global at omega 0.5 makes 192 products over
+t = 0, 0.5, ..., 5 against 103 for t = 5 alone.
+
+At omega = 0 the kernel runs on state vectors, the paper's quantum walk
+limit. The equation of motion is -i[H, rho], so a pure state stays pure,
+rho(t) = psi(t) psi(t)^dag, and a QuantumWalk holds -i H' as a real
+2 dim x 2 dim matrix on (Re psi, Im psi), with H' = H - (tr H / dim) I.
+A state built pure records its amplitudes (DensityMatrix.amplitudes), and
+propagate_detailed propagates those instead of the dim^2 coordinates;
+the state it returns records psi(t), so a time grid stays on amplitudes.
 
 At omega = 1 the kernel runs on the invariant block of the start state
 alone: the coordinates reachable from its support along R's nonzero
@@ -133,9 +142,14 @@ class DensityMatrix:
     trace within trace_tol of 1, minimum eigenvalue at least eig_floor.
     The defaults suit exactly-constructed states; the propagator builds
     its outputs with the (looser) solver budgets.
+
+    amplitudes is a read-only state vector psi with entries psi psi^dag,
+    recorded for a state built pure: by basis, by pure, or by propagation
+    with a QuantumWalk. Every other state has None, even one whose entries
+    happen to be pure; the record is never derived from the entries.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "amplitudes")
 
     def __init__(self, entries, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9):
         arr = _square_matrix("density matrix", entries, complex)
@@ -147,18 +161,26 @@ class DensityMatrix:
         if min_eig < eig_floor:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
         self.entries = arr
+        self.amplitudes = None
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     @classmethod
-    def _prechecked(cls, arr: np.ndarray) -> "DensityMatrix":
-        """Wrap arr without copying or checking; the caller has checked its invariants."""
+    def _prechecked(cls, arr: np.ndarray, amplitudes: np.ndarray | None = None) -> "DensityMatrix":
+        """Wrap arr, and the amplitudes that give it if any, without copying or checking; the caller has checked both."""
         state = cls.__new__(cls)
         arr.setflags(write=False)
         state.entries = arr
-        return state
+        state.amplitudes = None
+        return state if amplitudes is None else state._record(amplitudes)
+
+    def _record(self, psi: np.ndarray) -> "DensityMatrix":
+        """Record psi, which the caller has checked gives this state's entries, as its amplitudes."""
+        psi.setflags(write=False)
+        self.amplitudes = psi
+        return self
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "DensityMatrix":
@@ -166,7 +188,9 @@ class DensityMatrix:
         (index,) = _check_indices(range(dim), vertex=index)
         arr = np.zeros((dim, dim), dtype=complex)
         arr[index, index] = 1.0
-        return cls(arr)
+        psi = np.zeros(dim, dtype=complex)
+        psi[index] = 1.0
+        return cls(arr)._record(psi)
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
@@ -177,7 +201,7 @@ class DensityMatrix:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state vector norm {norm} is not 1 within 1e-10")
         psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))
+        return cls(np.outer(psi, psi.conj()))._record(psi)
 
     @classmethod
     def from_populations(cls, p) -> "DensityMatrix":
@@ -213,11 +237,7 @@ class Liouvillian:
     dissipative_only: bool = False
 
     def __post_init__(self):
-        # A matrix of another shape or kind would fail deep in the kernel, or pass as a budget violation.
-        n, m = self.dim * self.dim, self.matrix
-        if not (scipy.sparse.issparse(m) and m.format == "csr" and m.dtype == np.float64 and m.shape == (n, n)):
-            found = f"{type(m).__name__} of dtype {getattr(m, 'dtype', None)} and shape {np.shape(m)}"
-            raise ValueError(f"a Liouvillian of dim {self.dim} needs a float64 CSR matrix of shape ({n}, {n}), got {found}")
+        _require_real_csr(self.matrix, self.dim * self.dim, f"a Liouvillian of dim {self.dim}")
 
     @cached_property
     def _shifted(self) -> "_ShiftedGenerator":
@@ -243,6 +263,44 @@ class Liouvillian:
         block = None if index.size == member.size else _InvariantBlock(index, self.matrix[index][:, index])
         self._blocks.append((member, block))
         return block
+
+
+def _require_real_csr(m, n: int, owner: str) -> None:
+    """A matrix of another shape or kind would fail deep in the kernel, or pass as a budget violation."""
+    if not (scipy.sparse.issparse(m) and m.format == "csr" and m.dtype == np.float64 and m.shape == (n, n)):
+        found = f"{type(m).__name__} of dtype {getattr(m, 'dtype', None)} and shape {np.shape(m)}"
+        raise ValueError(f"{owner} needs a float64 CSR matrix of shape ({n}, {n}), got {found}")
+
+
+@dataclass(frozen=True)
+class QuantumWalk:
+    """The omega = 0 generator on state vectors: -i H' as a real CSR matrix on (Re psi, Im psi).
+
+    At omega = 0 the equation of motion is -i[H, rho], and a pure state
+    stays pure: rho(t) = psi(t) psi(t)^dag with psi(t) = exp(-iHt) psi(0).
+    The matrix is [[Im H', Re H'], [-Re H', Im H']], 2 dim x 2 dim, for
+    H' = H - (tr H / dim) I. The shift multiplies psi(t) by a global phase,
+    which psi psi^dag drops, and it lowers the 1-norm that sizes the
+    kernel's steps. propagate_detailed runs the kernel on the amplitudes
+    a state records (DensityMatrix.amplitudes), not on its dim^2 coordinates.
+    """
+
+    dim: int
+    matrix: object
+
+    def __post_init__(self):
+        _require_real_csr(self.matrix, 2 * self.dim, f"a QuantumWalk of dim {self.dim}")
+
+    @classmethod
+    def from_hamiltonian(cls, h: Hamiltonian) -> "QuantumWalk":
+        shifted = h.entries.copy()
+        shifted[np.diag_indices(h.dim)] -= shifted.trace().real / h.dim
+        re, im = shifted.real, shifted.imag
+        return cls(h.dim, scipy.sparse.csr_matrix(np.block([[im, re], [-re, im]])))
+
+    @cached_property
+    def _shifted(self) -> "_ShiftedGenerator":
+        return _ShiftedGenerator(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -586,7 +644,9 @@ def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.
     """exp(t R) x for the real generator R of liouvillian, and the number of products with A made.
 
     liouvillian is a Liouvillian, or the _InvariantBlock of one, whose R
-    is the principal submatrix on the block and x the block's entries.
+    is the principal submatrix on the block and x the block's entries, or
+    a QuantumWalk, whose R acts on the real and imaginary parts of a state
+    vector.
 
     Algorithm 3.2 of Al-Mohy and Higham (2011): with A = R - mu I,
     exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
@@ -624,7 +684,9 @@ def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.
     return f, matvecs
 
 
-def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> tuple[DensityMatrix, PropagationInfo]:
+def propagate_detailed(
+    rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk, t: float
+) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
     A zero t returns rho0 itself, with method "identity" and 0 steps.
@@ -633,7 +695,10 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
     mapped back to a complex state, Hermitian by construction. For a
     dissipative_only generator the kernel runs on the invariant block of
     rho0's coordinates (Liouvillian._block), if that is not every
-    coordinate, and the result is scattered back into all of them. The info's
+    coordinate, and the result is scattered back into all of them. For a
+    QuantumWalk the kernel runs on (Re psi, Im psi) of rho0's amplitudes
+    psi, and the state returned is psi(t) psi(t)^dag, with psi(t) as its
+    amplitudes; a state that records no amplitudes is refused. The info's
     steps is the number of sparse matrix-vector products the kernel made.
     The call is deterministic and draws no random numbers.
 
@@ -649,27 +714,40 @@ def propagate_detailed(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) 
         raise ValueError(f"t must be 0 or at least {MIN_POSITIVE_TIME}, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
+    on_amplitudes = isinstance(liouvillian, QuantumWalk)
+    if on_amplitudes and rho0.amplitudes is None:
+        raise ValueError(
+            "a QuantumWalk propagates state vectors, and this state records no amplitudes: "
+            "build it with DensityMatrix.basis or DensityMatrix.pure, or propagate it with the Liouvillian at omega = 0"
+        )
 
     if t == 0:
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    coords = to_coordinates(rho0.entries)
-    block = liouvillian._block(np.flatnonzero(coords)) if liouvillian.dissipative_only else None
-    if block is None:
-        coords, matvecs = _expm_action(liouvillian, coords, t)
+    dim, psi = liouvillian.dim, None
+    if on_amplitudes:
+        psi = rho0.amplitudes
+        x, matvecs = _expm_action(liouvillian, np.concatenate([psi.real, psi.imag]), t)
+        psi = x[:dim] + 1j * x[dim:]
+        arr = np.outer(psi, psi.conj())
     else:
-        inside, matvecs = _expm_action(block, coords[block.index], t)
-        coords = np.zeros_like(coords)
-        coords[block.index] = inside
-    arr = from_coordinates(coords, liouvillian.dim)
+        coords = to_coordinates(rho0.entries)
+        block = liouvillian._block(np.flatnonzero(coords)) if liouvillian.dissipative_only else None
+        if block is None:
+            coords, matvecs = _expm_action(liouvillian, coords, t)
+        else:
+            inside, matvecs = _expm_action(block, coords[block.index], t)
+            coords = np.zeros_like(coords)
+            coords[block.index] = inside
+        arr = from_coordinates(coords, dim)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.
     trace_drift, herm_drift, min_eig = _check_budgets(arr, f"state propagated by t={t} violated budgets")
-    return DensityMatrix._prechecked(arr), PropagationInfo("matrix-exponential", matvecs, trace_drift, herm_drift, min_eig)
+    return DensityMatrix._prechecked(arr, psi), PropagationInfo("matrix-exponential", matvecs, trace_drift, herm_drift, min_eig)
 
 
-def propagate(rho0: DensityMatrix, liouvillian: Liouvillian, t: float) -> DensityMatrix:
+def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk, t: float) -> DensityMatrix:
     state, _ = propagate_detailed(rho0, liouvillian, t)
     return state
 

@@ -76,7 +76,9 @@ def _miller_downward(n_max: int, x: float, sign: float, step: int) -> np.ndarray
     compare command of the CLI for crw at any omega, or qw at omega = 0, on
     a line of hop rate gamma reaches it: an interior site's population
     column of the generator holds two entries omega gamma and two
-    sqrt(2) (1 - omega) gamma off the diagonal, so ||A||_1 >= 2 gamma, and
+    sqrt(2) (1 - omega) gamma off the diagonal, and at omega = 0 the
+    QuantumWalk's column of its real amplitude holds two entries gamma, so
+    ||A||_1 >= 2 gamma, and
     qsw.evolution's _MAX_PRODUCTS = 1e6 admits only t ||A||_1 <= 1e6 *
     theta_55 / 55 = 1.8e5, so x = 2 gamma t <= 1.8e5. Weaker generators (qw
     or the global set near omega = 1, literal amplitudes at small gamma)

@@ -81,16 +81,17 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv, builds, omegas, ts",
         [
-            (("simulate", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3"), [0.0, 1.0], [0.0, 1.0], [0.0, 1.0, 2.0]),
+            (("simulate", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3"), [1.0], [0.0, 1.0], [0.0, 1.0, 2.0]),
             (("sweep", "--regime", "crw", "--omega", "0:1:11", "--t", "1"), [0.0, 1.0], np.linspace(0, 1, 11).tolist(), [1.0]),
             (("simulate", "--regime", "crw", "--omega", "0.5", "--t", "1"), [0.0, 1.0], [0.5], [1.0]),
             (("simulate", "--regime", "crw", "--omega", "1", "--t", "1"), [1.0], [1.0], [1.0]),
-            (("simulate", "--regime", "qw", "--t", "1"), [0.0], [0.0], [1.0]),
+            (("simulate", "--regime", "qw", "--t", "1"), [], [0.0], [1.0]),
         ],
         ids=["time-grid", "sweep", "interior", "dissipative", "qw-default"],
     )
     def test_time_grid_builds_once_per_omega(self, tmp_path, monkeypatch, argv, builds, omegas, ts):
-        # Each omega-free part is built once per command, and only if some omega weighs it.
+        # Each omega-free part is built once per command, and only if some omega weighs it;
+        # omega = 0 propagates the walk on amplitudes, so R_QW is built only for an interior omega.
         built = []
 
         def counting_build(h, ls, omega):
@@ -103,6 +104,20 @@ class TestSimulate:
         assert built == builds
         results = json.loads(text)["results"]
         assert [(r["omega"], r["t"]) for r in results] == [(w, t) for w in omegas for t in ts]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--graph", "line:21:1", "--regime", "qw", "--t", "0:2:3"), ("compare", "--graph", "line:21:1", "--regime", "qw")],
+        ids=["simulate", "compare"],
+    )
+    def test_qw_assembles_no_coordinate_matrix(self, tmp_path, monkeypatch, argv):
+        # omega = 0 propagates amplitudes; the dim^2 x dim^2 commutator is never assembled.
+        def refuse(gen, ls):
+            raise AssertionError("_assemble called")
+
+        monkeypatch.setattr(qsw.evolution, "_assemble", refuse)
+        rc, text = run(tmp_path, *argv)
+        assert rc == 0 and text is not None
 
     def test_parts_no_later_omega_weighs_are_released_before_propagation(self, tmp_path, monkeypatch):
         parts = []
@@ -123,8 +138,9 @@ class TestSimulate:
         assert (rc, alive) == (0, [[]])
         alive.clear()
         rc, _ = run(tmp_path, "sweep", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:3", "--t", "1")
-        # At omega 0 the coherent part is the generator itself, and only omega 1 follows omega 0.5.
-        assert (rc, alive) == (0, [[1.0], [1.0], []])
+        # At omega 0 the walk propagates while both parts wait for the omegas that weigh them,
+        # and only omega 1 follows omega 0.5.
+        assert (rc, alive) == (0, [[0.0, 1.0], [1.0], []])
 
     @pytest.mark.parametrize("grid", ["0:5:11", "5:0:11", "1:3:5"], ids=["ascending", "descending", "offset"])
     @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
@@ -313,12 +329,15 @@ class TestInvariantBlock:
         assert searches == [(151**2, 151**2)]
 
     @pytest.mark.parametrize(
-        "argv", [("--regime", "crw", "--omega", "0.5"), ("--regime", "qw")], ids=["interior-omega", "qw"]
+        "argv, shape",
+        [(("--regime", "crw", "--omega", "0.5"), (21**2, 21**2)), (("--regime", "qw"), (2 * 21, 2 * 21))],
+        ids=["interior-omega", "qw"],
     )
-    def test_a_generator_with_a_coherent_part_is_not_searched(self, tmp_path, matvecs, searches, argv):
+    def test_a_generator_with_a_coherent_part_is_not_searched(self, tmp_path, matvecs, searches, argv, shape):
+        # qw runs on the real and imaginary parts of the 21 amplitudes, never on the coordinates.
         rc, _ = run(tmp_path, "simulate", "--graph", "line:21:1", *argv, "--t", "0:2:3")
         assert rc == 0
-        assert len(matvecs) > 0 and set(matvecs) == {(21**2, 21**2)}
+        assert len(matvecs) > 0 and set(matvecs) == {shape}
         assert searches == []
 
     @pytest.mark.parametrize("regime, block", [("crw", 21), ("qsw-global", 21 * 22 // 2)])
@@ -654,14 +673,16 @@ class TestCustomRegime:
             "with ||A||_1 = 2.6666666666666664e+40, and the bound is 1000000",
         ),
         (
+            # A is the walk's -i H' on the 6 real parts of 3 amplitudes; on the
+            # 9 coordinates ||A||_1 read 4.82842712474619e+40.
             ("simulate", "--graph", "line:3:1e40", "--regime", "qw", "--t", "1"),
-            "t = 1.0 is too long for one step of exp(tA): it needs at least 2.68e+41 products with A, "
-            "with ||A||_1 = 4.82842712474619e+40, and the bound is 1000000",
+            "t = 1.0 is too long for one step of exp(tA): it needs at least 1.48e+41 products with A, "
+            "with ||A||_1 = 2.6666666666666664e+40, and the bound is 1000000",
         ),
         (
             ("simulate", "--graph", "line:3:1e20", "--regime", "qw", "--t", "1"),
-            "t = 1.0 is too long for one step of exp(tA): it needs at least 2.68e+21 products with A, "
-            "with ||A||_1 = 4.82842712474619e+20, and the bound is 1000000",
+            "t = 1.0 is too long for one step of exp(tA): it needs at least 1.48e+21 products with A, "
+            "with ||A||_1 = 2.666666666666667e+20, and the bound is 1000000",
         ),
     ],
     ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec", "overlap-overflow", "long-t", "large-norm"]

@@ -1,5 +1,7 @@
 """States, the interpolated superoperator, and propagation."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from qsw.evolution import (
     EIGENVALUE_FLOOR,
     StateInvariantError,
     MIN_POSITIVE_TIME,
+    QuantumWalk,
     build_liouvillian,
     coherence_l1,
     column_stacked_superoperator,
@@ -488,6 +491,95 @@ class TestPropagate:
             _check_budgets(np.full((2, 2), np.nan, dtype=complex), "nan state")
         assert np.isnan(excinfo.value.trace_drift)
         assert np.isnan(excinfo.value.min_eigenvalue)
+
+
+class TestQuantumWalk:
+    """At omega = 0 a pure state is propagated on its dim amplitudes, not its dim^2 coordinates."""
+
+    @pytest.mark.parametrize(
+        "make, psi",
+        [
+            (lambda: DensityMatrix.basis(3, 1), [0.0, 1.0, 0.0]),
+            (lambda: DensityMatrix.pure([0.6, 0.8j]), [0.6, 0.8j]),
+        ],
+        ids=["basis", "pure"],
+    )
+    def test_pure_states_record_their_amplitudes(self, make, psi):
+        state = make()
+        assert state.amplitudes.dtype == np.complex128
+        assert np.array_equal(state.amplitudes, psi)
+        assert np.array_equal(np.outer(state.amplitudes, state.amplitudes.conj()), state.entries)
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: DensityMatrix(np.diag([1.0, 0.0])), lambda: DensityMatrix.from_populations([1.0, 0.0])],
+        ids=["entries", "from-populations"],
+    )
+    def test_states_built_from_entries_record_none(self, make):
+        # Both are pure, but the record is never derived from the entries.
+        assert make().amplitudes is None
+
+    def test_matrix_is_the_real_form_of_the_shifted_hamiltonian(self):
+        h = Hamiltonian(np.array([[3.0, 1.0 - 2.0j], [1.0 + 2.0j, 1.0]]))
+        # H' = H - 2 I; rows act on (Re psi, Im psi) as d/dt psi = -i H' psi.
+        expected = np.array([[0.0, -2.0, 1.0, 1.0], [2.0, 0.0, 1.0, -1.0], [-1.0, -1.0, 0.0, -2.0], [-1.0, 1.0, 2.0, 0.0]])
+        walk = QuantumWalk.from_hamiltonian(h)
+        assert walk.dim == 2
+        assert np.array_equal(walk.matrix.toarray(), expected)
+        assert walk.matrix.nnz == 12
+
+    @pytest.mark.parametrize(
+        "matrix, found",
+        [
+            (scipy.sparse.csr_matrix((3, 3)), "csr_matrix of dtype float64 and shape (3, 3)"),
+            (scipy.sparse.csr_matrix((4, 4), dtype=complex), "csr_matrix of dtype complex128 and shape (4, 4)"),
+        ],
+        ids=["shape", "dtype"],
+    )
+    def test_matrix_that_does_not_fit_dim_is_refused(self, matrix, found):
+        with pytest.raises(ValueError, match=rf"a QuantumWalk of dim 2 needs a float64 CSR matrix of shape \(4, 4\), got {re.escape(found)}"):
+            QuantumWalk(2, matrix)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "make", [lambda: DensityMatrix(np.eye(5) / 5.0), lambda: DensityMatrix.from_populations([0, 0, 1, 0, 0])]
+    )
+    def test_a_state_without_amplitudes_is_refused(self, make, t):
+        _, _, _, h = line_setup(5)
+        with pytest.raises(ValueError, match="a QuantumWalk propagates state vectors, and this state records no amplitudes"):
+            propagate_detailed(make(), QuantumWalk.from_hamiltonian(h), t)
+
+    def test_zero_t_returns_the_state_itself(self, matvecs):
+        _, lmap, _, h = line_setup(5)
+        rho0 = DensityMatrix.basis(5, lmap.center)
+        state, info = propagate_detailed(rho0, QuantumWalk.from_hamiltonian(h), 0.0)
+        assert state is rho0
+        assert (info.method, info.steps, matvecs) == ("identity", 0, [])
+
+    def test_chain_matches_schrodinger_oracle_on_2_dim_operands(self, matvecs):
+        _, lmap, _, h = line_setup(21)
+        walk = QuantumWalk.from_hamiltonian(h)
+        psi0 = np.zeros(21, dtype=complex)
+        psi0[lmap.center] = 1.0
+        state = DensityMatrix.basis(21, lmap.center)
+        steps = 0
+        for t in (1.0, 2.0):
+            state, info = propagate_detailed(state, walk, 1.0)
+            steps += info.steps
+            psi = schrodinger_solve(h, psi0, t)
+            assert np.abs(state.entries - np.outer(psi, psi.conj())).max() <= 1e-12
+            assert np.array_equal(state.entries, np.outer(state.amplitudes, state.amplitudes.conj()))
+        assert info.method == "matrix-exponential"
+        assert steps == len(matvecs) > 0 and set(matvecs) == {(42, 42)}
+
+    def test_shift_lowers_the_products_below_the_coordinate_route(self):
+        _, lmap, _, h = line_setup(61)
+        rho0 = DensityMatrix.basis(61, lmap.center)
+        _, walk_info = propagate_detailed(rho0, QuantumWalk.from_hamiltonian(h), 5.0)
+        _, liou_info = propagate_detailed(rho0, build_liouvillian(h, empty_jump_operators(61), 0.0), 5.0)
+        assert (walk_info.steps, liou_info.steps) == (74, 125)
 
 
 class TestRealRoute:

@@ -7,6 +7,11 @@ and a short, unordered time grid. Every state the grid's forward chain
 reaches must meet the three state budgets, and every point must agree
 with propagating from the start state directly.
 
+At omega = 0 it draws complex Hermitian Hamiltonians (dim 2-8), a basis
+or complex pure start and a sorted chain of times up to 10: every state
+the QuantumWalk reaches on the start's amplitudes must agree within 1e-12
+with the commutator's on the dim^2 coordinates.
+
 For graphs, it draws vertex counts, edge sets and positive finite weights
 (subnormal ones included): an edge list written with repr weights parses
 back to the same graph, a junk line anywhere after the header is refused
@@ -26,7 +31,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qsw.cli as cli
@@ -37,6 +42,7 @@ from qsw.evolution import (
     TRACE_BUDGET,
     DensityMatrix,
     Liouvillian,
+    QuantumWalk,
     _expm_action,
     build_liouvillian,
     coherence_l1,
@@ -46,7 +52,7 @@ from qsw.evolution import (
     to_coordinates,
 )
 from qsw.graph import Graph, classical_generator, from_edge_list, parse_edge_list
-from qsw.operators import JumpOperatorSet, hamiltonian_from_generator
+from qsw.operators import Hamiltonian, JumpOperatorSet, empty_jump_operators, hamiltonian_from_generator
 
 
 @st.composite
@@ -66,10 +72,14 @@ regimes = st.one_of(
     st.tuples(st.just("qsw-global"), st.just("sqrt"), st.sampled_from(["full", "offdiagonal"])),
 )
 omegas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _no_subnormal_steps(ts) -> bool:
+    return not any(0 < step < MIN_POSITIVE_TIME for step in np.diff(sorted(ts)))
+
+
 # Subnormal times and grid steps are refused (see test_cli); the grid draws only valid ones.
-time_grids = st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=2, max_size=4).filter(
-    lambda ts: not any(0 < step < MIN_POSITIVE_TIME for step in np.diff(sorted(ts)))
-)
+time_grids = st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=2, max_size=4).filter(_no_subnormal_steps)
 
 
 def _within_budgets(arr: np.ndarray) -> bool:
@@ -149,6 +159,45 @@ def test_invariant_block_matches_the_full_kernel_at_omega_1(graph, regime, data)
     state, _ = propagate_detailed(rho0, liou, t)
     full, _ = _expm_action(Liouvillian(liou.dim, liou.matrix), to_coordinates(rho0.entries), t)
     assert np.abs(state.entries - from_coordinates(full, n)).max() <= 1e-14
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A complex Hermitian matrix of dim 2-8, its entries' parts in [-1, 1]."""
+    dim = draw(st.integers(2, 8))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    a = np.reshape(parts[: dim * dim], (dim, dim)) + 1j * np.reshape(parts[dim * dim :], (dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    entries=hermitian_matrices(),
+    ts=st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=1, max_size=4).map(sorted).filter(_no_subnormal_steps),
+    data=st.data(),
+)
+def test_amplitude_route_matches_the_coordinate_kernel_at_omega_0(entries, ts, data):
+    # The walk on dim amplitudes, shifted by tr(H) / dim, against the
+    # commutator on dim^2 coordinates, along the same forward chain.
+    dim = entries.shape[0]
+    h = Hamiltonian(entries)
+    if data.draw(st.booleans()):
+        rho0 = DensityMatrix.basis(dim, data.draw(st.integers(0, dim - 1)))
+    else:
+        part = st.floats(-1.0, 1.0)
+        psi = np.array(data.draw(st.lists(st.tuples(part, part), min_size=dim, max_size=dim))) @ [1.0, 1j]
+        assume(np.linalg.norm(psi) > 0.1)
+        rho0 = DensityMatrix.pure(psi / np.linalg.norm(psi))
+    walk = QuantumWalk.from_hamiltonian(h)
+    liou = build_liouvillian(h, empty_jump_operators(dim), 0.0)
+    by_walk = by_coordinates = rho0
+    t_prev = 0.0
+    for t in ts:
+        by_walk, _ = propagate_detailed(by_walk, walk, t - t_prev)
+        by_coordinates, _ = propagate_detailed(by_coordinates, liou, t - t_prev)
+        t_prev = t
+        assert by_walk.amplitudes is not None
+        assert np.abs(by_walk.entries - by_coordinates.entries).max() <= 1e-12
 
 
 @st.composite

@@ -6,7 +6,9 @@ Runs every command that perfbench/workloads.py lists (all workloads,
 seed 0), plus the audits those leave out, once per checkout: qw, crw with
 literal amplitudes, qsw-global without the diagonal, and a qsw-custom set
 whose operators overlap at every position they touch. So the axiom rows
-are compared under every operator set the CLI builds. Each checkout runs
+are compared under every operator set the CLI builds. It also runs a long
+qw chain to t = 200, so the omega = 0 walk is compared where t ||H||_1 is
+large and its Taylor sums cancel large terms. Each checkout runs
 in a fresh interpreter that imports qsw from its src/. BLAS threads are left as the caller set
 them, so run it under OPENBLAS_NUM_THREADS=1 and =2 to compare both.
 
@@ -55,6 +57,10 @@ AUDITS = [
 ]
 
 
+# A long omega = 0 chain on line:61 at hop rate 1.
+CHAINS = [("simulate", "--graph", "line:61:1", "--regime", "qw", "--t", "0:200:5")]
+
+
 def run_commands(work_dir: Path) -> list:
     """Run every command with qsw.cli.main in this process: (argv, exit code, stderr, output text) each."""
     import qsw.cli
@@ -64,6 +70,7 @@ def run_commands(work_dir: Path) -> list:
 
     argvs = [command.argv for workload in WORKLOADS for command in commands(workload, SEED, work_dir)]
     argvs += [("audit", "--graph", "line:9:2", *options) for options in AUDITS]
+    argvs += CHAINS
     results = []
     for i, argv in enumerate([*argvs, custom_audit(work_dir)]):
         output = work_dir / f"compare{i}.out"
