@@ -55,6 +55,11 @@ from .operators import (
 from .oracles import LineWalkSpec, crw_line_analytic, qw_line_analytic, total_variation
 
 REGIMES = ("crw", "qw", "qsw-global", "qsw-custom")
+# The most points a grid may have, and the most (omega, t) points one
+# command may propagate. A grid far past it would fail to allocate in
+# np.linspace, or fill memory with results before the last point; the
+# largest grid of the benchmark workloads has 11.
+_MAX_GRID_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,8 @@ def _parse_values(text: str, name: str) -> tuple[list[float], bool]:
             raise ValueError(f"cannot parse {name} grid {text!r}: {exc}") from None
         if count < 2:
             raise ValueError(f"{name} grid count must be at least 2, got {count}")
+        if count > _MAX_GRID_POINTS:
+            raise ValueError(f"{name} grid count must be at most {_MAX_GRID_POINTS}, got {count}")
         _require_finite_flag(name, text, start, stop)
         return [float(v) for v in np.linspace(start, stop, count)], True
     try:
@@ -259,6 +266,9 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     --t 5. A zero-length step (t = 0, or a repeated time) reports method
     identity with 0 steps.
     """
+    points = len(omegas) * len(ts)
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"{len(omegas)} omegas x {len(ts)} times make {points} grid points, and the bound is {_MAX_GRID_POINTS}")
     h, ls = _build_operators(src, args)
     origin_label, origin_index = _resolve_origin(src, args.origin)
     rho0 = DensityMatrix.basis(src.graph.n_vertices, origin_index)

@@ -33,15 +33,20 @@ pays its own Taylor series, so a chain costs more than one step to its
 largest time: line:101 qsw-global at omega 0.5 makes 192 products over
 t = 0, 0.5, ..., 5 against 103 for t = 5 alone.
 
-At omega = 0 the kernel runs on state vectors, the paper's quantum walk
+Each generator's _route gives the kernel a _ShiftedGenerator, the real
+vector the start state maps to and the map from the result back to a
+state, so propagate_detailed takes one path for every generator. A
+Liouvillian's vector is the start state's coordinates.
+
+At omega = 0 the route runs on state vectors, the paper's quantum walk
 limit. The equation of motion is -i[H, rho], so a pure state stays pure,
 rho(t) = psi(t) psi(t)^dag, and a QuantumWalk holds -i H' as a real
 2 dim x 2 dim matrix on (Re psi, Im psi), with H' = H - (tr H / dim) I.
 A state built pure records its amplitudes (DensityMatrix.amplitudes), and
-propagate_detailed propagates those instead of the dim^2 coordinates;
-the state it returns records psi(t), so a time grid stays on amplitudes.
+the walk's route takes those instead of the dim^2 coordinates; the state
+it maps back records psi(t), so a time grid stays on amplitudes.
 
-At omega = 1 the kernel runs on the invariant block of the start state
+At omega = 1 the route runs on the invariant block of the start state
 alone: the coordinates reachable from its support along R's nonzero
 pattern, which exp(tR) never leaves. This is the paper's classical limit
 made visible: with edge-local operators a vertex start state stays on the
@@ -184,13 +189,13 @@ class DensityMatrix:
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "DensityMatrix":
-        """The pure state concentrated on one basis vertex."""
+        """The pure state concentrated on one basis vertex; a one-hot matrix needs no eigenvalue check."""
         (index,) = _check_indices(range(dim), vertex=index)
         arr = np.zeros((dim, dim), dtype=complex)
         arr[index, index] = 1.0
         psi = np.zeros(dim, dtype=complex)
         psi[index] = 1.0
-        return cls(arr)._record(psi)
+        return cls._prechecked(arr, psi)
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
@@ -245,24 +250,41 @@ class Liouvillian:
 
     @cached_property
     def _blocks(self) -> list:
-        """The reached sets searched so far: (member mask, _InvariantBlock, or None where every coordinate is reached)."""
+        """The reached sets searched so far: (member mask, (index of the block, its _ShiftedGenerator), or (slice(None), None) for every coordinate)."""
         return []
 
-    def _block(self, support: np.ndarray) -> "_InvariantBlock | None":
-        """The invariant block of the coordinates reachable from support; None if that is every coordinate.
+    def _route(self, rho0: DensityMatrix):
+        """The kernel's _ShiftedGenerator, rho0's vector on it, and the map from the kernel's result back to (entries, None).
 
-        A reached set is closed under R, so it also holds every support
-        that a state starting in it reaches: the set found for the first
-        step of a time grid serves every later step without a search.
+        The vector is rho0's real coordinates; for a dissipative_only
+        generator, only those in the invariant block that rho0's support
+        reaches. No column of R in the block has a nonzero row outside it,
+        so exp(tR) keeps the vector there and equals exp(t R_BB) on its
+        entries, with R_BB's own shift and 1-norm. A reached set is closed
+        under R, so the set found for the first step of a time grid serves
+        every later step without a search.
         """
-        for member, block in self._blocks:
-            if member[support].all():
-                return block
-        member = _reached(self.matrix, support)
-        index = np.flatnonzero(member)
-        block = None if index.size == member.size else _InvariantBlock(index, self.matrix[index][:, index])
-        self._blocks.append((member, block))
-        return block
+        coords = to_coordinates(rho0.entries)
+        index, gen = slice(None), None
+        if self.dissipative_only:
+            support = np.flatnonzero(coords)
+            found = [block for member, block in self._blocks if member[support].all()]
+            if found:
+                index, gen = found[0]
+            else:
+                member = _reached(self.matrix, support)
+                if not member.all():
+                    index = np.flatnonzero(member)
+                    gen = _ShiftedGenerator(self.matrix[index][:, index])
+                self._blocks.append((member, (index, gen)))
+
+        def back(x: np.ndarray) -> tuple[np.ndarray, None]:
+            full = np.zeros(self.dim * self.dim)
+            full[index] = x
+            return from_coordinates(full, self.dim), None
+
+        # The whole matrix is shifted only when the kernel runs on all of it.
+        return self._shifted if gen is None else gen, coords[index], back
 
 
 def _require_real_csr(m, n: int, owner: str) -> None:
@@ -281,8 +303,8 @@ class QuantumWalk:
     The matrix is [[Im H', Re H'], [-Re H', Im H']], 2 dim x 2 dim, for
     H' = H - (tr H / dim) I. The shift multiplies psi(t) by a global phase,
     which psi psi^dag drops, and it lowers the 1-norm that sizes the
-    kernel's steps. propagate_detailed runs the kernel on the amplitudes
-    a state records (DensityMatrix.amplitudes), not on its dim^2 coordinates.
+    kernel's steps. Its _route hands the kernel the amplitudes a state
+    records (DensityMatrix.amplitudes), not the state's dim^2 coordinates.
     """
 
     dim: int
@@ -295,31 +317,30 @@ class QuantumWalk:
     def from_hamiltonian(cls, h: Hamiltonian) -> "QuantumWalk":
         shifted = h.entries.copy()
         shifted[np.diag_indices(h.dim)] -= shifted.trace().real / h.dim
+        shifted = scipy.sparse.csr_matrix(shifted)
         re, im = shifted.real, shifted.imag
-        return cls(h.dim, scipy.sparse.csr_matrix(np.block([[im, re], [-re, im]])))
+        re.eliminate_zeros()
+        im.eliminate_zeros()
+        return cls(h.dim, scipy.sparse.bmat([[im, re], [-re, im]], format="csr"))
 
     @cached_property
     def _shifted(self) -> "_ShiftedGenerator":
         return _ShiftedGenerator(self.matrix)
 
+    def _route(self, rho0: DensityMatrix):
+        """The kernel's _ShiftedGenerator, (Re psi, Im psi) of rho0's amplitudes psi, and the map back to (psi psi^dag, psi)."""
+        psi = rho0.amplitudes
+        if psi is None:
+            raise ValueError(
+                "a QuantumWalk propagates state vectors, and this state records no amplitudes: "
+                "build it with DensityMatrix.basis or DensityMatrix.pure, or propagate it with the Liouvillian at omega = 0"
+            )
 
-@dataclass(frozen=True)
-class _InvariantBlock:
-    """The principal submatrix of a generator R on a coordinate set that R never leaves, and that set.
+        def back(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            psi = x[: self.dim] + 1j * x[self.dim :]
+            return np.outer(psi, psi.conj()), psi
 
-    No column of R in the set has a nonzero row outside it, so exp(tR)
-    maps a vector supported on the set to one supported on it, where it
-    equals exp(t R_BB) applied to the vector's entries in the set. The
-    block has its own shift and 1-norm (_ShiftedGenerator), so the kernel
-    sizes its steps from R_BB alone.
-    """
-
-    index: np.ndarray
-    matrix: object
-
-    @cached_property
-    def _shifted(self) -> "_ShiftedGenerator":
-        return _ShiftedGenerator(self.matrix)
+        return self._shifted, np.concatenate([psi.real, psi.imag]), back
 
 
 def _reached(matrix: scipy.sparse.csr_matrix, support: np.ndarray) -> np.ndarray:
@@ -640,13 +661,11 @@ def _inf_norm(v: np.ndarray) -> float:
     return max(v.max(), -v.min())
 
 
-def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
-    """exp(t R) x for the real generator R of liouvillian, and the number of products with A made.
+def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
+    """exp(t R) x for the real generator R that gen shifts, and the number of products with A made.
 
-    liouvillian is a Liouvillian, or the _InvariantBlock of one, whose R
-    is the principal submatrix on the block and x the block's entries, or
-    a QuantumWalk, whose R acts on the real and imaginary parts of a state
-    vector.
+    R and x are what a generator's _route hands the kernel: a Liouvillian's
+    coordinates or its invariant block, or a QuantumWalk's (Re psi, Im psi).
 
     Algorithm 3.2 of Al-Mohy and Higham (2011): with A = R - mu I,
     exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
@@ -655,7 +674,6 @@ def _expm_action(liouvillian: Liouvillian, x: np.ndarray, t: float) -> tuple[np.
     its norm are made once per Liouvillian; each term scales its vector
     in place, and no matrix is copied per step.
     """
-    gen = liouvillian._shifted
     m, s = _taylor_parameters(gen, t)
     eta = math.exp(t * gen.mu / s)
     f = np.array(x, dtype=float)
@@ -689,18 +707,18 @@ def propagate_detailed(
 ) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
-    A zero t returns rho0 itself, with method "identity" and 0 steps.
-    Otherwise rho0 is mapped to its real coordinates (to_coordinates),
-    _expm_action computes exp(t R) on them in float64, and the result is
-    mapped back to a complex state, Hermitian by construction. For a
-    dissipative_only generator the kernel runs on the invariant block of
-    rho0's coordinates (Liouvillian._block), if that is not every
-    coordinate, and the result is scattered back into all of them. For a
-    QuantumWalk the kernel runs on (Re psi, Im psi) of rho0's amplitudes
-    psi, and the state returned is psi(t) psi(t)^dag, with psi(t) as its
-    amplitudes; a state that records no amplitudes is refused. The info's
-    steps is the number of sparse matrix-vector products the kernel made.
-    The call is deterministic and draws no random numbers.
+    The generator's _route maps rho0 to the real vector the kernel
+    multiplies: a Liouvillian's real coordinates of rho0 (at most its
+    invariant block for a dissipative_only one), or a QuantumWalk's
+    (Re psi, Im psi) of rho0's amplitudes psi, refusing a state that
+    records none. The route is taken before the t = 0 shortcut, so that
+    refusal does not depend on t. A zero t returns rho0 itself, with
+    method "identity" and 0 steps. Otherwise _expm_action computes
+    exp(t R) on the vector in float64, and the route maps the result back
+    to the state's entries, Hermitian by construction, and for a walk to
+    psi(t) as its amplitudes. The info's steps is the number of sparse
+    matrix-vector products the kernel made. The call is deterministic and
+    draws no random numbers.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets or the call raises StateInvariantError rather than returning a
@@ -714,33 +732,14 @@ def propagate_detailed(
         raise ValueError(f"t must be 0 or at least {MIN_POSITIVE_TIME}, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
-    on_amplitudes = isinstance(liouvillian, QuantumWalk)
-    if on_amplitudes and rho0.amplitudes is None:
-        raise ValueError(
-            "a QuantumWalk propagates state vectors, and this state records no amplitudes: "
-            "build it with DensityMatrix.basis or DensityMatrix.pure, or propagate it with the Liouvillian at omega = 0"
-        )
+    gen, x, back = liouvillian._route(rho0)
 
     if t == 0:
         info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
         return rho0, info
 
-    dim, psi = liouvillian.dim, None
-    if on_amplitudes:
-        psi = rho0.amplitudes
-        x, matvecs = _expm_action(liouvillian, np.concatenate([psi.real, psi.imag]), t)
-        psi = x[:dim] + 1j * x[dim:]
-        arr = np.outer(psi, psi.conj())
-    else:
-        coords = to_coordinates(rho0.entries)
-        block = liouvillian._block(np.flatnonzero(coords)) if liouvillian.dissipative_only else None
-        if block is None:
-            coords, matvecs = _expm_action(liouvillian, coords, t)
-        else:
-            inside, matvecs = _expm_action(block, coords[block.index], t)
-            coords = np.zeros_like(coords)
-            coords[block.index] = inside
-        arr = from_coordinates(coords, dim)
+    x, matvecs = _expm_action(gen, x, t)
+    arr, psi = back(x)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here.
     trace_drift, herm_drift, min_eig = _check_budgets(arr, f"state propagated by t={t} violated budgets")

@@ -696,6 +696,35 @@ def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, messag
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--graph", "line:3:1", "--regime", "crw", "--t", "0:1:1000000000000"), "t grid count must be at most 100000, got 1000000000000"),
+        (
+            ("sweep", "--graph", "line:3:1", "--regime", "crw", "--omega", "0:1:1000000000000", "--t", "1"),
+            "omega grid count must be at most 100000, got 1000000000000",
+        ),
+    ],
+    ids=["t", "omega"],
+)
+def test_oversized_grid_is_refused_before_it_is_built(tmp_path, capsys, argv, message):
+    # np.linspace raised a MemoryError for 7.28 TiB out of main: a traceback and exit 1, the audit-failure code.
+    rc, text = run(tmp_path, *argv)
+    assert (rc, text) == (2, None)
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound, rc", [(8, 2), (9, 0)])
+def test_omegas_times_times_is_bounded(tmp_path, capsys, monkeypatch, bound, rc):
+    # Each grid has 3 points, under the bound; the 9 (omega, t) points they make are refused past it.
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", bound)
+    argv = ("simulate", "--graph", "line:3:1", "--regime", "crw", "--omega", "0:1:3", "--t", "0:1:3")
+    assert run(tmp_path, *argv)[0] == rc
+    err = capsys.readouterr().err
+    assert err == ("" if rc == 0 else f"error: 3 omegas x 3 times make 9 grid points, and the bound is {bound}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("simulate", "--graph", "line:5:1", "--regime", "qw", "--t", "1"),

@@ -81,6 +81,16 @@ class TestDensityMatrix:
         assert rho.entries[1, 1] == 1.0
         assert rho.entries.sum() == 1.0
 
+    def test_basis_makes_no_eigenvalue_decomposition(self, monkeypatch):
+        # A one-hot matrix is Hermitian with trace 1 and eigenvalues 0 and 1 exactly.
+        def refuse(_):
+            raise AssertionError("a basis state needs no eigenvalues")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rho = DensityMatrix.basis(151, 75)
+        assert rho.entries.dtype == np.complex128
+        assert np.flatnonzero(rho.entries).tolist() == [75 * 151 + 75] and rho.entries[75, 75] == 1.0
+
     def test_basis_index_error(self):
         with pytest.raises(IndexError):
             DensityMatrix.basis(3, 3)
@@ -469,6 +479,31 @@ class TestPropagate:
         assert excinfo.value.trace_drift > 1e-9
         assert isinstance(excinfo.value.min_eigenvalue, float)
 
+    @pytest.mark.parametrize(
+        "make, growth",
+        [
+            (lambda: Liouvillian(3, scipy.sparse.csr_matrix(np.eye(9)), dissipative_only=True), np.e),
+            (lambda: QuantumWalk(3, scipy.sparse.csr_matrix(np.eye(6))), np.e**2),
+        ],
+        ids=["invariant-block", "walk"],
+    )
+    def test_every_route_aborts_with_diagnostics(self, make, growth):
+        # exp(t I) grows the one coordinate the block holds, or the walk's
+        # amplitude, by e^t, so the trace grows by e or e^2 at t = 1.
+        with pytest.raises(StateInvariantError) as excinfo:
+            propagate(DensityMatrix.basis(3, 0), make(), 1.0)
+        assert excinfo.value.trace_drift == pytest.approx(growth - 1.0, rel=1e-15)
+        assert excinfo.value.hermiticity_drift == 0.0
+        assert excinfo.value.min_eigenvalue == 0.0
+
+    def test_block_route_leaves_the_full_matrix_unshifted(self):
+        # Shifting R_D copies all of it, which the block route never multiplies.
+        _, lmap, m, h = line_setup(21)
+        liou = build_liouvillian(h, edge_jump_operators(m), 1.0)
+        for t in (0.0, 1.0):
+            propagate_detailed(DensityMatrix.basis(21, lmap.center), liou, t)
+        assert "_shifted" not in vars(liou)
+
     def test_result_does_not_depend_on_the_global_rng(self):
         # The kernel draws no random numbers, so the state is the same under
         # every seed and the caller's stream goes on untouched.
@@ -529,6 +564,24 @@ class TestQuantumWalk:
         assert walk.dim == 2
         assert np.array_equal(walk.matrix.toarray(), expected)
         assert walk.matrix.nnz == 12
+
+    @pytest.mark.parametrize("density", [1.0, 0.1], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 17, 61, 101])
+    def test_matrix_matches_the_dense_block_construction(self, dim, density):
+        # The sparse blocks must store what the dense 2 dim x 2 dim np.block
+        # stores: the same entries, in the same order, and no zeros.
+        rng = np.random.default_rng(dim)
+        parts = rng.standard_normal((2, dim, dim)) * (rng.random((2, dim, dim)) < density)
+        h = Hamiltonian((parts[0] + 1j * parts[1] + (parts[0] + 1j * parts[1]).conj().T) / 2.0)
+        shifted = h.entries.copy()
+        shifted[np.diag_indices(dim)] -= shifted.trace().real / dim
+        re, im = shifted.real, shifted.imag
+        reference = scipy.sparse.csr_matrix(np.block([[im, re], [-re, im]]))
+        walk = QuantumWalk.from_hamiltonian(h)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(walk.matrix, name), getattr(reference, name)), name
+        if density < 1.0:
+            assert reference.nnz < (2 * dim) ** 2 / 2
 
     @pytest.mark.parametrize(
         "matrix, found",
@@ -672,7 +725,7 @@ class TestExpmAction:
     @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
     def test_matches_scipy_where_the_1_norm_picks_the_parameters(self, regime, omega):
         liou, x = line9_generator(regime, omega)
-        coords, _ = _expm_action(liou, x, 2.0)
+        coords, _ = _expm_action(liou._shifted, x, 2.0)
         assert np.abs(coords - scipy.sparse.linalg.expm_multiply(liou.matrix * 2.0, x)).max() <= 1e-13
 
     @pytest.mark.parametrize("omega", [0.5, 1.0])
@@ -681,7 +734,7 @@ class TestExpmAction:
         # ||A^p||_1 and the kernel from ||A||_1 alone; both meet 2^-53.
         liou, x = line9_generator("qsw-global", omega)
         assert 200.0 * liou._shifted.onenorm > 63.36
-        coords, _ = _expm_action(liou, x, 200.0)
+        coords, _ = _expm_action(liou._shifted, x, 200.0)
         assert np.abs(coords - scipy.sparse.linalg.expm_multiply(liou.matrix * 200.0, x)).max() <= 1e-13
 
     def test_long_coherent_walk_matches_schrodinger_oracle(self):
@@ -694,7 +747,7 @@ class TestExpmAction:
         psi0[lmap.center] = 1.0
         psi = schrodinger_solve(h, psi0, 200.0)
         exact = to_coordinates(np.outer(psi, psi.conj()))
-        coords, _ = _expm_action(liou, x, 200.0)
+        coords, _ = _expm_action(liou._shifted, x, 200.0)
         assert np.abs(coords - exact).max() <= 1e-12
 
     def test_small_norm_propagation_leaves_the_global_rng_alone(self, monkeypatch):

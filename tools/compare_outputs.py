@@ -13,15 +13,19 @@ in a fresh interpreter that imports qsw from its src/. BLAS threads are left as 
 them, so run it under OPENBLAS_NUM_THREADS=1 and =2 to compare both.
 
 For each command it prints "identical" when the output file, the exit
-code and stderr agree byte for byte, or else the largest absolute
-difference between the numbers of the two outputs. The work directory,
-which the outputs echo in graph paths, is replaced by <work> first. Exits
-0 when every command is identical, 1 otherwise.
+code and stderr agree byte for byte. Otherwise, when only numbers differ,
+it prints the largest absolute difference of each field that differs: a
+JSON key path, with list positions written [], or a CSV column. Fields of
+floats come first and integer counters such as solver_steps after them,
+so a changed step count does not hide a move in the populations. The
+work directory, which the outputs echo in graph paths, is replaced by
+<work> first. Exits 0 when every command is identical, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -96,17 +100,52 @@ def run_checkout(checkout: Path) -> list:
     return json.loads(masked)
 
 
-def largest_difference(first: str, second: str) -> float | None:
-    """The largest absolute difference between corresponding numbers, or None if the text around them differs."""
+def _csv_number(cell: str) -> int | float | None:
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return None
+
+
+def numbered_fields(text: str) -> list:
+    """(field, number) for each number of a JSON document, or of a CSV table under its header, in order."""
+    try:
+        document = json.loads(text)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text)))
+        cells = [(name, _csv_number(cell)) for row in rows[1:] for name, cell in zip(rows[0], row)]
+        return [(name, number) for name, number in cells if number is not None]
+    found = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, f"{path}[]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            found.append((path, node))
+
+    walk(document, "")
+    return found
+
+
+def field_differences(first: str, second: str) -> dict | None:
+    """{field: (largest absolute difference, every number an integer)} over the fields that differ; None if the text around the numbers differs."""
     a, b = NUMBER.split(first), NUMBER.split(second)
-    if len(a) != len(b) or a[0::2] != b[0::2]:
+    fields_a, fields_b = numbered_fields(first), numbered_fields(second)
+    if len(a) != len(b) or a[0::2] != b[0::2] or [f for f, _ in fields_a] != [f for f, _ in fields_b]:
         return None
-    largest = 0.0
-    for x, y in zip(a[1::2], b[1::2]):
-        x, y = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
+    counters = {}
+    largest = {}
+    for (field, x), (_, y) in zip(fields_a, fields_b):
+        counters[field] = counters.get(field, True) and isinstance(x, int) and isinstance(y, int)
         if x != y and not (math.isnan(x) and math.isnan(y)):
-            largest = max(largest, abs(x - y))
-    return largest
+            largest[field] = max(largest.get(field, 0.0), abs(x - y))
+    return {field: (difference, counters[field]) for field, difference in largest.items()}
 
 
 def main(argv=None) -> int:
@@ -126,9 +165,16 @@ def main(argv=None) -> int:
         if (code_a, err_a) != (code_b, err_b):
             print(f"exit code or stderr differ ({code_a} vs {code_b})  {label}")
             continue
-        difference = largest_difference(out_a, out_b)
-        shown = "text differs" if difference is None else f"max abs difference {difference:.3e}"
-        print(f"{shown}  {label}")
+        differences = field_differences(out_a, out_b)
+        if differences is None:
+            print(f"text differs  {label}")
+            continue
+        print(f"numbers differ  {label}")
+        for counters in (False, True):
+            for field, (difference, counter) in differences.items():
+                if counter == counters:
+                    shown = f"counter {field}: max abs difference {difference}" if counter else f"field {field}: max abs difference {difference:.3e}"
+                    print(f"    {shown}")
     return 0 if all_identical else 1
 
 
