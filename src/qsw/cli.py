@@ -35,6 +35,7 @@ from .evolution import (
     DensityMatrix,
     PropagationError,
     QuantumWalk,
+    _identity_info,
     build_liouvillian,
     coherence_l1,
     combine_parts,
@@ -264,7 +265,8 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     costs more products than its largest time alone; line:101 qsw-global
     at omega 0.5 makes 192 products over --t 0:5:11 against 103 for
     --t 5. A zero-length step (t = 0, or a repeated time) reports method
-    identity with 0 steps.
+    identity with 0 steps. A command whose times are all 0 builds no
+    generator: every point is the start state.
     """
     points = len(omegas) * len(ts)
     if points > _MAX_GRID_POINTS:
@@ -287,6 +289,11 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
             },
         }
 
+    echo = _config_echo(src, args, omegas, ts, origin_label, origin_index)
+    if max(ts) == 0.0:
+        info = _identity_info(rho0)
+        return echo, [record(omega, t, rho0, info) for omega in omegas for t in ts]
+
     walk = QuantumWalk.from_hamiltonian(h) if 0.0 in omegas else None
     # The last omega that weighs each part, -1 if none does; omega = 0 takes the walk instead of R_QW.
     last_coherent = max((k for k, w in enumerate(omegas) if 0.0 < w < 1.0), default=-1)
@@ -307,7 +314,6 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
             t_prev = ts[i]
             points[i] = record(omega, ts[i], state, info)
         results.extend(points)
-    echo = _config_echo(src, args, omegas, ts, origin_label, origin_index)
     return echo, results
 
 

@@ -51,17 +51,23 @@ alone: the coordinates reachable from its support along R's nonzero
 pattern, which exp(tR) never leaves. This is the paper's classical limit
 made visible: with edge-local operators a vertex start state stays on the
 dim populations, where R is the classical generator, and with real
-operators it stays on the dim (dim + 1) / 2 real coordinates. A generator
-with a coherent part (omega < 1) is not searched: on every graph measured
-its start states reached every coordinate, and the search alone would
-cost up to a quarter of the kernel.
+operators it stays on the dim (dim + 1) / 2 real coordinates. A block of
+populations alone maps back to a state that records its populations
+(DensityMatrix.populations). A generator with a coherent part
+(omega < 1) is not searched: on every graph measured its start states
+reached every coordinate, and the search alone would cost up to a
+quarter of the kernel.
 
 Propagation never renormalizes. If a propagated state drifts past the
 trace, Hermiticity or positivity budgets the solver raises
 StateInvariantError with the measured drifts, because silent repair would
-hide defects in the generator it was handed. A state mapped back from real
-coordinates is Hermitian by construction, so its Hermiticity drift reads 0;
-the check stays, as it costs one pass over the state.
+hide defects in the generator it was handed. Each state is checked in the
+form its route made, whose spectrum the form fixes: psi psi^dag has the
+eigenvalues ||psi||^2 and 0, and diag(p) the eigenvalues p, and both are
+Hermitian by construction. So neither builds its dim x dim entries or
+calls LAPACK; only a state mapped back from coordinates is checked on its
+entries, with eigvalsh. Its Hermiticity drift reads 0 too, as from_coordinates
+builds a Hermitian matrix, and the check stays, as it costs one pass.
 """
 
 from __future__ import annotations
@@ -140,62 +146,83 @@ def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
     return trace_drift, herm_drift, min_eig
 
 
+def _require_state(
+    diagnostics: tuple[float, float, float], herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9
+) -> None:
+    """Refuse a state whose (trace drift, Hermiticity drift, minimum eigenvalue) pass the tolerances."""
+    trace_dev, herm_dev, min_eig = diagnostics
+    if herm_dev > herm_tol:
+        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
+    if trace_dev > trace_tol:
+        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
+    if min_eig < eig_floor:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
+
+
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
     Invariants are enforced at construction: Hermiticity within herm_tol,
     trace within trace_tol of 1, minimum eigenvalue at least eig_floor.
-    The defaults suit exactly-constructed states; the propagator builds
-    its outputs with the (looser) solver budgets.
+    The defaults suit exactly-constructed states; the propagator checks
+    its outputs against the (looser) solver budgets.
 
-    amplitudes is a read-only state vector psi with entries psi psi^dag,
-    recorded for a state built pure: by basis, by pure, or by propagation
-    with a QuantumWalk. Every other state has None, even one whose entries
-    happen to be pure; the record is never derived from the entries.
+    A state records the form its maker knew, and every check and readout
+    reads that form:
+      - amplitudes, a read-only state vector psi with entries psi psi^dag,
+        for a state built pure: by basis, by pure, or by propagation with
+        a QuantumWalk;
+      - populations, a read-only probability vector p with entries
+        diag(p), for a state built diagonal: by basis, by from_populations,
+        or by propagation on an invariant block of populations alone.
+    A basis state records both. A state built from its entries, or mapped
+    back from coordinates, records neither (both are None), even one whose
+    entries happen to be pure or diagonal; a form is never derived from
+    the entries. entries, the read-only dim x dim matrix, is built from the
+    form on first read and kept.
     """
 
-    __slots__ = ("entries", "amplitudes")
+    __slots__ = ("_entries", "amplitudes", "populations")
 
     def __init__(self, entries, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9):
         arr = _square_matrix("density matrix", entries, complex)
-        trace_dev, herm_dev, min_eig = _state_diagnostics(arr)
-        if herm_dev > herm_tol:
-            raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
-        if trace_dev > trace_tol:
-            raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
-        if min_eig < eig_floor:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
-        self.entries = arr
-        self.amplitudes = None
+        _require_state(_state_diagnostics(arr), herm_tol, trace_tol, eig_floor)
+        self._entries = arr
+        self.amplitudes = self.populations = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only dim x dim matrix, built from the recorded form on first read and kept."""
+        if self._entries is None:
+            if self.populations is not None:
+                arr = np.diag(self.populations).astype(complex)
+            else:
+                arr = np.outer(self.amplitudes, self.amplitudes.conj())
+            arr.setflags(write=False)
+            self._entries = arr
+        return self._entries
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return next(form for form in (self.populations, self.amplitudes, self._entries) if form is not None).shape[0]
 
     @classmethod
-    def _prechecked(cls, arr: np.ndarray, amplitudes: np.ndarray | None = None) -> "DensityMatrix":
-        """Wrap arr, and the amplitudes that give it if any, without copying or checking; the caller has checked both."""
+    def _unchecked(cls, entries=None, *, amplitudes=None, populations=None) -> "DensityMatrix":
+        """A state of the forms given, made read-only but neither copied nor checked; the caller checks it."""
         state = cls.__new__(cls)
-        arr.setflags(write=False)
-        state.entries = arr
-        state.amplitudes = None
-        return state if amplitudes is None else state._record(amplitudes)
-
-    def _record(self, psi: np.ndarray) -> "DensityMatrix":
-        """Record psi, which the caller has checked gives this state's entries, as its amplitudes."""
-        psi.setflags(write=False)
-        self.amplitudes = psi
-        return self
+        for form in (entries, amplitudes, populations):
+            if form is not None:
+                form.setflags(write=False)
+        state._entries, state.amplitudes, state.populations = entries, amplitudes, populations
+        return state
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "DensityMatrix":
-        """The pure state concentrated on one basis vertex; a one-hot matrix needs no eigenvalue check."""
+        """The pure state concentrated on one basis vertex, recorded as amplitudes and populations; a one-hot vector needs no check."""
         (index,) = _check_indices(range(dim), vertex=index)
-        arr = np.zeros((dim, dim), dtype=complex)
-        arr[index, index] = 1.0
-        psi = np.zeros(dim, dtype=complex)
-        psi[index] = 1.0
-        return cls._prechecked(arr, psi)
+        p = np.zeros(dim)
+        p[index] = 1.0
+        return cls._unchecked(amplitudes=p.astype(complex), populations=p)
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
@@ -205,8 +232,9 @@ class DensityMatrix:
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state vector norm {norm} is not 1 within 1e-10")
-        psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))._record(psi)
+        state = cls._unchecked(amplitudes=psi / norm)
+        _require_state(_diagnostics(state))
+        return state
 
     @classmethod
     def from_populations(cls, p) -> "DensityMatrix":
@@ -220,7 +248,26 @@ class DensityMatrix:
         total = vec.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1 within 1e-9")
-        return cls(np.diag(vec / total).astype(complex))
+        state = cls._unchecked(populations=vec / total)
+        _require_state(_diagnostics(state))
+        return state
+
+
+def _diagnostics(rho) -> tuple[float, float, float]:
+    """Trace drift, Hermiticity drift and minimum eigenvalue of a state, read from the form it records, or of a square array.
+
+    diag(p) has the eigenvalues p, and psi psi^dag has ||psi||^2 and, at
+    dim above 1, 0; both are Hermitian by construction. Each trace is summed
+    in complex order, as arr.trace() sums the entries, so the drift is the
+    one the entries give bit for bit. A nan in a form gives a nan drift.
+    """
+    p, psi = _forms(rho)
+    if p is not None:
+        return float(abs(p.astype(complex).sum() - 1.0)), 0.0, float(p.min())
+    if psi is not None:
+        norm2 = (psi * psi.conj()).sum()
+        return float(abs(norm2 - 1.0)), 0.0, float(norm2.real) if psi.size == 1 else 0.0
+    return _state_diagnostics(_state_entries(rho))
 
 
 @dataclass(frozen=True)
@@ -250,41 +297,55 @@ class Liouvillian:
 
     @cached_property
     def _blocks(self) -> list:
-        """The reached sets searched so far: (member mask, (index of the block, its _ShiftedGenerator), or (slice(None), None) for every coordinate)."""
+        """The reached sets searched so far: (member mask, (index of the block, its _ShiftedGenerator, the vertices of a block of populations alone or None)), with (slice(None), None, None) for every coordinate."""
         return []
 
     def _route(self, rho0: DensityMatrix):
-        """The kernel's _ShiftedGenerator, rho0's vector on it, and the map from the kernel's result back to (entries, None).
+        """The route's name, the kernel's _ShiftedGenerator, rho0's vector on it, and the map from the kernel's result back to an unchecked state.
 
-        The vector is rho0's real coordinates; for a dissipative_only
-        generator, only those in the invariant block that rho0's support
-        reaches. No column of R in the block has a nonzero row outside it,
-        so exp(tR) keeps the vector there and equals exp(t R_BB) on its
-        entries, with R_BB's own shift and 1-norm. A reached set is closed
-        under R, so the set found for the first step of a time grid serves
-        every later step without a search.
+        The vector is rho0's real coordinates, made from its populations
+        when it records them; for a dissipative_only generator, only those
+        in the invariant block that rho0's support reaches. No column of R
+        in the block has a nonzero row outside it, so exp(tR) keeps the
+        vector there and equals exp(t R_BB) on its entries, with R_BB's own
+        shift and 1-norm. A reached set is closed under R, so the set found
+        for the first step of a time grid serves every later step without a
+        search. A block of diagonal coordinates alone maps back to the
+        populations, every other route to the entries.
         """
-        coords = to_coordinates(rho0.entries)
-        index, gen = slice(None), None
+        n = self.dim
+        if rho0.populations is None:
+            coords = to_coordinates(rho0.entries)
+        else:
+            coords = np.zeros(n * n)
+            coords[:: n + 1] = rho0.populations
+        index, gen, vertices = slice(None), None, None
         if self.dissipative_only:
             support = np.flatnonzero(coords)
             found = [block for member, block in self._blocks if member[support].all()]
             if found:
-                index, gen = found[0]
+                index, gen, vertices = found[0]
             else:
                 member = _reached(self.matrix, support)
                 if not member.all():
                     index = np.flatnonzero(member)
                     gen = _ShiftedGenerator(self.matrix[index][:, index])
-                self._blocks.append((member, (index, gen)))
+                    if not (index % (n + 1)).any():
+                        vertices = index // (n + 1)
+                self._blocks.append((member, (index, gen, vertices)))
 
-        def back(x: np.ndarray) -> tuple[np.ndarray, None]:
-            full = np.zeros(self.dim * self.dim)
+        def back(x: np.ndarray) -> DensityMatrix:
+            if vertices is not None:
+                p = np.zeros(n)
+                p[vertices] = x
+                return DensityMatrix._unchecked(populations=p)
+            full = np.zeros(n * n)
             full[index] = x
-            return from_coordinates(full, self.dim), None
+            return DensityMatrix._unchecked(from_coordinates(full, n))
 
+        route = "coordinates" if gen is None else "invariant-block" if vertices is None else "populations"
         # The whole matrix is shifted only when the kernel runs on all of it.
-        return self._shifted if gen is None else gen, coords[index], back
+        return route, self._shifted if gen is None else gen, coords[index], back
 
 
 def _require_real_csr(m, n: int, owner: str) -> None:
@@ -328,7 +389,7 @@ class QuantumWalk:
         return _ShiftedGenerator(self.matrix)
 
     def _route(self, rho0: DensityMatrix):
-        """The kernel's _ShiftedGenerator, (Re psi, Im psi) of rho0's amplitudes psi, and the map back to (psi psi^dag, psi)."""
+        """The route's name, the kernel's _ShiftedGenerator, (Re psi, Im psi) of rho0's amplitudes psi, and the map back to an unchecked state of amplitudes psi(t)."""
         psi = rho0.amplitudes
         if psi is None:
             raise ValueError(
@@ -336,11 +397,10 @@ class QuantumWalk:
                 "build it with DensityMatrix.basis or DensityMatrix.pure, or propagate it with the Liouvillian at omega = 0"
             )
 
-        def back(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            psi = x[: self.dim] + 1j * x[self.dim :]
-            return np.outer(psi, psi.conj()), psi
+        def back(x: np.ndarray) -> DensityMatrix:
+            return DensityMatrix._unchecked(amplitudes=x[: self.dim] + 1j * x[self.dim :])
 
-        return self._shifted, np.concatenate([psi.real, psi.imag]), back
+        return "amplitudes", self._shifted, np.concatenate([psi.real, psi.imag]), back
 
 
 def _reached(matrix: scipy.sparse.csr_matrix, support: np.ndarray) -> np.ndarray:
@@ -368,13 +428,21 @@ def _reached(matrix: scipy.sparse.csr_matrix, support: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class PropagationInfo:
-    """How a state was propagated; steps counts the sparse matrix-vector products the kernel made."""
+    """How a state was propagated; steps counts the sparse matrix-vector products the kernel made.
+
+    route names the vector the kernel ran on: amplitudes, populations,
+    invariant-block or coordinates, or identity for a zero-length step,
+    which runs no kernel. rows is the row count of the matrix the kernel
+    multiplied, 0 for identity.
+    """
 
     method: str
     steps: int
     trace_drift: float
     hermiticity_drift: float
     min_eigenvalue: float
+    route: str
+    rows: int
 
 
 def vectorize_state(matrix: np.ndarray) -> np.ndarray:
@@ -390,6 +458,13 @@ def _state_entries(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.entries
     return np.asarray(rho, dtype=complex)
+
+
+def _forms(rho) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The populations and the amplitudes rho records; None for each it does not record, and for an array."""
+    if isinstance(rho, DensityMatrix):
+        return rho.populations, rho.amplitudes
+    return None, None
 
 
 def _require_omega(omega: float) -> None:
@@ -611,8 +686,9 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     return combine_parts(coherent, dissipative, omega)
 
 
-def _check_budgets(arr: np.ndarray, context: str) -> tuple[float, float, float]:
-    trace_drift, herm_drift, min_eig = _state_diagnostics(arr)
+def _check_budgets(rho, context: str) -> tuple[float, float, float]:
+    """The _diagnostics of a state or square array, which must lie within the solver budgets."""
+    trace_drift, herm_drift, min_eig = _diagnostics(rho)
     # Written so that a nan drift is a violation.
     if not (trace_drift <= TRACE_BUDGET and herm_drift <= HERMITICITY_BUDGET and min_eig >= EIGENVALUE_FLOOR):
         raise StateInvariantError(context, trace_drift, herm_drift, min_eig)
@@ -713,16 +789,18 @@ def propagate_detailed(
     (Re psi, Im psi) of rho0's amplitudes psi, refusing a state that
     records none. The route is taken before the t = 0 shortcut, so that
     refusal does not depend on t. A zero t returns rho0 itself, with
-    method "identity" and 0 steps. Otherwise _expm_action computes
-    exp(t R) on the vector in float64, and the route maps the result back
-    to the state's entries, Hermitian by construction, and for a walk to
-    psi(t) as its amplitudes. The info's steps is the number of sparse
-    matrix-vector products the kernel made. The call is deterministic and
-    draws no random numbers.
+    method and route "identity" and 0 steps. Otherwise _expm_action
+    computes exp(t R) on the vector in float64, and the route maps the
+    result back to a state in its own form: a walk's psi(t) as amplitudes,
+    a block of populations alone as populations, and coordinates as the
+    state's entries, Hermitian by construction. The info's steps is the
+    number of sparse matrix-vector products the kernel made, route names
+    the route and rows the size of the matrix it multiplied. The call is
+    deterministic and draws no random numbers.
 
     The final state must stay within the trace, Hermiticity and positivity
-    budgets or the call raises StateInvariantError rather than returning a
-    repaired state.
+    budgets, checked in its form (see _diagnostics), or the call raises
+    StateInvariantError rather than returning a repaired state.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -732,18 +810,22 @@ def propagate_detailed(
         raise ValueError(f"t must be 0 or at least {MIN_POSITIVE_TIME}, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
-    gen, x, back = liouvillian._route(rho0)
+    route, gen, x, back = liouvillian._route(rho0)
 
     if t == 0:
-        info = PropagationInfo("identity", 0, *_state_diagnostics(rho0.entries))
-        return rho0, info
+        return rho0, _identity_info(rho0)
 
     x, matvecs = _expm_action(gen, x, t)
-    arr, psi = back(x)
+    state = back(x)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
-    # the state is checked once, here.
-    trace_drift, herm_drift, min_eig = _check_budgets(arr, f"state propagated by t={t} violated budgets")
-    return DensityMatrix._prechecked(arr, psi), PropagationInfo("matrix-exponential", matvecs, trace_drift, herm_drift, min_eig)
+    # the state is checked once, here, in the form its route made.
+    diagnostics = _check_budgets(state, f"state propagated by t={t} violated budgets")
+    return state, PropagationInfo("matrix-exponential", matvecs, *diagnostics, route, gen.matrix.shape[0])
+
+
+def _identity_info(rho0: DensityMatrix) -> PropagationInfo:
+    """The info of a zero-length step from rho0, which makes no product and returns rho0 itself."""
+    return PropagationInfo("identity", 0, *_diagnostics(rho0), "identity", 0)
 
 
 def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk, t: float) -> DensityMatrix:
@@ -763,12 +845,20 @@ class PopulationReport:
 
 
 def populations_detailed(rho: DensityMatrix) -> PopulationReport:
-    """Diagonal of the state, with tiny negatives (above -1e-9) clamped to 0.
+    """Diagonal of the state, read from the form it records, with tiny negatives (above -1e-9) clamped to 0.
 
-    Clamping is reported, never hidden; anything below -1e-9 would have
-    failed the state's own positivity check already.
+    From amplitudes the diagonal is (psi * psi.conj()).real, bit for bit
+    the diagonal of psi psi^dag. Clamping is reported, never hidden;
+    anything below -1e-9 would have failed the state's own positivity
+    check already.
     """
-    raw = np.real(np.diag(_state_entries(rho))).copy()
+    p, psi = _forms(rho)
+    if p is not None:
+        raw = p.copy()
+    elif psi is not None:
+        raw = (psi * psi.conj()).real
+    else:
+        raw = np.real(np.diag(_state_entries(rho))).copy()
     clamped = tuple(int(i) for i in np.nonzero(raw < 0.0)[0])
     min_raw = float(raw.min()) if raw.size else 0.0
     raw[raw < 0.0] = 0.0
@@ -781,6 +871,19 @@ def populations(rho: DensityMatrix) -> np.ndarray:
 
 
 def coherence_l1(rho: DensityMatrix) -> float:
-    """Sum of the magnitudes of all off-diagonal entries."""
-    arr = _state_entries(rho)
-    return float(np.abs(arr).sum() - np.abs(np.diag(arr)).sum())
+    """Sum of the magnitudes of all off-diagonal entries, read from the form the state records; never negative.
+
+    It is 0 for populations, and (sum_a |psi_a|)^2 - sum_a |psi_a|^2 for
+    amplitudes. The difference of sums is clamped at 0, where rounding
+    would take a state without coherence below it.
+    """
+    p, psi = _forms(rho)
+    if p is not None:
+        return 0.0
+    if psi is not None:
+        magnitudes = np.abs(psi)
+        value = magnitudes.sum() ** 2 - np.square(magnitudes).sum()
+    else:
+        arr = _state_entries(rho)
+        value = np.abs(arr).sum() - np.abs(np.diag(arr)).sum()
+    return max(float(value), 0.0)

@@ -15,7 +15,7 @@ import pytest
 import qsw.cli as cli
 import qsw.evolution
 import qsw.operators
-from qsw.evolution import DensityMatrix, PropagationError, build_liouvillian, coherence_l1, populations, propagate_detailed
+from qsw.evolution import DensityMatrix, PropagationError, QuantumWalk, build_liouvillian, coherence_l1, populations, propagate_detailed
 from qsw.graph import build_line, classical_generator
 from qsw.operators import edge_jump_operators, empty_jump_operators, global_jump_operator, hamiltonian_from_generator
 from qsw.oracles import LineWalkSpec, crw_line_analytic
@@ -104,6 +104,54 @@ class TestSimulate:
         assert built == builds
         results = json.loads(text)["results"]
         assert [(r["omega"], r["t"]) for r in results] == [(w, t) for w in omegas for t in ts]
+
+    @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
+    def test_zero_times_build_no_generator(self, tmp_path, monkeypatch, regime):
+        # Every point is the start state, so neither part nor the walk is built;
+        # the records equal the t = 0 records of a grid that builds them.
+        built = []
+        walk = QuantumWalk.from_hamiltonian
+
+        def counting_build(h, ls, omega):
+            built.append(omega)
+            return build_liouvillian(h, ls, omega)
+
+        def counting_walk(h):
+            built.append("walk")
+            return walk(h)
+
+        monkeypatch.setattr(cli, "build_liouvillian", counting_build)
+        monkeypatch.setattr(QuantumWalk, "from_hamiltonian", staticmethod(counting_walk))
+        argv = ("simulate", "--graph", "line:5:1", "--regime", regime, "--omega", "0:1:3", "--origin", "1")
+        rc, still = run(tmp_path, *argv, "--t", "0:0:2", name="still")
+        assert (rc, built) == (0, [])
+        rc, moving = run(tmp_path, *argv, "--t", "0:1:2", name="moving")
+        assert (rc, built) == (0, ["walk", 0.0, 1.0])
+        forced = [json.dumps(r) for r in json.loads(moving)["results"] if r["t"] == 0.0]
+        assert [json.dumps(r) for r in json.loads(still)["results"]] == [entry for entry in forced for _ in range(2)]
+
+    @pytest.mark.parametrize("sites", [61, 151])
+    def test_crw_at_omega_1_reports_no_coherence(self, tmp_path, sites):
+        # The state stays on its populations; the dense sum of magnitudes read -1.1e-16 here.
+        rc, text = run(tmp_path, "simulate", "--graph", f"line:{sites}:1", "--regime", "crw", "--omega", "1", "--t", "5")
+        assert rc == 0
+        assert json.loads(text)["results"][0]["coherence_l1"] == 0.0
+        assert '"coherence_l1": 0.0,' in text
+
+    def test_known_spectra_are_checked_without_lapack(self, tmp_path, monkeypatch):
+        # The walk's states are psi psi^dag and the classical walk's diag(p); only
+        # a state on the coordinates needs eigvalsh.
+        class LapackCalled(Exception):
+            pass
+
+        def refuse(_):
+            raise LapackCalled
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert run(tmp_path, "simulate", "--graph", "line:61:1", "--regime", "qw", "--t", "0:5:11")[0] == 0
+        assert run(tmp_path, "simulate", "--graph", "line:151:1", "--regime", "crw", "--omega", "1", "--t", "5")[0] == 0
+        with pytest.raises(LapackCalled):
+            run(tmp_path, "simulate", "--graph", "line:9:1", "--regime", "crw", "--omega", "0.5", "--t", "1")
 
     @pytest.mark.parametrize(
         "argv",
@@ -320,34 +368,54 @@ class TestInvariantBlock:
         monkeypatch.setattr(qsw.evolution, "_reached", counting_search)
         return calls
 
-    def test_crw_at_omega_1_propagates_the_populations_alone(self, tmp_path, matvecs, searches):
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """A list that grows by (route, rows) of each PropagationInfo the CLI receives."""
+        calls = []
+
+        def recording_propagate(rho0, liou, t):
+            state, info = propagate_detailed(rho0, liou, t)
+            calls.append((info.route, info.rows))
+            return state, info
+
+        monkeypatch.setattr(cli, "propagate_detailed", recording_propagate)
+        return calls
+
+    def test_crw_at_omega_1_propagates_the_populations_alone(self, tmp_path, matvecs, searches, routes):
         # The classical walk: a vertex start state never leaves the 151 populations.
         rc, text = run(tmp_path, "simulate", "--graph", "line:151:1", "--regime", "crw", "--omega", "1")
         assert rc == 0
         assert json.loads(text)["results"][0]["validation"]["solver_steps"] == len(matvecs) > 0
         assert set(matvecs) == {(151, 151)}
         assert searches == [(151**2, 151**2)]
+        assert routes == [("populations", 151)]
 
     @pytest.mark.parametrize(
-        "argv, shape",
-        [(("--regime", "crw", "--omega", "0.5"), (21**2, 21**2)), (("--regime", "qw"), (2 * 21, 2 * 21))],
+        "argv, shape, route",
+        [(("--regime", "crw", "--omega", "0.5"), (21**2, 21**2), "coordinates"), (("--regime", "qw"), (2 * 21, 2 * 21), "amplitudes")],
         ids=["interior-omega", "qw"],
     )
-    def test_a_generator_with_a_coherent_part_is_not_searched(self, tmp_path, matvecs, searches, argv, shape):
+    def test_a_generator_with_a_coherent_part_is_not_searched(self, tmp_path, matvecs, searches, routes, argv, shape, route):
         # qw runs on the real and imaginary parts of the 21 amplitudes, never on the coordinates.
         rc, _ = run(tmp_path, "simulate", "--graph", "line:21:1", *argv, "--t", "0:2:3")
         assert rc == 0
         assert len(matvecs) > 0 and set(matvecs) == {shape}
         assert searches == []
+        assert routes == [("identity", 0)] + [(route, shape[0])] * 2
 
-    @pytest.mark.parametrize("regime, block", [("crw", 21), ("qsw-global", 21 * 22 // 2)])
-    def test_a_time_grid_at_omega_1_searches_once(self, tmp_path, matvecs, searches, regime, block):
+    @pytest.mark.parametrize(
+        "regime, block, route",
+        [("crw", 21, "populations"), ("qsw-global", 21 * 22 // 2, "invariant-block")],
+        ids=["crw-21", "qsw-global-231"],
+    )
+    def test_a_time_grid_at_omega_1_searches_once(self, tmp_path, matvecs, searches, routes, regime, block, route):
         # Real operators keep a vertex start state on the n(n+1)/2 real coordinates.
         rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "1", "--t", "0:5:11")
         assert rc == 0
         assert sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"]) == len(matvecs) > 0
         assert set(matvecs) == {(block, block)}
         assert len(searches) == 1
+        assert routes == [("identity", 0)] + [(route, block)] * 10
 
     def test_a_start_that_reaches_every_coordinate_runs_on_the_full_matrix(self, matvecs, searches):
         g, _ = build_line(7, 1.0)
@@ -355,7 +423,8 @@ class TestInvariantBlock:
         liou = build_liouvillian(hamiltonian_from_generator(m), edge_jump_operators(m), 1.0)
         state = DensityMatrix.pure(np.exp(0.3j * np.arange(7)) / np.sqrt(7))
         for _ in range(2):
-            state, _ = propagate_detailed(state, liou, 1.0)
+            state, info = propagate_detailed(state, liou, 1.0)
+            assert (info.route, info.rows) == ("coordinates", 49)
         assert len(matvecs) > 0 and set(matvecs) == {(49, 49)}
         assert len(searches) == 1
 

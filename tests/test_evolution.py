@@ -91,6 +91,33 @@ class TestDensityMatrix:
         assert rho.entries.dtype == np.complex128
         assert np.flatnonzero(rho.entries).tolist() == [75 * 151 + 75] and rho.entries[75, 75] == 1.0
 
+    @pytest.mark.parametrize(
+        "make, amplitudes, populations, entries",
+        [
+            (lambda: DensityMatrix.basis(3, 1), [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], np.diag([0.0, 1.0, 0.0])),
+            (lambda: DensityMatrix.pure([0.6, 0.8j]), [0.6, 0.8j], None, [[0.36, -0.48j], [0.48j, 0.64]]),
+            (lambda: DensityMatrix.from_populations([0.25, 0.75]), None, [0.25, 0.75], np.diag([0.25, 0.75])),
+        ],
+        ids=["basis", "pure", "from-populations"],
+    )
+    def test_form_constructors_record_their_form_and_build_entries_on_first_read(self, monkeypatch, make, amplitudes, populations, entries):
+        # Each constructor checks the form it makes, whose spectrum it knows, without LAPACK.
+        def refuse(_):
+            raise AssertionError("a state built from its form needs no eigenvalues")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        state = make()
+        for name, expected in (("amplitudes", amplitudes), ("populations", populations)):
+            form = getattr(state, name)
+            if expected is None:
+                assert form is None
+            else:
+                assert np.array_equal(form, expected) and not form.flags.writeable
+        assert state._entries is None
+        assert np.allclose(state.entries, entries, rtol=0.0, atol=1e-15)
+        assert state.entries is state.entries and not state.entries.flags.writeable
+        assert state.dim == len(entries)
+
     def test_basis_index_error(self):
         with pytest.raises(IndexError):
             DensityMatrix.basis(3, 3)
@@ -496,6 +523,31 @@ class TestPropagate:
         assert excinfo.value.hermiticity_drift == 0.0
         assert excinfo.value.min_eigenvalue == 0.0
 
+    @pytest.mark.parametrize(
+        "coupling, route",
+        [({(0, 0): 1.0, (3, 0): -1.0}, "populations"), ({(2, 0): 1.0}, "invariant-block")],
+        ids=["populations", "invariant-block"],
+    )
+    def test_a_block_that_leaves_the_positive_cone_aborts_with_its_smallest_eigenvalue(self, coupling, route):
+        # On the populations (0, 3) the block's rates drive rho[1, 1] to 1 - e
+        # at t = 1 with the trace kept; on (0, 2) they grow Re rho[0, 1] to
+        # 1 / sqrt 2, so the smallest eigenvalue is (1 - sqrt 3) / 2.
+        (rows, cols), values = zip(*coupling), list(coupling.values())
+        liou = Liouvillian(2, scipy.sparse.csr_matrix((values, (rows, cols)), shape=(4, 4)), dissipative_only=True)
+        rho0 = DensityMatrix.basis(2, 0)
+        name, gen, x0, back = liou._route(rho0)
+        x, _ = _expm_action(gen, x0, 1.0)
+        expected = back(x)
+        assert name == route and (expected.populations is None) == (route == "invariant-block")
+        with pytest.raises(StateInvariantError) as excinfo:
+            propagate(rho0, liou, 1.0)
+        if route == "populations":
+            assert excinfo.value.min_eigenvalue == expected.populations.min() == pytest.approx(1.0 - np.e, rel=1e-14)
+        else:
+            assert excinfo.value.min_eigenvalue == pytest.approx((1.0 - np.sqrt(3.0)) / 2.0, rel=1e-14)
+        assert excinfo.value.trace_drift <= 1e-15
+        assert excinfo.value.hermiticity_drift == 0.0
+
     def test_block_route_leaves_the_full_matrix_unshifted(self):
         # Shifting R_D copies all of it, which the block route never multiplies.
         _, lmap, m, h = line_setup(21)
@@ -526,6 +578,23 @@ class TestPropagate:
             _check_budgets(np.full((2, 2), np.nan, dtype=complex), "nan state")
         assert np.isnan(excinfo.value.trace_drift)
         assert np.isnan(excinfo.value.min_eigenvalue)
+
+    @pytest.mark.parametrize(
+        "form, value",
+        [
+            ("amplitudes", np.nan),
+            # inf * conj(inf) has a nan imaginary part, as inf - inf has in the dense check.
+            pytest.param("amplitudes", np.inf, marks=pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")),
+            ("populations", np.nan),
+            ("populations", np.inf),
+        ],
+    )
+    def test_non_finite_form_violates_budgets(self, form, value):
+        # A form's drifts are read without LAPACK, and a nan one must still count as a violation.
+        vector = np.array([value, 0.0], dtype=complex if form == "amplitudes" else float)
+        with pytest.raises(StateInvariantError) as excinfo:
+            _check_budgets(DensityMatrix._unchecked(**{form: vector}), "non-finite form")
+        assert not np.isfinite(excinfo.value.trace_drift)
 
 
 class TestQuantumWalk:

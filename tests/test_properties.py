@@ -12,6 +12,14 @@ or complex pure start and a sorted chain of times up to 10: every state
 the QuantumWalk reaches on the start's amplitudes must agree within 1e-12
 with the commutator's on the dim^2 coordinates.
 
+For the forms a state records, it draws amplitudes or populations (dim
+1-12, trace within 1e-6 of 1, populations down to about -3e-8) and basis
+states: the trace drift, Hermiticity drift and smallest eigenvalue read
+from the form must agree within 1e-14 with those of the dense entries,
+on the same side of the eigenvalue floor; the populations must equal the
+entries' diagonal bit for bit; and coherence_l1 must be nonnegative on
+the form and on the entries, and agree between them within 1e-12.
+
 For graphs, it draws vertex counts, edge sets and positive finite weights
 (subnormal ones included): an edge list written with repr weights parses
 back to the same graph, a junk line anywhere after the header is refused
@@ -42,11 +50,14 @@ from qsw.evolution import (
     TRACE_BUDGET,
     DensityMatrix,
     QuantumWalk,
+    _diagnostics,
     _expm_action,
+    _state_diagnostics,
     build_liouvillian,
     coherence_l1,
     from_coordinates,
     populations,
+    populations_detailed,
     propagate_detailed,
     to_coordinates,
 )
@@ -107,7 +118,8 @@ def test_time_grid_keeps_budgets_and_matches_per_point_propagation(graph, regime
 
     with mock.patch.object(cli, "propagate_detailed", recording_propagate):
         _, results = cli._run_grid(src, args, [omega], ts)
-    assert len(reached) == len(ts)
+    # A grid whose times are all 0 builds no generator and propagates nothing.
+    assert len(reached) == (len(ts) if max(ts) > 0.0 else 0)
     assert all(_within_budgets(arr) for arr in reached)
 
     h, ls = cli._build_operators(src, args)
@@ -197,6 +209,39 @@ def test_amplitude_route_matches_the_coordinate_kernel_at_omega_0(entries, ts, d
         t_prev = t
         assert by_walk.amplitudes is not None
         assert np.abs(by_walk.entries - by_coordinates.entries).max() <= 1e-12
+
+
+@st.composite
+def recorded_states(draw):
+    """An unchecked state of dim 1-12 that records amplitudes, populations or both (a basis state)."""
+    dim = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["amplitudes", "populations", "basis"]))
+    if kind == "basis":
+        return DensityMatrix.basis(dim, draw(st.integers(0, dim - 1)))
+    trace = draw(st.floats(1.0 - 1e-6, 1.0 + 1e-6))
+    if kind == "amplitudes":
+        part = st.floats(-1.0, 1.0)
+        psi = np.array(draw(st.lists(st.tuples(part, part), min_size=dim, max_size=dim))) @ [1.0, 1j]
+        assume(np.linalg.norm(psi) > 0.1)
+        return DensityMatrix._unchecked(amplitudes=psi * (np.sqrt(trace) / np.linalg.norm(psi)))
+    # Entries down to -3e-9 before scaling put the smallest population on either side of the floor.
+    p = np.array(draw(st.lists(st.floats(-3e-9, 1.0), min_size=dim, max_size=dim)))
+    assume(p.sum() > 0.1)
+    return DensityMatrix._unchecked(populations=p * (trace / p.sum()))
+
+
+@settings(deadline=None, max_examples=200)
+@given(state=recorded_states())
+def test_a_form_reads_what_its_entries_give(state):
+    by_form, by_entries = _diagnostics(state), _state_diagnostics(state.entries)
+    assert np.abs(np.subtract(by_form, by_entries)).max() <= 1e-14
+    assert (by_form[2] >= EIGENVALUE_FLOOR) == (by_entries[2] >= EIGENVALUE_FLOOR)
+    report, dense = populations_detailed(state), populations_detailed(state.entries)
+    assert report.values.tobytes() == dense.values.tobytes()
+    assert (report.clamped_indices, report.min_raw_value) == (dense.clamped_indices, dense.min_raw_value)
+    coherence = coherence_l1(state)
+    assert coherence >= 0.0 and coherence_l1(state.entries) >= 0.0
+    assert abs(coherence - coherence_l1(state.entries)) <= 1e-12
 
 
 @st.composite
