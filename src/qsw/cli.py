@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .evolution import (
     MIN_POSITIVE_TIME,
+    ClassicalWalk,
     DensityMatrix,
     PropagationError,
     QuantumWalk,
@@ -253,11 +254,16 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     """Propagate every (omega, t) point; results come in omega-major, grid order.
 
     An omega = 0 point propagates the start state's dim amplitudes with
-    the QuantumWalk made from H. Every other omega propagates the dim^2
-    real coordinates with its Liouvillian. Its two omega-free parts, R_QW
-    and R_D (R at omega = 0 and at omega = 1), are built once each, and
-    only if an omega that uses them weighs them: R_QW only for an omega
-    inside (0, 1). combine_parts makes the generator of every such omega
+    the QuantumWalk made from H. An omega = 1 point of a set that keeps
+    populations closed (ClassicalWalk.applies_to: crw, qw, and such custom
+    sets) propagates its dim populations with the ClassicalWalk made from
+    the jump triplets. Every other omega propagates the dim^2 real
+    coordinates with its Liouvillian. Its two omega-free parts, R_QW and
+    R_D (R at omega = 0 and at omega = 1), are built once each, and only
+    if an omega that uses them weighs them: R_QW only for an omega inside
+    (0, 1), and R_D for such an omega, or at omega = 1 for a set that does
+    not keep populations closed. So crw --omega 1 and --omega 0:1:2 build
+    neither. combine_parts makes the generator of every interior omega
     from them, and a part that no later omega weighs is let go before the
     state propagates. For each omega the times are visited in ascending
     order as one forward chain: each point steps on from the state the
@@ -294,15 +300,19 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
         info = _identity_info(rho0)
         return echo, [record(omega, t, rho0, info) for omega in omegas for t in ts]
 
-    walk = QuantumWalk.from_hamiltonian(h) if 0.0 in omegas else None
-    # The last omega that weighs each part, -1 if none does; omega = 0 takes the walk instead of R_QW.
+    walks = {}
+    if 0.0 in omegas:
+        walks[0.0] = QuantumWalk.from_hamiltonian(h)
+    if 1.0 in omegas and ClassicalWalk.applies_to(ls):
+        walks[1.0] = ClassicalWalk.from_jump_operators(ls)
+    # The last omega that weighs each part, -1 if none does; an omega with a walk takes it instead.
     last_coherent = max((k for k, w in enumerate(omegas) if 0.0 < w < 1.0), default=-1)
-    last_dissipative = max((k for k, w in enumerate(omegas) if w > 0.0), default=-1)
+    last_dissipative = max((k for k, w in enumerate(omegas) if w > 0.0 and w not in walks), default=-1)
     coherent = build_liouvillian(h, ls, 0.0) if last_coherent >= 0 else None
     dissipative = build_liouvillian(h, ls, 1.0) if last_dissipative >= 0 else None
     results = []
     for k, omega in enumerate(omegas):
-        liou = walk if omega == 0.0 else combine_parts(coherent, dissipative, omega)
+        liou = walks[omega] if omega in walks else combine_parts(coherent, dissipative, omega)
         if k == last_coherent:
             coherent = None
         if k == last_dissipative:

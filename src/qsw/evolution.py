@@ -33,10 +33,13 @@ pays its own Taylor series, so a chain costs more than one step to its
 largest time: line:101 qsw-global at omega 0.5 makes 192 products over
 t = 0, 0.5, ..., 5 against 103 for t = 5 alone.
 
-Each generator's _route gives the kernel a _ShiftedGenerator, the real
-vector the start state maps to and the map from the result back to a
-state, so propagate_detailed takes one path for every generator. A
-Liouvillian's vector is the start state's coordinates.
+Three generators hand the kernel a real vector, each through its _route:
+a _ShiftedGenerator, the real vector the start state maps to, and the map
+from the result back to a state in one form, so propagate_detailed takes
+one path for every generator. A Liouvillian runs on the start state's
+dim^2 coordinates and maps back to entries, a QuantumWalk on its dim
+amplitudes and maps back to amplitudes, and a ClassicalWalk on its dim
+populations and maps back to populations.
 
 At omega = 0 the route runs on state vectors, the paper's quantum walk
 limit. The equation of motion is -i[H, rho], so a pure state stays pure,
@@ -46,14 +49,23 @@ A state built pure records its amplitudes (DensityMatrix.amplitudes), and
 the walk's route takes those instead of the dim^2 coordinates; the state
 it maps back records psi(t), so a time grid stays on amplitudes.
 
-At omega = 1 the route runs on the invariant block of the start state
-alone: the coordinates reachable from its support along R's nonzero
-pattern, which exp(tR) never leaves. This is the paper's classical limit
-made visible: with edge-local operators a vertex start state stays on the
-dim populations, where R is the classical generator, and with real
-operators it stays on the dim (dim + 1) / 2 real coordinates. A block of
-populations alone maps back to a state that records its populations
-(DensityMatrix.populations). A generator with a coherent part
+At omega = 1 the route runs on populations, the paper's classical random
+walk limit, for every set whose operators each have at most one nonzero
+per row and per column (edge-local operators, the empty set, and such
+custom sets). Such a set maps a diagonal state to a diagonal state, and
+K = sum_k L_k^dag L_k is diagonal, so the dim populations are closed
+under R_D. A ClassicalWalk holds R_D on them, the rate matrix W, built
+from the jump triplets alone, K's diagonal included, in O(nnz) and with
+no dim^2 matrix: W equals R_D's principal submatrix on the populations
+bit for bit. A state
+built diagonal records its populations (DensityMatrix.populations), and
+the walk's route takes those; the state it maps back records p(t).
+
+A Liouvillian at omega = 1 (dissipative_only) runs on the invariant block
+of the start state alone: the coordinates reachable from its support
+along R's nonzero pattern, which exp(tR) never leaves, and maps back to
+entries. With real operators a vertex start state stays on the
+dim (dim + 1) / 2 real coordinates. A generator with a coherent part
 (omega < 1) is not searched: on every graph measured its start states
 reached every coordinate, and the search alone would cost up to a
 quarter of the kernel.
@@ -67,7 +79,13 @@ eigenvalues ||psi||^2 and 0, and diag(p) the eigenvalues p, and both are
 Hermitian by construction. So neither builds its dim x dim entries or
 calls LAPACK; only a state mapped back from coordinates is checked on its
 entries, with eigvalsh. Its Hermiticity drift reads 0 too, as from_coordinates
-builds a Hermitian matrix, and the check stays, as it costs one pass.
+builds a Hermitian matrix, and the check stays, as it costs one pass. A
+state with a non-finite value in its form violates every budget, and its
+drifts read nan.
+
+The coordinate routes are bounded before they are built: _assemble
+refuses a product of more than _MAX_BUILD_ENTRIES entries with a
+ValueError, before it allocates anything of that size.
 """
 
 from __future__ import annotations
@@ -114,6 +132,13 @@ _THETA = {
 # a step past the bound would run for minutes or longer, so it is refused
 # before it starts.
 _MAX_PRODUCTS = 10**6
+# The most entries the sparse product of one _assemble may form before it
+# sums them: sum_k nnz(L_k)^2 for the jump part and 2 dim nnz(G) for G and
+# its conjugate. A build's tracemalloc peak measured 29-40 bytes per such
+# entry (29 for R_D of line:201 qsw-global, whose 762799 entries peak at
+# 22.4 MB; 40 for R_QW of line:201), so the bound caps a build's peak near
+# 1 GB, 33 times the largest build of the benchmark workloads.
+_MAX_BUILD_ENTRIES = 25 * 10**6
 
 
 class PropagationError(RuntimeError):
@@ -134,15 +159,19 @@ class StateInvariantError(PropagationError):
         self.min_eigenvalue = min_eigenvalue
 
 
+# The diagnostics of a state with a non-finite value in its form: inf - inf
+# and inf * conj(inf) are nan and warn, and LAPACK fails to converge on such
+# input, so none is computed, and a nan drift violates every budget.
+_NON_FINITE = (float("nan"),) * 3
+
+
 def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
-    """Trace drift, Hermiticity drift and minimum eigenvalue of a square arr."""
+    """Trace drift, Hermiticity drift and minimum eigenvalue of a square arr; all nan if an entry is not finite."""
+    if not np.isfinite(arr).all():
+        return _NON_FINITE
     trace_drift = float(abs(arr.trace() - 1.0))
     herm_drift = float(np.abs(arr - arr.conj().T).max())
-    if np.isfinite(arr).all():
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
-    else:
-        # LAPACK fails to converge on non-finite input; the drifts already show it.
-        min_eig = float("nan")
+    min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
     return trace_drift, herm_drift, min_eig
 
 
@@ -174,7 +203,7 @@ class DensityMatrix:
         a QuantumWalk;
       - populations, a read-only probability vector p with entries
         diag(p), for a state built diagonal: by basis, by from_populations,
-        or by propagation on an invariant block of populations alone.
+        or by propagation with a ClassicalWalk.
     A basis state records both. A state built from its entries, or mapped
     back from coordinates, records neither (both are None), even one whose
     entries happen to be pure or diagonal; a form is never derived from
@@ -259,15 +288,18 @@ def _diagnostics(rho) -> tuple[float, float, float]:
     diag(p) has the eigenvalues p, and psi psi^dag has ||psi||^2 and, at
     dim above 1, 0; both are Hermitian by construction. Each trace is summed
     in complex order, as arr.trace() sums the entries, so the drift is the
-    one the entries give bit for bit. A nan in a form gives a nan drift.
+    one the entries give bit for bit. A nan or inf in a form gives nan drifts.
     """
     p, psi = _forms(rho)
+    form = p if p is not None else psi
+    if form is None:
+        return _state_diagnostics(_state_entries(rho))
+    if not np.isfinite(form).all():
+        return _NON_FINITE
     if p is not None:
         return float(abs(p.astype(complex).sum() - 1.0)), 0.0, float(p.min())
-    if psi is not None:
-        norm2 = (psi * psi.conj()).sum()
-        return float(abs(norm2 - 1.0)), 0.0, float(norm2.real) if psi.size == 1 else 0.0
-    return _state_diagnostics(_state_entries(rho))
+    norm2 = (psi * psi.conj()).sum()
+    return float(abs(norm2 - 1.0)), 0.0, float(norm2.real) if psi.size == 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -282,6 +314,8 @@ class Liouvillian:
     searched for the invariant block a start state reaches, and that
     block too is kept for every later propagation. The block is exact for
     any generator; the mark only says where the search is worth its cost.
+    Every state it maps back records its entries; a set that keeps the
+    populations closed propagates them with a ClassicalWalk instead.
     """
 
     dim: int
@@ -297,7 +331,7 @@ class Liouvillian:
 
     @cached_property
     def _blocks(self) -> list:
-        """The reached sets searched so far: (member mask, (index of the block, its _ShiftedGenerator, the vertices of a block of populations alone or None)), with (slice(None), None, None) for every coordinate."""
+        """The reached sets searched so far: (member mask, (index of the block, its _ShiftedGenerator)), with (slice(None), None) for every coordinate."""
         return []
 
     def _route(self, rho0: DensityMatrix):
@@ -310,8 +344,7 @@ class Liouvillian:
         vector there and equals exp(t R_BB) on its entries, with R_BB's own
         shift and 1-norm. A reached set is closed under R, so the set found
         for the first step of a time grid serves every later step without a
-        search. A block of diagonal coordinates alone maps back to the
-        populations, every other route to the entries.
+        search. Every route maps back to the entries.
         """
         n = self.dim
         if rho0.populations is None:
@@ -319,33 +352,28 @@ class Liouvillian:
         else:
             coords = np.zeros(n * n)
             coords[:: n + 1] = rho0.populations
-        index, gen, vertices = slice(None), None, None
+        index, gen = slice(None), None
         if self.dissipative_only:
             support = np.flatnonzero(coords)
             found = [block for member, block in self._blocks if member[support].all()]
             if found:
-                index, gen, vertices = found[0]
+                index, gen = found[0]
             else:
                 member = _reached(self.matrix, support)
                 if not member.all():
                     index = np.flatnonzero(member)
                     gen = _ShiftedGenerator(self.matrix[index][:, index])
-                    if not (index % (n + 1)).any():
-                        vertices = index // (n + 1)
-                self._blocks.append((member, (index, gen, vertices)))
+                self._blocks.append((member, (index, gen)))
 
         def back(x: np.ndarray) -> DensityMatrix:
-            if vertices is not None:
-                p = np.zeros(n)
-                p[vertices] = x
-                return DensityMatrix._unchecked(populations=p)
             full = np.zeros(n * n)
             full[index] = x
             return DensityMatrix._unchecked(from_coordinates(full, n))
 
-        route = "coordinates" if gen is None else "invariant-block" if vertices is None else "populations"
         # The whole matrix is shifted only when the kernel runs on all of it.
-        return route, self._shifted if gen is None else gen, coords[index], back
+        if gen is None:
+            return "coordinates", self._shifted, coords, back
+        return "invariant-block", gen, coords[index], back
 
 
 def _require_real_csr(m, n: int, owner: str) -> None:
@@ -401,6 +429,101 @@ class QuantumWalk:
             return DensityMatrix._unchecked(amplitudes=x[: self.dim] + 1j * x[self.dim :])
 
         return "amplitudes", self._shifted, np.concatenate([psi.real, psi.imag]), back
+
+
+def _shared_line(ls: JumpOperatorSet) -> tuple[int, str, int] | None:
+    """The first (operator, "row" or "column", index) where an operator of ls has two nonzeros, or None if none has."""
+    for name, index in (("row", ls.rows), ("column", ls.cols)):
+        _, first, counts = np.unique(ls.number * ls.dim + index, return_index=True, return_counts=True)
+        if (counts > 1).any():
+            j = first[np.argmax(counts > 1)]
+            return int(ls.number[j]), name, int(index[j])
+    return None
+
+
+@dataclass(frozen=True)
+class ClassicalWalk:
+    """The omega = 1 generator on populations: the rate matrix W as a real CSR matrix.
+
+    For a set whose operators each have at most one nonzero per row and
+    per column, L_k diag(p) L_k^dag is diagonal and so is K, so R_D maps
+    populations to populations: dp_a/dt = sum_b W[a, b] p_b with
+    W[a, b] = sum_k |L_k[a, b]|^2 off the diagonal and
+    W[b, b] = sum_k |L_k[b, b]|^2 - K[b, b]. This is the paper's classical
+    random walk; with edge-local operators W is the classical generator.
+    Its _route hands the kernel the populations a state records
+    (DensityMatrix.populations), not the state's dim^2 coordinates.
+    """
+
+    dim: int
+    matrix: object
+
+    def __post_init__(self):
+        _require_real_csr(self.matrix, self.dim, f"a ClassicalWalk of dim {self.dim}")
+
+    @staticmethod
+    def applies_to(ls: JumpOperatorSet) -> bool:
+        """Whether every operator of ls has at most one nonzero per row and per column, so that it keeps populations closed."""
+        return _shared_line(ls) is None
+
+    @classmethod
+    def from_jump_operators(cls, ls: JumpOperatorSet) -> "ClassicalWalk":
+        """W from the triplets of ls alone, equal to R_D's block on the populations bit for bit.
+
+        R_D (see _assemble) sums each population entry of its product in
+        column order: the jump operators in operator order, then G, then
+        G's conjugate, with G = -K / 2. So W[a, b] sums |L_k[a, b]|^2 in
+        operator order, the order of the triplets, and the diagonal then
+        adds G[b, b] twice, one addition after the other. K[b, b] sums
+        |L_k[a, b]|^2 in (k, a) order, the order sparse_overlap_sum sums
+        it in, which is again the order of the triplets. Each |v|^2 is
+        Re(v conj(v)) as the sparse products form it, v.real^2 + v.imag^2
+        with no fused multiply-add. Exact zeros are dropped, as R_D drops
+        them. A set with two nonzeros in one row or one column of an
+        operator is refused.
+        """
+        shared = _shared_line(ls)
+        if shared is not None:
+            k, name, index = shared
+            raise ValueError(
+                f"jump operator {k} has two nonzeros in {name} {index}, so the set does not keep populations closed: "
+                "propagate it with build_liouvillian at omega = 1"
+            )
+        n = ls.dim
+        squares = np.square(ls.values.real) + np.square(ls.values.imag)
+        positions, inverse = np.unique(ls.rows * n + ls.cols, return_inverse=True)
+        # bincount adds each bin's weights in the order of the triplets.
+        rates = np.bincount(inverse, weights=squares, minlength=positions.size)
+        rows, cols = np.divmod(positions, n)
+        on_diagonal = rows == cols
+        diagonal = np.zeros(n)
+        diagonal[rows[on_diagonal]] = rates[on_diagonal]
+        g = -0.5 * np.bincount(ls.cols, weights=squares, minlength=n)
+        diagonal = diagonal + g + g
+        off = ~on_diagonal
+        rows = np.concatenate([rows[off], np.arange(n)])
+        cols = np.concatenate([cols[off], np.arange(n)])
+        matrix = scipy.sparse.csr_matrix((np.concatenate([rates[off], diagonal]), (rows, cols)), shape=(n, n))
+        matrix.eliminate_zeros()
+        return cls(n, matrix)
+
+    @cached_property
+    def _shifted(self) -> "_ShiftedGenerator":
+        return _ShiftedGenerator(self.matrix)
+
+    def _route(self, rho0: DensityMatrix):
+        """The route's name, the kernel's _ShiftedGenerator, rho0's populations p, and the map back to an unchecked state of populations p(t)."""
+        p = rho0.populations
+        if p is None:
+            raise ValueError(
+                "a ClassicalWalk propagates populations, and this state records none: "
+                "build it with DensityMatrix.basis or DensityMatrix.from_populations, or propagate it with the Liouvillian at omega = 1"
+            )
+
+        def back(x: np.ndarray) -> DensityMatrix:
+            return DensityMatrix._unchecked(populations=x)
+
+        return "populations", self._shifted, p, back
 
 
 def _reached(matrix: scipy.sparse.csr_matrix, support: np.ndarray) -> np.ndarray:
@@ -632,8 +755,18 @@ def _assemble(gen: scipy.sparse.spmatrix, ls: JumpOperatorSet) -> scipy.sparse.c
     each entry into the real coordinates (see _realign), so the complex
     matrix is never stored: the real matrix is R = T^dag L T for the
     unitary T of coordinate_basis.
+
+    A product of more than _MAX_BUILD_ENTRIES entries is refused with a
+    ValueError, counted from the triplets and nnz(G) before anything of
+    that size is allocated.
     """
     dim = gen.shape[0]
+    entries = int(np.square(np.bincount(ls.number, minlength=ls.count)).sum()) + 2 * dim * gen.nnz
+    if entries > _MAX_BUILD_ENTRIES:
+        raise ValueError(
+            f"the superoperator build at dim {dim} would form {entries} product entries "
+            f"(sum_k nnz(L_k)^2 + 2 dim nnz(G)), and the bound is {_MAX_BUILD_ENTRIES}"
+        )
     gen = gen.tocoo()
     count = ls.count
     g_col, i_col = count, count + 1
@@ -741,7 +874,8 @@ def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.nd
     """exp(t R) x for the real generator R that gen shifts, and the number of products with A made.
 
     R and x are what a generator's _route hands the kernel: a Liouvillian's
-    coordinates or its invariant block, or a QuantumWalk's (Re psi, Im psi).
+    coordinates or its invariant block, a QuantumWalk's (Re psi, Im psi),
+    or a ClassicalWalk's populations.
 
     Algorithm 3.2 of Al-Mohy and Higham (2011): with A = R - mu I,
     exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
@@ -779,21 +913,22 @@ def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.nd
 
 
 def propagate_detailed(
-    rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk, t: float
+    rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk, t: float
 ) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
     The generator's _route maps rho0 to the real vector the kernel
     multiplies: a Liouvillian's real coordinates of rho0 (at most its
-    invariant block for a dissipative_only one), or a QuantumWalk's
-    (Re psi, Im psi) of rho0's amplitudes psi, refusing a state that
-    records none. The route is taken before the t = 0 shortcut, so that
-    refusal does not depend on t. A zero t returns rho0 itself, with
-    method and route "identity" and 0 steps. Otherwise _expm_action
-    computes exp(t R) on the vector in float64, and the route maps the
-    result back to a state in its own form: a walk's psi(t) as amplitudes,
-    a block of populations alone as populations, and coordinates as the
-    state's entries, Hermitian by construction. The info's steps is the
+    invariant block for a dissipative_only one), a QuantumWalk's
+    (Re psi, Im psi) of rho0's amplitudes psi, or a ClassicalWalk's
+    populations p of rho0; a walk refuses a state that records no such
+    form. The route is taken before the t = 0 shortcut, so that refusal
+    does not depend on t. A zero t returns rho0 itself, with method and
+    route "identity" and 0 steps. Otherwise _expm_action computes
+    exp(t R) on the vector in float64, and the route maps the result back
+    to a state in its own form: psi(t) as amplitudes, p(t) as
+    populations, and coordinates as the state's entries, Hermitian by
+    construction. The info's steps is the
     number of sparse matrix-vector products the kernel made, route names
     the route and rows the size of the matrix it multiplied. The call is
     deterministic and draws no random numbers.
@@ -828,7 +963,7 @@ def _identity_info(rho0: DensityMatrix) -> PropagationInfo:
     return PropagationInfo("identity", 0, *_diagnostics(rho0), "identity", 0)
 
 
-def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk, t: float) -> DensityMatrix:
+def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk, t: float) -> DensityMatrix:
     state, _ = propagate_detailed(rho0, liouvillian, t)
     return state
 

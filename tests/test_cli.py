@@ -81,17 +81,18 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv, builds, omegas, ts",
         [
-            (("simulate", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3"), [1.0], [0.0, 1.0], [0.0, 1.0, 2.0]),
+            (("simulate", "--regime", "crw", "--omega", "0:1:2", "--t", "0:2:3"), [], [0.0, 1.0], [0.0, 1.0, 2.0]),
             (("sweep", "--regime", "crw", "--omega", "0:1:11", "--t", "1"), [0.0, 1.0], np.linspace(0, 1, 11).tolist(), [1.0]),
             (("simulate", "--regime", "crw", "--omega", "0.5", "--t", "1"), [0.0, 1.0], [0.5], [1.0]),
-            (("simulate", "--regime", "crw", "--omega", "1", "--t", "1"), [1.0], [1.0], [1.0]),
+            (("simulate", "--regime", "crw", "--omega", "1", "--t", "1"), [], [1.0], [1.0]),
             (("simulate", "--regime", "qw", "--t", "1"), [], [0.0], [1.0]),
         ],
         ids=["time-grid", "sweep", "interior", "dissipative", "qw-default"],
     )
     def test_time_grid_builds_once_per_omega(self, tmp_path, monkeypatch, argv, builds, omegas, ts):
         # Each omega-free part is built once per command, and only if some omega weighs it;
-        # omega = 0 propagates the walk on amplitudes, so R_QW is built only for an interior omega.
+        # omega = 0 propagates the walk on amplitudes and crw at omega = 1 the classical walk on
+        # populations, so both parts are built only for an interior omega.
         built = []
 
         def counting_build(h, ls, omega):
@@ -167,6 +168,31 @@ class TestSimulate:
         rc, text = run(tmp_path, *argv)
         assert rc == 0 and text is not None
 
+    @pytest.mark.parametrize("regime", ["qw", "crw"])
+    def test_omega_1_of_a_population_closed_set_builds_and_searches_no_coordinate_matrix(self, tmp_path, monkeypatch, matvecs, regime):
+        # The classical walk is made from the jump triplets: no R_D is assembled, and none is searched.
+        def refuse(*args):
+            raise AssertionError("a dim^2 generator was built or searched")
+
+        monkeypatch.setattr(cli, "build_liouvillian", refuse)
+        monkeypatch.setattr(qsw.evolution, "_reached", refuse)
+        rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "1", "--t", "0:2:3")
+        assert rc == 0
+        assert set(matvecs) <= {(21, 21)}
+        # The empty set's rate matrix is zero, so the qw walk makes no product.
+        steps = [r["validation"]["solver_steps"] for r in json.loads(text)["results"]]
+        assert sum(steps) == len(matvecs) and (steps[1] > 0) == (regime == "crw")
+
+    def test_a_build_past_the_bound_exits_2_and_the_classical_walk_needs_none(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qsw.evolution, "_MAX_BUILD_ENTRIES", 0)
+        argv = ("simulate", "--graph", "line:5:1", "--regime", "crw", "--t", "1")
+        assert run(tmp_path, *argv, "--omega", "1")[0] == 0
+        rc, text = run(tmp_path, *argv, "--omega", "0.5", name="interior")
+        assert (rc, text) == (2, None)
+        # R_QW is built first: G = -iH has 13 nonzeros on line:5.
+        message = "the superoperator build at dim 5 would form 130 product entries (sum_k nnz(L_k)^2 + 2 dim nnz(G)), and the bound is 0"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parts_no_later_omega_weighs_are_released_before_propagation(self, tmp_path, monkeypatch):
         parts = []
         alive = []
@@ -186,9 +212,9 @@ class TestSimulate:
         assert (rc, alive) == (0, [[]])
         alive.clear()
         rc, _ = run(tmp_path, "sweep", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:3", "--t", "1")
-        # At omega 0 the walk propagates while both parts wait for the omegas that weigh them,
-        # and only omega 1 follows omega 0.5.
-        assert (rc, alive) == (0, [[0.0, 1.0], [1.0], []])
+        # At omega 0 the walk propagates while both parts wait for omega 0.5, the last omega
+        # that weighs either; omega 1 propagates the classical walk with both let go.
+        assert (rc, alive) == (0, [[0.0, 1.0], [], []])
 
     @pytest.mark.parametrize("grid", ["0:5:11", "5:0:11", "1:3:5"], ids=["ascending", "descending", "offset"])
     @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
@@ -382,12 +408,12 @@ class TestInvariantBlock:
         return calls
 
     def test_crw_at_omega_1_propagates_the_populations_alone(self, tmp_path, matvecs, searches, routes):
-        # The classical walk: a vertex start state never leaves the 151 populations.
+        # The classical walk runs on the 151 populations, with no search of the dim^2 coordinates.
         rc, text = run(tmp_path, "simulate", "--graph", "line:151:1", "--regime", "crw", "--omega", "1")
         assert rc == 0
         assert json.loads(text)["results"][0]["validation"]["solver_steps"] == len(matvecs) > 0
         assert set(matvecs) == {(151, 151)}
-        assert searches == [(151**2, 151**2)]
+        assert searches == []
         assert routes == [("populations", 151)]
 
     @pytest.mark.parametrize(
@@ -404,17 +430,18 @@ class TestInvariantBlock:
         assert routes == [("identity", 0)] + [(route, shape[0])] * 2
 
     @pytest.mark.parametrize(
-        "regime, block, route",
-        [("crw", 21, "populations"), ("qsw-global", 21 * 22 // 2, "invariant-block")],
+        "regime, block, route, search_count",
+        [("crw", 21, "populations", 0), ("qsw-global", 21 * 22 // 2, "invariant-block", 1)],
         ids=["crw-21", "qsw-global-231"],
     )
-    def test_a_time_grid_at_omega_1_searches_once(self, tmp_path, matvecs, searches, routes, regime, block, route):
-        # Real operators keep a vertex start state on the n(n+1)/2 real coordinates.
+    def test_a_time_grid_at_omega_1_searches_once(self, tmp_path, matvecs, searches, routes, regime, block, route, search_count):
+        # Real operators keep a vertex start state on the n(n+1)/2 real coordinates, found by
+        # one search; crw propagates the classical walk on the populations with none.
         rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "1", "--t", "0:5:11")
         assert rc == 0
         assert sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"]) == len(matvecs) > 0
         assert set(matvecs) == {(block, block)}
-        assert len(searches) == 1
+        assert len(searches) == search_count
         assert routes == [("identity", 0)] + [(route, block)] * 10
 
     def test_a_start_that_reaches_every_coordinate_runs_on_the_full_matrix(self, matvecs, searches):

@@ -9,6 +9,7 @@ import scipy.sparse.linalg
 
 import qsw.evolution
 from qsw.evolution import (
+    ClassicalWalk,
     DensityMatrix,
     Liouvillian,
     EIGENVALUE_FLOOR,
@@ -511,12 +512,14 @@ class TestPropagate:
         [
             (lambda: Liouvillian(3, scipy.sparse.csr_matrix(np.eye(9)), dissipative_only=True), np.e),
             (lambda: QuantumWalk(3, scipy.sparse.csr_matrix(np.eye(6))), np.e**2),
+            (lambda: ClassicalWalk(3, scipy.sparse.csr_matrix(np.eye(3))), np.e),
         ],
-        ids=["invariant-block", "walk"],
+        ids=["invariant-block", "walk", "classical-walk"],
     )
     def test_every_route_aborts_with_diagnostics(self, make, growth):
-        # exp(t I) grows the one coordinate the block holds, or the walk's
-        # amplitude, by e^t, so the trace grows by e or e^2 at t = 1.
+        # exp(t I) grows the one coordinate the block holds, the walk's
+        # amplitude or the classical walk's population by e^t, so the trace
+        # grows by e, e^2 or e at t = 1.
         with pytest.raises(StateInvariantError) as excinfo:
             propagate(DensityMatrix.basis(3, 0), make(), 1.0)
         assert excinfo.value.trace_drift == pytest.approx(growth - 1.0, rel=1e-15)
@@ -524,16 +527,18 @@ class TestPropagate:
         assert excinfo.value.min_eigenvalue == 0.0
 
     @pytest.mark.parametrize(
-        "coupling, route",
-        [({(0, 0): 1.0, (3, 0): -1.0}, "populations"), ({(2, 0): 1.0}, "invariant-block")],
+        "make, route",
+        [
+            (lambda: ClassicalWalk(2, scipy.sparse.csr_matrix(([1.0, -1.0], ([0, 1], [0, 0])), shape=(2, 2))), "populations"),
+            (lambda: Liouvillian(2, scipy.sparse.csr_matrix(([1.0], ([2], [0])), shape=(4, 4)), dissipative_only=True), "invariant-block"),
+        ],
         ids=["populations", "invariant-block"],
     )
-    def test_a_block_that_leaves_the_positive_cone_aborts_with_its_smallest_eigenvalue(self, coupling, route):
-        # On the populations (0, 3) the block's rates drive rho[1, 1] to 1 - e
-        # at t = 1 with the trace kept; on (0, 2) they grow Re rho[0, 1] to
-        # 1 / sqrt 2, so the smallest eigenvalue is (1 - sqrt 3) / 2.
-        (rows, cols), values = zip(*coupling), list(coupling.values())
-        liou = Liouvillian(2, scipy.sparse.csr_matrix((values, (rows, cols)), shape=(4, 4)), dissipative_only=True)
+    def test_a_block_that_leaves_the_positive_cone_aborts_with_its_smallest_eigenvalue(self, make, route):
+        # The classical walk's rates drive p[1] to 1 - e at t = 1 with the
+        # trace kept; on the coordinates (0, 2) the block's rates grow
+        # Re rho[0, 1] to 1 / sqrt 2, so the smallest eigenvalue is (1 - sqrt 3) / 2.
+        liou = make()
         rho0 = DensityMatrix.basis(2, 0)
         name, gen, x0, back = liou._route(rho0)
         x, _ = _expm_action(gen, x0, 1.0)
@@ -579,22 +584,20 @@ class TestPropagate:
         assert np.isnan(excinfo.value.trace_drift)
         assert np.isnan(excinfo.value.min_eigenvalue)
 
-    @pytest.mark.parametrize(
-        "form, value",
-        [
-            ("amplitudes", np.nan),
-            # inf * conj(inf) has a nan imaginary part, as inf - inf has in the dense check.
-            pytest.param("amplitudes", np.inf, marks=pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")),
-            ("populations", np.nan),
-            ("populations", np.inf),
-        ],
-    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["amplitudes", "populations", "entries"])
     def test_non_finite_form_violates_budgets(self, form, value):
-        # A form's drifts are read without LAPACK, and a nan one must still count as a violation.
-        vector = np.array([value, 0.0], dtype=complex if form == "amplitudes" else float)
+        # inf * conj(inf) and inf - inf are nan and warn, and the suite turns
+        # warnings into errors; a state with a non-finite value in its form,
+        # the entries of the coordinate route included, reads nan drifts,
+        # which violate every budget.
+        if form == "entries":
+            state = DensityMatrix._unchecked(np.array([[value, 0.0], [0.0, 0.0]], dtype=complex))
+        else:
+            state = DensityMatrix._unchecked(**{form: np.array([value, 0.0], dtype=complex if form == "amplitudes" else float)})
         with pytest.raises(StateInvariantError) as excinfo:
-            _check_budgets(DensityMatrix._unchecked(**{form: vector}), "non-finite form")
-        assert not np.isfinite(excinfo.value.trace_drift)
+            _check_budgets(state, "non-finite form")
+        assert np.isnan([excinfo.value.trace_drift, excinfo.value.hermiticity_drift, excinfo.value.min_eigenvalue]).all()
 
 
 class TestQuantumWalk:
@@ -702,6 +705,104 @@ class TestQuantumWalk:
         _, walk_info = propagate_detailed(rho0, QuantumWalk.from_hamiltonian(h), 5.0)
         _, liou_info = propagate_detailed(rho0, build_liouvillian(h, empty_jump_operators(61), 0.0), 5.0)
         assert (walk_info.steps, liou_info.steps) == (74, 125)
+
+
+class TestClassicalWalk:
+    """At omega = 1 a set that keeps populations closed is propagated on the dim populations, not the dim^2 coordinates."""
+
+    @pytest.mark.parametrize("amplitude", ["sqrt", "literal"])
+    def test_edge_local_rates_are_the_population_block_of_the_dissipator(self, amplitude):
+        _, _, m, h = line_setup(9, gamma=2.0)
+        ls = edge_jump_operators(m, amplitude)
+        walk = ClassicalWalk.from_jump_operators(ls)
+        populations_index = np.arange(9) * 10
+        block = build_liouvillian(h, ls, 1.0).matrix[populations_index][:, populations_index]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(walk.matrix, name), getattr(block, name)), name
+        # sqrt amplitudes give the classical generator, literal ones its rates squared.
+        off = np.where(np.eye(9, dtype=bool), 0.0, m.entries)
+        rates = off if amplitude == "sqrt" else off**2
+        expected = rates - np.diag(rates.sum(axis=0))
+        assert np.abs(walk.matrix.toarray() - expected).max() <= 1e-14
+
+    def test_the_empty_set_has_no_rates(self, matvecs):
+        walk = ClassicalWalk.from_jump_operators(empty_jump_operators(5))
+        assert (walk.dim, walk.matrix.shape, walk.matrix.nnz) == (5, (5, 5), 0)
+        state, info = propagate_detailed(DensityMatrix.basis(5, 2), walk, 3.0)
+        assert np.array_equal(state.populations, [0.0, 0.0, 1.0, 0.0, 0.0])
+        assert (info.route, info.rows, info.steps, matvecs) == ("populations", 5, 0, [])
+
+    def test_chain_matches_the_classical_oracle_on_dim_operands(self, matvecs):
+        _, lmap, m, _ = line_setup(21)
+        walk = ClassicalWalk.from_jump_operators(edge_jump_operators(m))
+        p0 = np.zeros(21)
+        p0[lmap.center] = 1.0
+        state = DensityMatrix.basis(21, lmap.center)
+        steps = 0
+        for t in (1.0, 2.0):
+            state, info = propagate_detailed(state, walk, 1.0)
+            steps += info.steps
+            assert state.amplitudes is None and state.populations is not None
+            assert np.abs(state.populations - classical_master_solve(m, p0, t)).max() <= 1e-12
+            assert (info.route, info.rows, info.hermiticity_drift) == ("populations", 21, 0.0)
+        assert steps == len(matvecs) > 0 and set(matvecs) == {(21, 21)}
+
+    @pytest.mark.parametrize(
+        "operators, line",
+        [([[(0, 1), (0, 2)]], "operator 0 has two nonzeros in row 0"), ([[(1, 1)], [(0, 2), (1, 2)]], "operator 1 has two nonzeros in column 2")],
+        ids=["row", "column"],
+    )
+    def test_a_set_that_mixes_populations_with_coherences_is_refused(self, operators, line):
+        # Two nonzeros in one column of L map a population to a coherence; two in one row make K non-diagonal.
+        number, rows, cols = zip(*[(k, a, b) for k, entries in enumerate(operators) for a, b in entries])
+        ls = JumpOperatorSet(3, len(operators), number, rows, cols, [1.0] * len(rows), "custom")
+        assert not ClassicalWalk.applies_to(ls)
+        with pytest.raises(ValueError, match=f"^jump {line}, so the set does not keep populations closed"):
+            ClassicalWalk.from_jump_operators(ls)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "make", [lambda: DensityMatrix(np.eye(5) / 5.0), lambda: DensityMatrix.pure(np.full(5, np.sqrt(0.2)))], ids=["entries", "pure"]
+    )
+    def test_a_state_without_populations_is_refused(self, make, t):
+        _, _, m, _ = line_setup(5)
+        with pytest.raises(ValueError, match="a ClassicalWalk propagates populations, and this state records none"):
+            propagate_detailed(make(), ClassicalWalk.from_jump_operators(edge_jump_operators(m)), t)
+
+    def test_matrix_that_does_not_fit_dim_is_refused(self):
+        with pytest.raises(ValueError, match=r"a ClassicalWalk of dim 2 needs a float64 CSR matrix of shape \(2, 2\), got csr_matrix"):
+            ClassicalWalk(2, scipy.sparse.csr_matrix((4, 4)))
+
+
+class TestBuildBound:
+    """A build whose product would pass _MAX_BUILD_ENTRIES is refused before it allocates."""
+
+    def test_the_largest_workload_build_sits_inside_the_bound(self, monkeypatch, traced_peak):
+        # R_D of line:201 qsw-global forms 361201 jump and 401598 G entries,
+        # more than 30 times below the bound.
+        _, _, m, h = line_setup(201)
+        ls = global_jump_operator(m)
+        assert 762799 * 30 < qsw.evolution._MAX_BUILD_ENTRIES
+        monkeypatch.setattr(qsw.evolution, "_MAX_BUILD_ENTRIES", 762798)
+        message = "the superoperator build at dim 201 would form 762799 product entries (sum_k nnz(L_k)^2 + 2 dim nnz(G)), and the bound is 762798"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_liouvillian(h, ls, 1.0)
+        # The refusal allocates nothing of the size of the 40401 coordinates' product.
+        _, peak = traced_peak(lambda: pytest.raises(ValueError, build_liouvillian, h, ls, 1.0))
+        assert peak < 40401 * 16
+        monkeypatch.setattr(qsw.evolution, "_MAX_BUILD_ENTRIES", 762799)
+        assert build_liouvillian(h, ls, 1.0).matrix.shape == (40401, 40401)
+
+    def test_each_part_is_counted_from_its_own_factors(self, monkeypatch):
+        # R_QW of line:5 has G = -iH with 13 nonzeros and no operator: 2 * 5 * 13 entries.
+        _, _, m, h = line_setup(5)
+        monkeypatch.setattr(qsw.evolution, "_MAX_BUILD_ENTRIES", 129)
+        with pytest.raises(ValueError, match="at dim 5 would form 130 product entries"):
+            build_liouvillian(h, edge_jump_operators(m), 0.0)
+        # R_D: 8 single-entry operators and a diagonal K: 8 + 2 * 5 * 5 entries.
+        monkeypatch.setattr(qsw.evolution, "_MAX_BUILD_ENTRIES", 57)
+        with pytest.raises(ValueError, match="at dim 5 would form 58 product entries"):
+            build_liouvillian(h, edge_jump_operators(m), 1.0)
 
 
 class TestRealRoute:

@@ -12,6 +12,14 @@ or complex pure start and a sorted chain of times up to 10: every state
 the QuantumWalk reaches on the start's amplitudes must agree within 1e-12
 with the commutator's on the dim^2 coordinates.
 
+At omega = 1 it draws sets that keep populations closed (dim 1-8): single
+entries and partial permutations with complex weights, diagonal entries,
+operators that share positions, all-zero operators and the empty set. The
+ClassicalWalk's rate matrix must equal R_D's principal submatrix on the
+populations exactly, a vertex start state propagated on it must agree
+within 1e-14 with the Liouvillian on all dim^2 coordinates, and a set
+with two nonzeros in one row or one column of an operator is refused.
+
 For the forms a state records, it draws amplitudes or populations (dim
 1-12, trace within 1e-6 of 1, populations down to about -3e-8) and basis
 states: the trace drift, Hermiticity drift and smallest eigenvalue read
@@ -39,6 +47,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +57,9 @@ from qsw.evolution import (
     HERMITICITY_BUDGET,
     MIN_POSITIVE_TIME,
     TRACE_BUDGET,
+    ClassicalWalk,
     DensityMatrix,
+    Liouvillian,
     QuantumWalk,
     _diagnostics,
     _expm_action,
@@ -170,6 +181,73 @@ def test_invariant_block_matches_the_full_kernel_at_omega_1(graph, regime, data)
     state, _ = propagate_detailed(rho0, liou, t)
     full, _ = _expm_action(liou._shifted, to_coordinates(rho0.entries), t)
     assert np.abs(state.entries - from_coordinates(full, n)).max() <= 1e-14
+
+
+@st.composite
+def population_closed_operators(draw):
+    """dim and 0-4 operators of dim x dim with at most one nonzero per row and per column.
+
+    Each is a single entry, a partial permutation (a fixed point is a
+    diagonal entry), all zero, or the pattern of an earlier operator with
+    new weights, so operators share positions. Weights are complex, of
+    magnitude at most 1.
+    """
+    dim = draw(st.integers(1, 8))
+    weight = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    vertex = st.integers(0, dim - 1)
+    operators = []
+    for _ in range(draw(st.integers(0, 4))):
+        op = np.zeros((dim, dim), dtype=complex)
+        kind = draw(st.sampled_from(["single", "partial-permutation", "zero", "repeat"] if operators else ["single", "partial-permutation", "zero"]))
+        if kind == "single":
+            op[draw(vertex), draw(vertex)] = draw(weight)
+        elif kind == "partial-permutation":
+            for b, a in enumerate(draw(st.permutations(range(dim)))):
+                if draw(st.booleans()):
+                    op[a, b] = draw(weight)
+        elif kind == "repeat":
+            for a, b in np.argwhere(operators[draw(st.integers(0, len(operators) - 1))] != 0):
+                op[a, b] = draw(weight)
+        operators.append(op)
+    return dim, operators
+
+
+@settings(deadline=None, max_examples=100)
+@given(drawn=population_closed_operators(), data=st.data())
+def test_classical_walk_is_the_population_block_of_the_dissipator(drawn, data):
+    dim, operators = drawn
+    ls = JumpOperatorSet.from_dense(dim, operators, "custom")
+    walk = ClassicalWalk.from_jump_operators(ls)
+    dissipator = build_liouvillian(Hamiltonian(np.zeros((dim, dim))), ls, 1.0).matrix
+    populations_index = np.arange(dim) * (dim + 1)
+    block = dissipator[populations_index][:, populations_index]
+    assert walk.matrix.has_canonical_format and block.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(walk.matrix, name), getattr(block, name)), name
+
+    rho0 = DensityMatrix.basis(dim, data.draw(st.integers(0, dim - 1)))
+    t = data.draw(st.floats(1e-3, 2.0))
+    by_walk, info = propagate_detailed(rho0, walk, t)
+    by_coordinates, _ = propagate_detailed(rho0, Liouvillian(dim, dissipator), t)
+    assert (info.route, info.rows) == ("populations", dim)
+    assert np.abs(by_walk.entries - by_coordinates.entries).max() <= 1e-14
+
+    # One more operator with two nonzeros in one row or one column is refused, naming it.
+    if dim == 1:
+        return
+    a, b, other = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(0, dim - 2)))
+    by_row = data.draw(st.booleans())
+    shared = np.zeros((dim, dim), dtype=complex)
+    shared[a, b] = 1.0
+    if by_row:
+        shared[a, other + (other >= b)] = 0.5j
+    else:
+        shared[other + (other >= a), b] = 0.5j
+    bad = JumpOperatorSet.from_dense(dim, [*operators, shared], "custom")
+    assert not ClassicalWalk.applies_to(bad)
+    line = f"row {a}" if by_row else f"column {b}"
+    with pytest.raises(ValueError, match=f"^jump operator {len(operators)} has two nonzeros in {line}, "):
+        ClassicalWalk.from_jump_operators(bad)
 
 
 @st.composite

@@ -8,7 +8,10 @@ literal amplitudes, qsw-global without the diagonal, and a qsw-custom set
 whose operators overlap at every position they touch. So the axiom rows
 are compared under every operator set the CLI builds. It also runs a long
 qw chain to t = 200, so the omega = 0 walk is compared where t ||H||_1 is
-large and its Taylor sums cancel large terms. Each checkout runs
+large and its Taylor sums cancel large terms, and the omega = 1 classical
+walk where no workload takes it: qw at omega 1, a crw sweep whose only
+omegas are its two limits, and a crw time grid on a seeded graph of two
+components, where the walk runs on the populations of both. Each checkout runs
 in a fresh interpreter that imports qsw from its src/. BLAS threads are left as the caller set
 them, so run it under OPENBLAS_NUM_THREADS=1 and =2 to compare both.
 
@@ -61,8 +64,22 @@ AUDITS = [
 ]
 
 
-# A long omega = 0 chain on line:61 at hop rate 1.
-CHAINS = [("simulate", "--graph", "line:61:1", "--regime", "qw", "--t", "0:200:5")]
+# A long omega = 0 chain on line:61 at hop rate 1, and omega = 1 without a coherent part.
+CHAINS = [
+    ("simulate", "--graph", "line:61:1", "--regime", "qw", "--t", "0:200:5"),
+    ("simulate", "--graph", "line:61:1", "--regime", "qw", "--omega", "1", "--t", "5"),
+    ("sweep", "--graph", "line:21:1", "--regime", "crw", "--omega", "0:1:2", "--t", "5"),
+]
+
+
+def two_components(work_dir: Path) -> tuple:
+    """crw at omega 1 over a time grid on a seeded graph of two paths, 7 and 5 vertices long, with weights in [0.5, 2]."""
+    rng = random.Random(SEED)
+    edges = [(a, a + 1) for a in range(6)] + [(a, a + 1) for a in range(7, 11)]
+    lines = ["vertices 12"] + [f"{u} {v} {rng.uniform(0.5, 2.0)!r}" for u, v in edges]
+    graph = work_dir / "two_components.edges"
+    graph.write_text("\n".join(lines) + "\n")
+    return ("simulate", "--graph", str(graph), "--regime", "crw", "--omega", "1", "--t", "0:3:4")
 
 
 def run_commands(work_dir: Path) -> list:
@@ -76,7 +93,7 @@ def run_commands(work_dir: Path) -> list:
     argvs += [("audit", "--graph", "line:9:2", *options) for options in AUDITS]
     argvs += CHAINS
     results = []
-    for i, argv in enumerate([*argvs, custom_audit(work_dir)]):
+    for i, argv in enumerate([*argvs, custom_audit(work_dir), two_components(work_dir)]):
         output = work_dir / f"compare{i}.out"
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
