@@ -43,7 +43,7 @@ from .evolution import (
     populations,
     propagate_detailed,
 )
-from .graph import Graph, LineIndexMap, build_line, classical_generator, read_edge_list
+from .graph import GeneratorMatrix, Graph, LineIndexMap, build_line, classical_generator, read_edge_list
 from .operators import (
     CUSTOM,
     Hamiltonian,
@@ -185,21 +185,23 @@ def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
     return JumpOperatorSet(dim, len(raw), number, rows, cols, values, CUSTOM)
 
 
-def _build_operators(src: GraphSource, args) -> tuple[Hamiltonian, JumpOperatorSet]:
-    m = classical_generator(src.graph)
-    h = hamiltonian_from_generator(m)
+def _jump_operators(src: GraphSource, args, m: GeneratorMatrix) -> JumpOperatorSet:
+    """The regime's jump operators on the graph whose classical generator is m."""
     regime = args.regime
     if regime == "crw":
-        ls = edge_jump_operators(m, args.amplitude_convention)
-    elif regime == "qw":
-        ls = empty_jump_operators(src.graph.n_vertices)
-    elif regime == "qsw-global":
-        ls = global_jump_operator(m, args.global_l)
-    else:
-        if not args.jump_file:
-            raise ValueError("regime qsw-custom requires --jump-file")
-        ls = _load_jump_file(args.jump_file, src.graph.n_vertices)
-    return h, ls
+        return edge_jump_operators(m, args.amplitude_convention)
+    if regime == "qw":
+        return empty_jump_operators(src.graph.n_vertices)
+    if regime == "qsw-global":
+        return global_jump_operator(m, args.global_l)
+    if not args.jump_file:
+        raise ValueError("regime qsw-custom requires --jump-file")
+    return _load_jump_file(args.jump_file, src.graph.n_vertices)
+
+
+def _build_operators(src: GraphSource, args) -> tuple[Hamiltonian, JumpOperatorSet]:
+    m = classical_generator(src.graph)
+    return hamiltonian_from_generator(m), _jump_operators(src, args, m)
 
 
 def _resolve_origin(src: GraphSource, origin: int | None) -> tuple[int, int]:
@@ -265,19 +267,21 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     not keep populations closed. So crw --omega 1 and --omega 0:1:2 build
     neither. combine_parts makes the generator of every interior omega
     from them, and a part that no later omega weighs is let go before the
-    state propagates. For each omega the times are visited in ascending
-    order as one forward chain: each point steps on from the state the
-    previous one reached. Each step pays its own Taylor series, so a chain
-    costs more products than its largest time alone; line:101 qsw-global
-    at omega 0.5 makes 192 products over --t 0:5:11 against 103 for
-    --t 5. A zero-length step (t = 0, or a repeated time) reports method
+    state propagates. H is built only for the QuantumWalk or a part, so
+    crw and qw at --omega 1 build none. For each omega the times are
+    visited in ascending order as one forward chain: each point steps on
+    from the state the previous one reached. Each step pays its own Taylor
+    series, so a chain costs more products than its largest time alone;
+    line:101 qsw-global at omega 0.5 makes 192 products over --t 0:5:11
+    against 103 for --t 5. A zero-length step (t = 0, or a repeated time) reports method
     identity with 0 steps. A command whose times are all 0 builds no
     generator: every point is the start state.
     """
     points = len(omegas) * len(ts)
     if points > _MAX_GRID_POINTS:
         raise ValueError(f"{len(omegas)} omegas x {len(ts)} times make {points} grid points, and the bound is {_MAX_GRID_POINTS}")
-    h, ls = _build_operators(src, args)
+    m = classical_generator(src.graph)
+    ls = _jump_operators(src, args, m)
     origin_label, origin_index = _resolve_origin(src, args.origin)
     rho0 = DensityMatrix.basis(src.graph.n_vertices, origin_index)
     ascending = sorted(range(len(ts)), key=ts.__getitem__)
@@ -301,13 +305,15 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
         return echo, [record(omega, t, rho0, info) for omega in omegas for t in ts]
 
     walks = {}
-    if 0.0 in omegas:
-        walks[0.0] = QuantumWalk.from_hamiltonian(h)
     if 1.0 in omegas and ClassicalWalk.applies_to(ls):
         walks[1.0] = ClassicalWalk.from_jump_operators(ls)
-    # The last omega that weighs each part, -1 if none does; an omega with a walk takes it instead.
+    # The last omega that weighs each part, -1 if none does; omega 1 with a walk takes it instead.
     last_coherent = max((k for k, w in enumerate(omegas) if 0.0 < w < 1.0), default=-1)
     last_dissipative = max((k for k, w in enumerate(omegas) if w > 0.0 and w not in walks), default=-1)
+    # H is read by the quantum walk and by both parts, never by the classical walk.
+    h = hamiltonian_from_generator(m) if 0.0 in omegas or max(last_coherent, last_dissipative) >= 0 else None
+    if 0.0 in omegas:
+        walks[0.0] = QuantumWalk.from_hamiltonian(h)
     coherent = build_liouvillian(h, ls, 0.0) if last_coherent >= 0 else None
     dissipative = build_liouvillian(h, ls, 1.0) if last_dissipative >= 0 else None
     results = []
@@ -358,8 +364,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     src = _load_graph(args.graph)
-    if not args.omega:
-        raise ValueError("sweep requires --omega start:stop:count")
     omegas, was_grid = _parse_omegas(args)
     if not was_grid:
         raise ValueError("sweep requires an omega grid start:stop:count")

@@ -36,10 +36,9 @@ t = 0, 0.5, ..., 5 against 103 for t = 5 alone.
 Three generators hand the kernel a real vector, each through its _route:
 a _ShiftedGenerator, the real vector the start state maps to, and the map
 from the result back to a state in one form, so propagate_detailed takes
-one path for every generator. A Liouvillian runs on the start state's
-dim^2 coordinates and maps back to entries, a QuantumWalk on its dim
-amplitudes and maps back to amplitudes, and a ClassicalWalk on its dim
-populations and maps back to populations.
+one path for every generator, and each reads the form it writes: a
+Liouvillian the dim^2 coordinates of the start state's entries, a
+QuantumWalk its dim amplitudes, and a ClassicalWalk its dim populations.
 
 At omega = 0 the route runs on state vectors, the paper's quantum walk
 limit. The equation of motion is -i[H, rho], so a pure state stays pure,
@@ -92,7 +91,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -175,19 +174,6 @@ def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
     return trace_drift, herm_drift, min_eig
 
 
-def _require_state(
-    diagnostics: tuple[float, float, float], herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9
-) -> None:
-    """Refuse a state whose (trace drift, Hermiticity drift, minimum eigenvalue) pass the tolerances."""
-    trace_dev, herm_dev, min_eig = diagnostics
-    if herm_dev > herm_tol:
-        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
-    if trace_dev > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
-    if min_eig < eig_floor:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
-
-
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
@@ -215,7 +201,13 @@ class DensityMatrix:
 
     def __init__(self, entries, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9):
         arr = _square_matrix("density matrix", entries, complex)
-        _require_state(_state_diagnostics(arr), herm_tol, trace_tol, eig_floor)
+        trace_dev, herm_dev, min_eig = _state_diagnostics(arr)
+        if herm_dev > herm_tol:
+            raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
+        if trace_dev > trace_tol:
+            raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
+        if min_eig < eig_floor:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
         self._entries = arr
         self.amplitudes = self.populations = None
 
@@ -255,19 +247,17 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
-        """Outer product of a state vector, which must be normalized to 1e-10."""
+        """Outer product of a state vector, which must be normalized to 1e-10; divided by its norm, it drifts by ulps and needs no re-check."""
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         _require_finite("amplitude", psi)
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state vector norm {norm} is not 1 within 1e-10")
-        state = cls._unchecked(amplitudes=psi / norm)
-        _require_state(_diagnostics(state))
-        return state
+        return cls._unchecked(amplitudes=psi / norm)
 
     @classmethod
     def from_populations(cls, p) -> "DensityMatrix":
-        """Diagonal state from a probability vector (sum within 1e-9 of 1)."""
+        """Diagonal state from a probability vector (sum within 1e-9 of 1); divided by its sum, it drifts by ulps and needs no re-check."""
         vec = np.asarray(p, dtype=float).ravel()
         if vec.size == 0:
             raise ValueError("empty probability vector")
@@ -277,9 +267,7 @@ class DensityMatrix:
         total = vec.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1 within 1e-9")
-        state = cls._unchecked(populations=vec / total)
-        _require_state(_diagnostics(state))
-        return state
+        return cls._unchecked(populations=vec / total)
 
 
 def _diagnostics(rho) -> tuple[float, float, float]:
@@ -314,8 +302,8 @@ class Liouvillian:
     searched for the invariant block a start state reaches, and that
     block too is kept for every later propagation. The block is exact for
     any generator; the mark only says where the search is worth its cost.
-    Every state it maps back records its entries; a set that keeps the
-    populations closed propagates them with a ClassicalWalk instead.
+    It reads every start state from its entries and maps back to entries;
+    a set that keeps populations closed propagates them with a ClassicalWalk.
     """
 
     dim: int
@@ -337,9 +325,10 @@ class Liouvillian:
     def _route(self, rho0: DensityMatrix):
         """The route's name, the kernel's _ShiftedGenerator, rho0's vector on it, and the map from the kernel's result back to an unchecked state.
 
-        The vector is rho0's real coordinates, made from its populations
-        when it records them; for a dissipative_only generator, only those
-        in the invariant block that rho0's support reaches. No column of R
+        The vector is the real coordinates of rho0's entries, whatever form
+        it records (diag(p) gives those of p bit for bit); for a
+        dissipative_only generator, only those in the invariant block that
+        rho0's support reaches. No column of R
         in the block has a nonzero row outside it, so exp(tR) keeps the
         vector there and equals exp(t R_BB) on its entries, with R_BB's own
         shift and 1-norm. A reached set is closed under R, so the set found
@@ -347,11 +336,7 @@ class Liouvillian:
         search. Every route maps back to the entries.
         """
         n = self.dim
-        if rho0.populations is None:
-            coords = to_coordinates(rho0.entries)
-        else:
-            coords = np.zeros(n * n)
-            coords[:: n + 1] = rho0.populations
+        coords = to_coordinates(rho0.entries)
         index, gen = slice(None), None
         if self.dissipative_only:
             support = np.flatnonzero(coords)
@@ -556,16 +541,20 @@ class PropagationInfo:
     route names the vector the kernel ran on: amplitudes, populations,
     invariant-block or coordinates, or identity for a zero-length step,
     which runs no kernel. rows is the row count of the matrix the kernel
-    multiplied, 0 for identity.
+    multiplied, 0 for identity. method, read from route, is identity or
+    matrix-exponential, the one kernel every other route runs.
     """
 
-    method: str
     steps: int
     trace_drift: float
     hermiticity_drift: float
     min_eigenvalue: float
     route: str
     rows: int
+
+    @property
+    def method(self) -> str:
+        return "identity" if self.route == "identity" else "matrix-exponential"
 
 
 def vectorize_state(matrix: np.ndarray) -> np.ndarray:
@@ -677,10 +666,16 @@ def _realign(left: scipy.sparse.csr_matrix, right_dag: scipy.sparse.csr_matrix, 
     return scipy.sparse.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(n2, n2))
 
 
+# Kept for the last dim: each coordinate map of a command asks for the same
+# dim, and np.triu_indices costs half of to_coordinates at dim 61.
+@lru_cache(maxsize=1)
 def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-stacked indices of the diagonal pairs, the pairs a < alpha, and their transposes."""
+    """Column-stacked indices of the diagonal pairs, the pairs a < alpha, and their transposes; read-only, as they are shared."""
     first, second = np.triu_indices(dim, 1)
-    return np.arange(dim) * (dim + 1), first + dim * second, second + dim * first
+    indices = np.arange(dim) * (dim + 1), first + dim * second, second + dim * first
+    for arr in indices:
+        arr.setflags(write=False)
+    return indices
 
 
 def to_coordinates(entries: np.ndarray) -> np.ndarray:
@@ -955,12 +950,12 @@ def propagate_detailed(
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here, in the form its route made.
     diagnostics = _check_budgets(state, f"state propagated by t={t} violated budgets")
-    return state, PropagationInfo("matrix-exponential", matvecs, *diagnostics, route, gen.matrix.shape[0])
+    return state, PropagationInfo(matvecs, *diagnostics, route, gen.matrix.shape[0])
 
 
 def _identity_info(rho0: DensityMatrix) -> PropagationInfo:
     """The info of a zero-length step from rho0, which makes no product and returns rho0 itself."""
-    return PropagationInfo("identity", 0, *_diagnostics(rho0), "identity", 0)
+    return PropagationInfo(0, *_diagnostics(rho0), "identity", 0)
 
 
 def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk, t: float) -> DensityMatrix:

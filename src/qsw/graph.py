@@ -13,6 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The most vertices a graph may have. The dense n x n layer of a command
+# (Graph.weight_matrix, M, H and the QuantumWalk's shifted copy of H) is
+# its largest below the superoperator build: qw on line:501, line:1001
+# and line:2001 peaked at 64 bytes per vertex^2 under tracemalloc (16.2,
+# 64.4 and 256.6 MB), so the bound caps that layer near 1 GB. line:201,
+# the largest graph of the benchmark workloads, peaks at 2.7 MB.
+_MAX_VERTICES = 4000
+
+
+def _check_vertex_count(n_vertices: int) -> None:
+    """Refuse more than _MAX_VERTICES vertices, before anything of size n or n^2 is built."""
+    if n_vertices > _MAX_VERTICES:
+        raise ValueError(f"graph of {n_vertices} vertices is past the bound of {_MAX_VERTICES} vertices")
+
 
 def _add_edge(edges: dict, n_vertices: int, u, v, w) -> None:
     """Add the edge {u, v} of weight w to edges, keyed by its pair (min, max): the one rule every edge passes."""
@@ -48,6 +62,7 @@ class Graph:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
+        _check_vertex_count(self.n_vertices)
         if len(self.edges) != len(self.weights):
             raise ValueError("edges and weights must have equal length")
         canonical = {}
@@ -121,6 +136,7 @@ def build_line(n_sites: int, gamma: float) -> tuple[Graph, LineIndexMap]:
     holds the rule on n_sites.
     """
     line = LineIndexMap(n_sites)
+    _check_vertex_count(n_sites)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     edges = tuple((j, j + 1) for j in range(n_sites - 1))
@@ -251,6 +267,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
             if n_vertices < 1:
                 raise ValueError(f"line {lineno}: vertex count must be at least 1, got {n_vertices}")
+            if n_vertices > _MAX_VERTICES:
+                raise ValueError(f"line {lineno}: vertex count {n_vertices} is past the bound of {_MAX_VERTICES} vertices")
             continue
         if len(fields) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [weight]', got {line!r}")

@@ -14,6 +14,7 @@ import pytest
 
 import qsw.cli as cli
 import qsw.evolution
+import qsw.graph
 import qsw.operators
 from qsw.evolution import DensityMatrix, PropagationError, QuantumWalk, build_liouvillian, coherence_l1, populations, propagate_detailed
 from qsw.graph import build_line, classical_generator
@@ -192,6 +193,20 @@ class TestSimulate:
         # R_QW is built first: G = -iH has 13 nonzeros on line:5.
         message = "the superoperator build at dim 5 would form 130 product entries (sum_k nnz(L_k)^2 + 2 dim nnz(G)), and the bound is 0"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_only_a_route_that_reads_h_builds_it(self, tmp_path, monkeypatch):
+        # The classical walk never reads H; the quantum walk and both parts do.
+        argvs = [("simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "1", "--t", "0:2:3") for regime in ("crw", "qw")]
+        expected = [run(tmp_path, *argv) for argv in argvs]
+
+        def refuse(m):
+            raise AssertionError("H was built")
+
+        monkeypatch.setattr(cli, "hamiltonian_from_generator", refuse)
+        assert [run(tmp_path, *argv) for argv in argvs] == expected
+        assert all(rc == 0 for rc, _ in expected)
+        with pytest.raises(AssertionError, match="H was built"):
+            run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", "crw", "--omega", "0.5", "--t", "1")
 
     def test_parts_no_later_omega_weighs_are_released_before_propagation(self, tmp_path, monkeypatch):
         parts = []
@@ -601,6 +616,20 @@ class TestEdgeListInput:
     def test_missing_file_is_config_error(self, tmp_path):
         rc, _ = run(tmp_path, "simulate", "--graph", str(tmp_path / "absent.edges"), "--regime", "crw")
         assert rc == 2
+
+
+@pytest.mark.parametrize("source, message", [("line:501:1", "graph of 501 vertices"), ("file", "line 1: vertex count 501")], ids=["line", "edge-list"])
+def test_a_graph_past_the_vertex_bound_exits_2_before_its_dense_layer(tmp_path, capsys, monkeypatch, traced_peak, source, message):
+    # The bound is lowered, so that the command stays small even where the bound is missing.
+    monkeypatch.setattr(qsw.graph, "_MAX_VERTICES", 100)
+    if source == "file":
+        source = tmp_path / "path.edges"
+        source.write_text("vertices 501\n" + "".join(f"{a} {a + 1}\n" for a in range(500)))
+    (rc, text), peak = traced_peak(lambda: run(tmp_path, "simulate", "--graph", str(source), "--regime", "qw", "--t", "1"))
+    assert (rc, text) == (2, None)
+    assert capsys.readouterr().err == f"error: {message} is past the bound of 100 vertices\n"
+    # Any n x n array of the dense layer takes at least 8 n^2 bytes.
+    assert peak < 8 * 501**2
 
 
 class TestCompare:

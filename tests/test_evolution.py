@@ -553,6 +553,25 @@ class TestPropagate:
         assert excinfo.value.trace_drift <= 1e-15
         assert excinfo.value.hermiticity_drift == 0.0
 
+    @pytest.mark.parametrize(
+        "omega, make_ls",
+        [(0.5, edge_jump_operators), (1.0, edge_jump_operators), (1.0, global_jump_operator)],
+        ids=["crw-0.5", "crw-dissipative-only", "global-dissipative-only"],
+    )
+    def test_the_liouvillian_reads_a_populations_state_as_its_entries(self, omega, make_ls):
+        # The Liouvillian maps every start state from its entries: a state
+        # that records several nonzero populations runs bit for bit as the
+        # same state built from diag(p), on the invariant block at omega = 1.
+        _, _, m, h = line_setup(9)
+        liou = build_liouvillian(h, make_ls(m), omega)
+        assert liou.dissipative_only == (omega == 1.0)
+        by_populations = DensityMatrix.from_populations(np.arange(1.0, 10.0) / 45.0)
+        by_entries = DensityMatrix(np.diag(by_populations.populations))
+        for t in (0.5, 2.0):
+            state, info = propagate_detailed(by_populations, liou, t)
+            expected, expected_info = propagate_detailed(by_entries, liou, t)
+            assert state.entries.tobytes() == expected.entries.tobytes() and info == expected_info
+
     def test_block_route_leaves_the_full_matrix_unshifted(self):
         # Shifting R_D copies all of it, which the block route never multiplies.
         _, lmap, m, h = line_setup(21)

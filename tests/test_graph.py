@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qsw.graph
 from qsw.graph import (
     GeneratorMatrix,
     Graph,
@@ -259,6 +260,40 @@ vertices 4
     def test_duplicate_edge(self):
         with pytest.raises(ValueError, match=r"line 3: duplicate edge \(0, 1\)"):
             parse_edge_list("vertices 3\n0 1\n1 0 2.0\n")
+
+
+class TestVertexBound:
+    """Tests lower the bound, so that none builds a large graph, even where the bound is missing."""
+
+    def test_the_bound_admits_its_own_count(self):
+        n = qsw.graph._MAX_VERTICES
+        assert Graph(n, (), ()).n_vertices == n
+        with pytest.raises(ValueError, match=f"graph of {n + 1} vertices is past the bound of {n} vertices"):
+            Graph(n + 1, (), ())
+
+    def test_the_largest_workload_graph_is_far_inside(self):
+        # The dense layer peaks at 64 bytes per vertex^2: line:201's 2.7 MB is under 1 % of the bound's.
+        assert 100 * 201**2 < qsw.graph._MAX_VERTICES**2
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: build_line(100001, 1.0), "graph of 100001 vertices is past the bound of 10 vertices"),
+            (lambda: from_edge_list(100001, [(0, 1)]), "graph of 100001 vertices is past the bound of 10 vertices"),
+            (lambda: parse_edge_list("# big\nvertices 100001\n0 0\n"), "line 2: vertex count 100001 is past the bound of 10 vertices"),
+        ],
+        ids=["line", "graph", "edge-list"],
+    )
+    def test_a_refusal_allocates_nothing_of_size_n(self, monkeypatch, traced_peak, make, message):
+        # The edge list is refused at its header, before its self-loop on line 3 is read.
+        monkeypatch.setattr(qsw.graph, "_MAX_VERTICES", 10)
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                make()
+
+        _, peak = traced_peak(refused)
+        assert peak < 100001
 
 
 class TestFromEdgeList:

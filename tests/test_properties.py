@@ -26,7 +26,10 @@ states: the trace drift, Hermiticity drift and smallest eigenvalue read
 from the form must agree within 1e-14 with those of the dense entries,
 on the same side of the eigenvalue floor; the populations must equal the
 entries' diagonal bit for bit; and coherence_l1 must be nonnegative on
-the form and on the entries, and agree between them within 1e-12.
+the form and on the entries, and agree between them within 1e-12. Every
+state that pure and from_populations make from amplitudes or populations
+they accept (norm or sum at their tolerance's edge, populations down to
+-5e-13) must meet DensityMatrix's construction tolerances.
 
 For graphs, it draws vertex counts, edge sets and positive finite weights
 (subnormal ones included): an edge list written with repr weights parses
@@ -320,6 +323,32 @@ def test_a_form_reads_what_its_entries_give(state):
     coherence = coherence_l1(state)
     assert coherence >= 0.0 and coherence_l1(state.entries) >= 0.0
     assert abs(coherence - coherence_l1(state.entries)) <= 1e-12
+
+
+@st.composite
+def maker_inputs(draw):
+    """Amplitudes with norm within 1e-10 of 1, or populations down to -5e-13 with sum within 1e-9 of 1 (dim 1-12)."""
+    dim = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        part = st.floats(-1.0, 1.0)
+        psi = np.array(draw(st.lists(st.tuples(part, part), min_size=dim, max_size=dim))) @ [1.0, 1j]
+        assume(np.linalg.norm(psi) > 0.1)
+        return DensityMatrix.pure, psi * (draw(st.floats(1.0 - 9e-11, 1.0 + 9e-11)) / np.linalg.norm(psi))
+    p = np.array(draw(st.lists(st.floats(-5e-13, 1.0), min_size=dim, max_size=dim)))
+    assume(p.sum() > 0.6)
+    return DensityMatrix.from_populations, p * (draw(st.floats(1.0 - 9e-10, 1.0 + 9e-10)) / p.sum())
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn=maker_inputs())
+def test_the_form_makers_return_states_within_the_construction_tolerances(drawn):
+    # pure and from_populations divide by the norm or sum they measured, so
+    # they return their form without a second check; this is why none is needed.
+    make, form = drawn
+    state = make(form)
+    trace_drift, herm_drift, min_eig = _diagnostics(state)
+    assert trace_drift <= 1e-12 and herm_drift <= 1e-12 and min_eig >= -1e-9
+    DensityMatrix(state.entries)
 
 
 @st.composite

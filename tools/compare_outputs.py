@@ -11,7 +11,10 @@ qw chain to t = 200, so the omega = 0 walk is compared where t ||H||_1 is
 large and its Taylor sums cancel large terms, and the omega = 1 classical
 walk where no workload takes it: qw at omega 1, a crw sweep whose only
 omegas are its two limits, and a crw time grid on a seeded graph of two
-components, where the walk runs on the populations of both. Each checkout runs
+components, where the walk runs on the populations of both. Two qsw-global
+commands at omega 1 on line:21 run the invariant block where no workload
+does: over a time grid, and as the parity block of the offdiagonal
+operator. Each checkout runs
 in a fresh interpreter that imports qsw from its src/. BLAS threads are left as the caller set
 them, so run it under OPENBLAS_NUM_THREADS=1 and =2 to compare both.
 
@@ -65,10 +68,14 @@ AUDITS = [
 
 
 # A long omega = 0 chain on line:61 at hop rate 1, and omega = 1 without a coherent part.
+# The last two run the Liouvillian's invariant block: one search whose 231
+# coordinates serve a time grid, and the parity block, 121 of 441 coordinates.
 CHAINS = [
     ("simulate", "--graph", "line:61:1", "--regime", "qw", "--t", "0:200:5"),
     ("simulate", "--graph", "line:61:1", "--regime", "qw", "--omega", "1", "--t", "5"),
     ("sweep", "--graph", "line:21:1", "--regime", "crw", "--omega", "0:1:2", "--t", "5"),
+    ("simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "1", "--t", "0:3:4"),
+    ("simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--global-l", "offdiagonal", "--omega", "1", "--t", "5"),
 ]
 
 
