@@ -185,23 +185,23 @@ def _load_jump_file(path: str, dim: int) -> JumpOperatorSet:
     return JumpOperatorSet(dim, len(raw), number, rows, cols, values, CUSTOM)
 
 
-def _jump_operators(src: GraphSource, args, m: GeneratorMatrix) -> JumpOperatorSet:
+def _jump_operators(args, m: GeneratorMatrix) -> JumpOperatorSet:
     """The regime's jump operators on the graph whose classical generator is m."""
     regime = args.regime
     if regime == "crw":
         return edge_jump_operators(m, args.amplitude_convention)
     if regime == "qw":
-        return empty_jump_operators(src.graph.n_vertices)
+        return empty_jump_operators(m.dim)
     if regime == "qsw-global":
         return global_jump_operator(m, args.global_l)
     if not args.jump_file:
         raise ValueError("regime qsw-custom requires --jump-file")
-    return _load_jump_file(args.jump_file, src.graph.n_vertices)
+    return _load_jump_file(args.jump_file, m.dim)
 
 
 def _build_operators(src: GraphSource, args) -> tuple[Hamiltonian, JumpOperatorSet]:
     m = classical_generator(src.graph)
-    return hamiltonian_from_generator(m), _jump_operators(src, args, m)
+    return hamiltonian_from_generator(m), _jump_operators(args, m)
 
 
 def _resolve_origin(src: GraphSource, origin: int | None) -> tuple[int, int]:
@@ -281,7 +281,7 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     if points > _MAX_GRID_POINTS:
         raise ValueError(f"{len(omegas)} omegas x {len(ts)} times make {points} grid points, and the bound is {_MAX_GRID_POINTS}")
     m = classical_generator(src.graph)
-    ls = _jump_operators(src, args, m)
+    ls = _jump_operators(args, m)
     origin_label, origin_index = _resolve_origin(src, args.origin)
     rho0 = DensityMatrix.basis(src.graph.n_vertices, origin_index)
     ascending = sorted(range(len(ts)), key=ts.__getitem__)
