@@ -34,6 +34,7 @@ from .evolution import (
     MIN_POSITIVE_TIME,
     ClassicalWalk,
     DensityMatrix,
+    EigenbasisWalk,
     PropagationError,
     QuantumWalk,
     _identity_info,
@@ -259,21 +260,26 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     the QuantumWalk made from H. An omega = 1 point of a set that keeps
     populations closed (ClassicalWalk.applies_to: crw, qw, and such custom
     sets) propagates its dim populations with the ClassicalWalk made from
-    the jump triplets. Every other omega propagates the dim^2 real
+    the jump triplets. Every other point of a set of one operator equal to
+    H (EigenbasisWalk.applies_to: qsw-global with its full operator, and a
+    custom set that spells out H) propagates the start state's coherences
+    in H's eigenbasis, with the walk at its omega from one eigh of H per
+    command. Every other omega propagates the dim^2 real
     coordinates with its Liouvillian. Its two omega-free parts, R_QW and
     R_D (R at omega = 0 and at omega = 1), are built once each, and only
     if an omega that uses them weighs them: R_QW only for an omega inside
     (0, 1), and R_D for such an omega, or at omega = 1 for a set that does
     not keep populations closed. So crw --omega 1 and --omega 0:1:2 build
-    neither. combine_parts makes the generator of every interior omega
-    from them, and a part that no later omega weighs is let go before the
-    state propagates. H is built only for the QuantumWalk or a part, so
-    crw and qw at --omega 1 build none. For each omega the times are
+    neither, and qsw-global builds neither at any omega. combine_parts
+    makes the generator of every interior omega from them, and a part
+    that no later omega weighs is let go before the state propagates. H
+    is built only for a route that reads it, so crw and qw at --omega 1
+    build none. For each omega the times are
     visited in ascending order as one forward chain: each point steps on
     from the state the previous one reached. Each step pays its own Taylor
     series, so a chain costs more products than its largest time alone;
-    line:101 qsw-global at omega 0.5 makes 192 products over --t 0:5:11
-    against 103 for --t 5. A zero-length step (t = 0, or a repeated time) reports method
+    line:101 qsw-global at omega 0.5 makes 200 products over --t 0:5:11
+    against 108 for --t 5. A zero-length step (t = 0, or a repeated time) reports method
     identity with 0 steps. A command whose times are all 0 builds no
     generator: every point is the start state.
     """
@@ -307,18 +313,27 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     walks = {}
     if 1.0 in omegas and ClassicalWalk.applies_to(ls):
         walks[1.0] = ClassicalWalk.from_jump_operators(ls)
-    # The last omega that weighs each part, -1 if none does; omega 1 with a walk takes it instead.
-    last_coherent = max((k for k, w in enumerate(omegas) if 0.0 < w < 1.0), default=-1)
-    last_dissipative = max((k for k, w in enumerate(omegas) if w > 0.0 and w not in walks), default=-1)
-    # H is read by the quantum walk and by both parts, never by the classical walk.
-    h = hamiltonian_from_generator(m) if 0.0 in omegas or max(last_coherent, last_dissipative) >= 0 else None
+    # H is read by every other route, never by the classical walk.
+    h = hamiltonian_from_generator(m) if any(w not in walks for w in omegas) else None
+    eigenbasis = None
+    if any(w > 0.0 and w not in walks for w in omegas) and EigenbasisWalk.applies_to(h, ls):
+        eigenbasis = EigenbasisWalk.from_hamiltonian(h)
     if 0.0 in omegas:
         walks[0.0] = QuantumWalk.from_hamiltonian(h)
+    # The omegas the parts serve, and the last that weighs each part, -1 if none does.
+    parted = [] if eigenbasis is not None else [k for k, w in enumerate(omegas) if w not in walks]
+    last_coherent = max((k for k in parted if omegas[k] < 1.0), default=-1)
+    last_dissipative = max(parted, default=-1)
     coherent = build_liouvillian(h, ls, 0.0) if last_coherent >= 0 else None
     dissipative = build_liouvillian(h, ls, 1.0) if last_dissipative >= 0 else None
     results = []
     for k, omega in enumerate(omegas):
-        liou = walks[omega] if omega in walks else combine_parts(coherent, dissipative, omega)
+        if omega in walks:
+            liou = walks[omega]
+        elif eigenbasis is not None:
+            liou = eigenbasis.at(omega)
+        else:
+            liou = combine_parts(coherent, dissipative, omega)
         if k == last_coherent:
             coherent = None
         if k == last_dissipative:

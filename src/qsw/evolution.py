@@ -30,15 +30,17 @@ products with A, would pass _MAX_PRODUCTS is refused before the first
 product is made. A time grid is a forward chain of such steps, each
 starting from the state the previous one reached (see qsw.cli). Each step
 pays its own Taylor series, so a chain costs more than one step to its
-largest time: line:101 qsw-global at omega 0.5 makes 192 products over
-t = 0, 0.5, ..., 5 against 103 for t = 5 alone.
+largest time: line:101 qsw-global at omega 0.5 makes 200 products over
+t = 0, 0.5, ..., 5 against 108 for t = 5 alone.
 
-Three generators hand the kernel a real vector, each through its _route:
+Four generators hand the kernel a real vector, each through its _route:
 a _ShiftedGenerator, the real vector the start state maps to, and the map
 from the result back to a state in one form, so propagate_detailed takes
 one path for every generator, and each reads the form it writes: a
 Liouvillian the dim^2 coordinates of the start state's entries, a
-QuantumWalk its dim amplitudes, and a ClassicalWalk its dim populations.
+QuantumWalk its dim amplitudes, a ClassicalWalk its dim populations, and
+an EigenbasisWalk the coherences of the start state in H's eigenbasis,
+mapped back to entries.
 
 At omega = 0 the route runs on state vectors, the paper's quantum walk
 limit. The equation of motion is -i[H, rho], so a pure state stays pure,
@@ -60,6 +62,18 @@ bit for bit. A state
 built diagonal records its populations (DensityMatrix.populations), and
 the walk's route takes those; the state it maps back records p(t).
 
+For a set of one jump operator equal to H (qsw-global with its full
+operator, or a custom set that spells out H), the dissipator is
+-1/2 [H, [H, rho]], and in H's eigenbasis every entry of the state moves
+alone: the populations there stay put, and the coherence of eigenvalues
+lambda_i and lambda_j rotates at (1 - omega) Delta and decays at
+(omega / 2) Delta^2, Delta = lambda_i - lambda_j. An EigenbasisWalk,
+made once per command from eigh(H), hands the kernel one 2 x 2 block per
+coherence that moves, so no dim^2 x dim^2 matrix is assembled or
+searched at any omega in (0, 1]. Its products with the eigenvectors are
+summed by np.einsum, which calls no BLAS, so its states do not depend on
+the BLAS thread count; eigh's eigenvectors still do at large dim.
+
 A Liouvillian at omega = 1 (dissipative_only) runs on the invariant block
 of the start state alone: the coordinates reachable from its support
 along R's nonzero pattern, which exp(tR) never leaves, and maps back to
@@ -78,13 +92,16 @@ eigenvalues ||psi||^2 and 0, and diag(p) the eigenvalues p, and both are
 Hermitian by construction. So neither builds its dim x dim entries or
 calls LAPACK; only a state mapped back from coordinates is checked on its
 entries, with eigvalsh. Its Hermiticity drift reads 0 too, as from_coordinates
-builds a Hermitian matrix, and the check stays, as it costs one pass. A
+builds a Hermitian matrix, and so does the EigenbasisWalk's map back, and
+the check stays, as it costs one pass. A
 state with a non-finite value in its form violates every budget, and its
 drifts read nan.
 
 The coordinate routes are bounded before they are built: _assemble
 refuses a product of more than _MAX_BUILD_ENTRIES entries with a
-ValueError, before it allocates anything of that size.
+ValueError, before it allocates anything of that size, and
+EigenbasisWalk.from_hamiltonian refuses a dim past _MAX_EIGENBASIS_DIM
+before eigh.
 """
 
 from __future__ import annotations
@@ -127,7 +144,8 @@ _THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 # The most products with A that one step of the kernel may make. The
-# largest step of the benchmark workloads may make 7645 (m = 55, s = 139);
+# largest step of the benchmark workloads may make 6655 (m = 55, s = 121,
+# the eigenbasis walk of line:61 qsw-global at omega 1 and t = 200);
 # a step past the bound would run for minutes or longer, so it is refused
 # before it starts.
 _MAX_PRODUCTS = 10**6
@@ -136,8 +154,16 @@ _MAX_PRODUCTS = 10**6
 # its conjugate. A build's tracemalloc peak measured 29-40 bytes per such
 # entry (29 for R_D of line:201 qsw-global, whose 762799 entries peak at
 # 22.4 MB; 40 for R_QW of line:201), so the bound caps a build's peak near
-# 1 GB, 33 times the largest build of the benchmark workloads.
+# 1 GB. The largest build of the benchmark workloads, R_QW of the seeded
+# 48-vertex crw sweep, forms 23040 entries.
 _MAX_BUILD_ENTRIES = 25 * 10**6
+# The largest dim the EigenbasisWalk decomposes. Its route holds dim^2
+# coordinates and the dim x dim eigenvectors, entries and products, and a
+# qsw-global command on it peaked at 201 bytes per dim^2 under tracemalloc
+# (8.2 MB at line:201, 129 MB at line:801, the graph's dense layer
+# included), so the bound caps a command near 1 GB. Its eigh and products
+# take O(dim^3) time.
+_MAX_EIGENBASIS_DIM = 2200
 
 
 class PropagationError(RuntimeError):
@@ -303,7 +329,8 @@ class Liouvillian:
     block too is kept for every later propagation. The block is exact for
     any generator; the mark only says where the search is worth its cost.
     It reads every start state from its entries and maps back to entries;
-    a set that keeps populations closed propagates them with a ClassicalWalk.
+    a set that keeps populations closed propagates them with a ClassicalWalk,
+    and a set of one operator equal to H with an EigenbasisWalk.
     """
 
     dim: int
@@ -511,6 +538,166 @@ class ClassicalWalk:
         return "populations", self._shifted, p, back
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b summed by np.einsum, which calls no BLAS, so its bits do not depend on the BLAS thread count."""
+    return np.einsum("ij,jk->ik", a, b)
+
+
+def _rotated(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ x @ right by _product; a complex x between real factors goes as its real and imaginary parts, the latter only if nonzero."""
+    if np.iscomplexobj(x) and not np.iscomplexobj(left):
+        real = _rotated(left, x.real, right)
+        return real + 1j * _rotated(left, x.imag, right) if x.imag.any() else real.astype(complex)
+    return _product(_product(left, x), right)
+
+
+@dataclass(frozen=True)
+class EigenbasisWalk:
+    """The generator at omega of a set whose one jump operator is H, on the eigenbasis coordinates of the state.
+
+    With L = H and H = U diag(lambda) U^dag, the dissipator is
+    -1/2 [H, [H, rho]], so in H's eigenbasis every entry of
+    rho~ = U^dag rho U evolves alone:
+
+        d rho~[i, j] / dt = (-i nu - gamma) rho~[i, j],
+        nu = (1 - omega) Delta, gamma = (omega / 2) Delta^2, Delta = lambda_i - lambda_j.
+
+    The populations rho~[i, i] and every coherence with Delta = 0 stay
+    put; every other coherence rotates at nu and decays at gamma. The
+    kernel's matrix holds one 2 x 2 block [[-gamma, nu], [-nu, -gamma]]
+    on (Re, Im) of each coherence i < j that moves. The decomposition is
+    made once (from_hamiltonian) and shared by the walk at every omega
+    (at), and the walk keeps the eigenbasis coordinates of the state it
+    made last, so the next step of a time grid starts from them with no
+    transform. Every product with U is a _product, so the route's states
+    do not depend on the BLAS thread count, though eigh's eigenvectors do
+    at large dim.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    omega: float
+
+    def __post_init__(self):
+        _require_omega(self.omega)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+    @staticmethod
+    def applies_to(h: Hamiltonian, ls: JumpOperatorSet) -> bool:
+        """Whether ls is one operator equal to H entry for entry."""
+        if ls.count != 1 or ls.dim != h.dim:
+            return False
+        rows, cols = np.nonzero(h.entries)
+        return (
+            np.array_equal(ls.rows, rows)
+            and np.array_equal(ls.cols, cols)
+            and np.array_equal(ls.values, h.entries[rows, cols])
+        )
+
+    @classmethod
+    def from_hamiltonian(cls, h: Hamiltonian, omega: float = 1.0) -> "EigenbasisWalk":
+        """The walk at omega (the dissipator alone by default) from eigh of H, of its real part when H is real.
+
+        A dim past _MAX_EIGENBASIS_DIM is refused before eigh allocates.
+        """
+        if h.dim > _MAX_EIGENBASIS_DIM:
+            raise ValueError(
+                f"the eigenbasis route at dim {h.dim} would hold {h.dim**2} coordinates and decompose H, "
+                f"and the bound is dim {_MAX_EIGENBASIS_DIM}"
+            )
+        entries = h.entries.real if not h.entries.imag.any() else h.entries
+        eigenvalues, eigenvectors = np.linalg.eigh(entries)
+        for arr in (eigenvalues, eigenvectors):
+            arr.setflags(write=False)
+        return cls(eigenvalues, eigenvectors, omega)
+
+    def at(self, omega: float) -> "EigenbasisWalk":
+        """The walk at another omega, sharing this one's decomposition."""
+        return EigenbasisWalk(self.eigenvalues, self.eigenvectors, omega)
+
+    @cached_property
+    def _moving(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs i < j in np.triu_indices order, and the mask of those whose coherence moves (Delta != 0)."""
+        first, second = np.triu_indices(self.dim, 1)
+        return first, second, self.eigenvalues[first] != self.eigenvalues[second]
+
+    @cached_property
+    def _shifted(self) -> "_ShiftedGenerator":
+        """The 2 x 2 blocks of the moving coherences as a CSR matrix; a non-finite rate is refused, naming its pair."""
+        first, second, moving = self._moving
+        i, j = first[moving], second[moving]
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = self.eigenvalues[i] - self.eigenvalues[j]
+            nu = (1.0 - self.omega) * delta
+            gamma = 0.5 * self.omega * np.square(delta)
+        bad = ~(np.isfinite(nu) & np.isfinite(gamma))
+        if bad.any():
+            k = np.argmax(bad)
+            raise ValueError(
+                f"the coherence of eigenvectors {i[k]} and {j[k]} of H has a rate that is not finite at omega = {self.omega!r}: "
+                f"Delta = {float(delta[k])!r}, rotation (1 - omega) Delta = {float(nu[k])!r}, "
+                f"decay (omega / 2) Delta^2 = {float(gamma[k])!r}"
+            )
+        if not i.size:
+            # Nothing moves (dim 1, or H a multiple of I): the kernel gets one
+            # zero coordinate, which it keeps, and the map back ignores.
+            return _ShiftedGenerator(scipy.sparse.csr_matrix((1, 1)))
+        values = np.stack([-gamma, nu, -nu, -gamma], axis=1).ravel()
+        cols = (2 * np.arange(i.size)[:, None] + np.array([0, 1, 0, 1])).ravel()
+        matrix = scipy.sparse.csr_matrix((values, cols, np.arange(0, 4 * i.size + 1, 2)), shape=(2 * i.size, 2 * i.size))
+        matrix.eliminate_zeros()
+        return _ShiftedGenerator(matrix)
+
+    @cached_property
+    def _last(self) -> list:
+        """[the state this walk made last, its eigenbasis populations, its coherences over every pair i < j], or empty."""
+        return []
+
+    def _coordinates(self, rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The populations and the coherences over every pair i < j of U^dag rho0 U, read from the amplitudes if rho0 records them."""
+        if self._last and self._last[0] is rho0:
+            return self._last[1], self._last[2]
+        u = self.eigenvectors
+        first, second, _ = self._moving
+        if rho0.amplitudes is not None:
+            phi = np.einsum("ji,j->i", u.conj(), rho0.amplitudes)
+            return (phi * phi.conj()).real, phi[first] * phi[second].conj()
+        tilde = _rotated(u.conj().T, rho0.entries, u)
+        return tilde.diagonal().real.copy(), tilde[first, second]
+
+    def _route(self, rho0: DensityMatrix):
+        """The route's name, the kernel's _ShiftedGenerator, (Re, Im) of the moving coherences of U^dag rho0 U, and the map back to entries.
+
+        The map back fills U^dag rho(t) U from the kernel's result, the
+        unmoved coherences and the populations, and rotates it back with U.
+        The entries are made Hermitian as (C + C^dag) / 2, and the walk
+        keeps the eigenbasis coordinates for a next step from this state.
+        """
+        diagonal, coherences = self._coordinates(rho0)
+        first, second, moving = self._moving
+        size = 2 * np.count_nonzero(moving)
+        # One zero coordinate when nothing moves (see _shifted).
+        x = np.zeros(max(size, 1))
+        x[0:size:2], x[1:size:2] = coherences[moving].real, coherences[moving].imag
+        u = self.eigenvectors
+
+        def back(x: np.ndarray) -> DensityMatrix:
+            moved = coherences.copy()
+            moved[moving] = x[0:size:2] + 1j * x[1:size:2]
+            tilde = np.diag(diagonal.astype(complex))
+            tilde[first, second] = moved
+            tilde[second, first] = moved.conj()
+            entries = _rotated(u, tilde, u.conj().T)
+            state = DensityMatrix._unchecked((entries + entries.conj().T) / 2.0)
+            self._last[:] = [state, diagonal, moved]
+            return state
+
+        return "eigenbasis", self._shifted, x, back
+
+
 def _reached(matrix: scipy.sparse.csr_matrix, support: np.ndarray) -> np.ndarray:
     """A mask of the coordinates reachable from support along the nonzero pattern of R.
 
@@ -539,8 +726,8 @@ class PropagationInfo:
     """How a state was propagated; steps counts the sparse matrix-vector products the kernel made.
 
     route names the vector the kernel ran on: amplitudes, populations,
-    invariant-block or coordinates, or identity for a zero-length step,
-    which runs no kernel. rows is the row count of the matrix the kernel
+    eigenbasis, invariant-block or coordinates, or identity for a
+    zero-length step, which runs no kernel. rows is the row count of the matrix the kernel
     multiplied, 0 for identity. method, read from route, is identity or
     matrix-exponential, the one kernel every other route runs.
     """
@@ -870,7 +1057,7 @@ def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.nd
 
     R and x are what a generator's _route hands the kernel: a Liouvillian's
     coordinates or its invariant block, a QuantumWalk's (Re psi, Im psi),
-    or a ClassicalWalk's populations.
+    a ClassicalWalk's populations, or an EigenbasisWalk's moving coherences.
 
     Algorithm 3.2 of Al-Mohy and Higham (2011): with A = R - mu I,
     exp(tR) x = (e^(t mu / s) T_m(tA / s))^s x, where T_m is the degree-m
@@ -908,22 +1095,23 @@ def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.nd
 
 
 def propagate_detailed(
-    rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk, t: float
+    rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk | EigenbasisWalk, t: float
 ) -> tuple[DensityMatrix, PropagationInfo]:
     """Evolve rho0 for time t by the action of exp(t L); report diagnostics.
 
     The generator's _route maps rho0 to the real vector the kernel
     multiplies: a Liouvillian's real coordinates of rho0 (at most its
     invariant block for a dissipative_only one), a QuantumWalk's
-    (Re psi, Im psi) of rho0's amplitudes psi, or a ClassicalWalk's
-    populations p of rho0; a walk refuses a state that records no such
-    form. The route is taken before the t = 0 shortcut, so that refusal
+    (Re psi, Im psi) of rho0's amplitudes psi, a ClassicalWalk's
+    populations p of rho0, or an EigenbasisWalk's coherences of rho0 in
+    H's eigenbasis; the first two walks refuse a state that records no
+    such form. The route is taken before the t = 0 shortcut, so that refusal
     does not depend on t. A zero t returns rho0 itself, with method and
     route "identity" and 0 steps. Otherwise _expm_action computes
     exp(t R) on the vector in float64, and the route maps the result back
     to a state in its own form: psi(t) as amplitudes, p(t) as
-    populations, and coordinates as the state's entries, Hermitian by
-    construction. The info's steps is the
+    populations, and coordinates and coherences as the state's entries,
+    Hermitian by construction. The info's steps is the
     number of sparse matrix-vector products the kernel made, route names
     the route and rows the size of the matrix it multiplied. The call is
     deterministic and draws no random numbers.
@@ -958,7 +1146,7 @@ def _identity_info(rho0: DensityMatrix) -> PropagationInfo:
     return PropagationInfo(0, *_diagnostics(rho0), "identity", 0)
 
 
-def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk, t: float) -> DensityMatrix:
+def propagate(rho0: DensityMatrix, liouvillian: Liouvillian | QuantumWalk | ClassicalWalk | EigenbasisWalk, t: float) -> DensityMatrix:
     state, _ = propagate_detailed(rho0, liouvillian, t)
     return state
 

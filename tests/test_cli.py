@@ -5,6 +5,7 @@ files; exit codes and emitted documents are asserted directly.
 """
 
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -16,7 +17,16 @@ import qsw.cli as cli
 import qsw.evolution
 import qsw.graph
 import qsw.operators
-from qsw.evolution import DensityMatrix, PropagationError, QuantumWalk, build_liouvillian, coherence_l1, populations, propagate_detailed
+from qsw.evolution import (
+    DensityMatrix,
+    EigenbasisWalk,
+    PropagationError,
+    QuantumWalk,
+    build_liouvillian,
+    coherence_l1,
+    populations,
+    propagate_detailed,
+)
 from qsw.graph import build_line, classical_generator
 from qsw.operators import edge_jump_operators, empty_jump_operators, global_jump_operator, hamiltonian_from_generator
 from qsw.oracles import LineWalkSpec, crw_line_analytic
@@ -107,12 +117,17 @@ class TestSimulate:
         results = json.loads(text)["results"]
         assert [(r["omega"], r["t"]) for r in results] == [(w, t) for w in omegas for t in ts]
 
-    @pytest.mark.parametrize("regime", ["qw", "crw", "qsw-global"])
-    def test_zero_times_build_no_generator(self, tmp_path, monkeypatch, regime):
-        # Every point is the start state, so neither part nor the walk is built;
+    @pytest.mark.parametrize(
+        "regime, builds",
+        [("qw", ["walk", 0.0, 1.0]), ("crw", ["walk", 0.0, 1.0]), ("qsw-global", ["eigenbasis", "walk"])],
+        ids=["qw", "crw", "qsw-global"],
+    )
+    def test_zero_times_build_no_generator(self, tmp_path, monkeypatch, regime, builds):
+        # Every point is the start state, so neither part nor a walk is built;
         # the records equal the t = 0 records of a grid that builds them.
+        # qsw-global's omega 0.5 and 1 take the eigenbasis walk, and build no part.
         built = []
-        walk = QuantumWalk.from_hamiltonian
+        walk, eigenbasis = QuantumWalk.from_hamiltonian, EigenbasisWalk.from_hamiltonian
 
         def counting_build(h, ls, omega):
             built.append(omega)
@@ -122,13 +137,18 @@ class TestSimulate:
             built.append("walk")
             return walk(h)
 
+        def counting_eigenbasis(h):
+            built.append("eigenbasis")
+            return eigenbasis(h)
+
         monkeypatch.setattr(cli, "build_liouvillian", counting_build)
         monkeypatch.setattr(QuantumWalk, "from_hamiltonian", staticmethod(counting_walk))
+        monkeypatch.setattr(EigenbasisWalk, "from_hamiltonian", staticmethod(counting_eigenbasis))
         argv = ("simulate", "--graph", "line:5:1", "--regime", regime, "--omega", "0:1:3", "--origin", "1")
         rc, still = run(tmp_path, *argv, "--t", "0:0:2", name="still")
         assert (rc, built) == (0, [])
         rc, moving = run(tmp_path, *argv, "--t", "0:1:2", name="moving")
-        assert (rc, built) == (0, ["walk", 0.0, 1.0])
+        assert (rc, built) == (0, builds)
         forced = [json.dumps(r) for r in json.loads(moving)["results"] if r["t"] == 0.0]
         assert [json.dumps(r) for r in json.loads(still)["results"]] == [entry for entry in forced for _ in range(2)]
 
@@ -306,10 +326,12 @@ class TestSimulate:
         # The Taylor degree and step count set the cost; a slip in choosing
         # them would multiply the products without changing any result.
         # matvecs counts every product with a sparse matrix, so sizing the
-        # steps counts too: the long-t command makes 3786 products on the
-        # 1891 real coordinates its start state reaches. On all 3721
-        # coordinates it made 3891, and sizing the steps from estimates of
-        # ||A^p||_1 made 3951 (3599 in the kernel and 352 in the estimates).
+        # steps counts too: the long-t command makes 3547 products on the
+        # 3660 eigenbasis coordinates of the 1830 coherences, which move.
+        # The Liouvillian made 3786 on the 1891 real coordinates its start
+        # state reaches, 3891 on all 3721, and sizing the steps from
+        # estimates of ||A^p||_1 made 3951 (3599 in the kernel and 352 in
+        # the estimates).
         rc, text = run(tmp_path, "simulate", "--graph", "line:61:1", *argv)
         assert rc == 0
         steps = sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"])
@@ -446,13 +468,14 @@ class TestInvariantBlock:
 
     @pytest.mark.parametrize(
         "regime, block, route, search_count",
-        [("crw", 21, "populations", 0), ("qsw-global", 21 * 22 // 2, "invariant-block", 1)],
-        ids=["crw-21", "qsw-global-231"],
+        [(("crw",), 21, "populations", 0), (("qsw-global", "--global-l", "offdiagonal"), 121, "invariant-block", 1)],
+        ids=["crw-21", "qsw-global-offdiagonal-121"],
     )
     def test_a_time_grid_at_omega_1_searches_once(self, tmp_path, matvecs, searches, routes, regime, block, route, search_count):
-        # Real operators keep a vertex start state on the n(n+1)/2 real coordinates, found by
-        # one search; crw propagates the classical walk on the populations with none.
-        rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", regime, "--omega", "1", "--t", "0:5:11")
+        # The offdiagonal operator keeps a vertex start state on the 121 real coordinates of
+        # its parity block, found by one search; crw propagates the classical walk on the
+        # populations with none.
+        rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", *regime, "--omega", "1", "--t", "0:5:11")
         assert rc == 0
         assert sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"]) == len(matvecs) > 0
         assert set(matvecs) == {(block, block)}
@@ -469,6 +492,85 @@ class TestInvariantBlock:
             assert (info.route, info.rows) == ("coordinates", 49)
         assert len(matvecs) > 0 and set(matvecs) == {(49, 49)}
         assert len(searches) == 1
+
+
+class TestEigenbasisRoute:
+    """qsw-global with the full operator propagates in H's eigenbasis at every omega in (0, 1]."""
+
+    @pytest.mark.parametrize("omega", ["0.5", "1"])
+    def test_qsw_global_builds_no_part_and_searches_nothing(self, tmp_path, monkeypatch, matvecs, omega):
+        routes = []
+
+        def refuse(*args):
+            raise AssertionError("a dim^2 part was built or searched")
+
+        def recording_propagate(rho0, liou, t):
+            state, info = propagate_detailed(rho0, liou, t)
+            routes.append((info.route, info.rows))
+            return state, info
+
+        monkeypatch.setattr(cli, "build_liouvillian", refuse)
+        monkeypatch.setattr(qsw.evolution, "_assemble", refuse)
+        monkeypatch.setattr(qsw.evolution, "_reached", refuse)
+        monkeypatch.setattr(cli, "propagate_detailed", recording_propagate)
+        rc, text = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", omega, "--t", "0:2:3")
+        assert rc == 0
+        # Each of the 210 coherences moves, on its real and imaginary parts.
+        assert routes == [("identity", 0)] + [("eigenbasis", 420)] * 2
+        assert sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"]) == len(matvecs) > 0
+        assert set(matvecs) == {(420, 420)}
+
+    def test_the_route_loads_no_scipy_linalg(self, tmp_path):
+        # eigh is numpy's, so the route adds nothing to a command's set-up.
+        argv = ["simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "0.5", "--output", str(tmp_path / "out")]
+        probe = f"import sys, qsw.cli; rc = qsw.cli.main({argv!r}); print(rc, [m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 []"
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Every field but min_eigenvalue, which LAPACK's eigvalsh computes, agrees
+        # byte for byte at 1 and 2 OpenBLAS threads (eigh's eigenvectors still do at dim 301).
+        argv = ["simulate", "--graph", "line:201:1", "--regime", "qsw-global", "--omega", "0.5", "--t", "5"]
+        texts = []
+        for threads in ("1", "2"):
+            target = tmp_path / f"threads{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "qsw.cli", *argv, "--output", str(target)], env=env, check=True)
+            texts.append([line for line in target.read_text().splitlines() if '"min_eigenvalue"' not in line])
+        assert texts[0] == texts[1]
+        assert len(texts[0]) > 201
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (
+                # K = H^2 is finite (6 r^2 = 1.5e308), but Delta^2 = 9 r^2 is not.
+                "line:3:5e153",
+                "the coherence of eigenvectors 0 and 2 of H has a rate that is not finite at omega = 0.5: Delta = -1.5e+154, "
+                "rotation (1 - omega) Delta = -7.5e+153, decay (omega / 2) Delta^2 = inf",
+            ),
+            ("line:3:1e200", "K = sum_k L_k^dag L_k overflows: sum_k sum_c |L_k[c, 0]|^2 of column 0 is not finite"),
+        ],
+        ids=["rate", "k"],
+    )
+    def test_a_non_finite_rate_is_a_located_config_error(self, tmp_path, capsys, graph, message):
+        # The suite turns a RuntimeWarning into an error, so none is raised on the way.
+        rc, text = run(tmp_path, "simulate", "--graph", graph, "--regime", "qsw-global", "--omega", "0.5", "--t", "1")
+        assert (rc, text) == (2, None)
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_a_dim_past_the_bound_exits_2_before_eigh(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qsw.evolution, "_MAX_EIGENBASIS_DIM", 21)
+        rc, _ = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "0.5", "--t", "1")
+        assert rc == 0
+
+        def refuse(*args):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rc, text = run(tmp_path, "simulate", "--graph", "line:23:1", "--regime", "qsw-global", "--omega", "0.5", "--t", "1", name="past")
+        assert (rc, text) == (2, None)
+        assert "error: the eigenbasis route at dim 23 would hold 529 coordinates and decompose H, and the bound is dim 21\n" in capsys.readouterr().err
 
 
 class TestSweep:

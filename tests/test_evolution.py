@@ -11,6 +11,7 @@ import qsw.evolution
 from qsw.evolution import (
     ClassicalWalk,
     DensityMatrix,
+    EigenbasisWalk,
     Liouvillian,
     EIGENVALUE_FLOOR,
     StateInvariantError,
@@ -793,12 +794,130 @@ class TestClassicalWalk:
             ClassicalWalk(2, scipy.sparse.csr_matrix((4, 4)))
 
 
+def eigenbasis_graphs():
+    """Graphs whose H has repeated eigenvalues (star, cycle, complete) and a seeded weighted one that has none."""
+    rng = np.random.default_rng(7)
+    weighted = [(u, v, rng.uniform(0.5, 2.0)) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.5 or v == u + 1]
+    return {
+        "star": from_edge_list(7, [(0, v) for v in range(1, 7)]),
+        "cycle": from_edge_list(8, [(v, (v + 1) % 8) for v in range(8)]),
+        "complete": from_edge_list(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+        "weighted": from_edge_list(7, weighted),
+    }
+
+
+class TestEigenbasisWalk:
+    """A set whose one jump operator is H propagates in H's eigenbasis, where each coherence rotates and dephases alone."""
+
+    @pytest.mark.parametrize("omega", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["star", "cycle", "complete", "weighted"])
+    def test_matches_the_liouvillian_of_the_global_operator(self, name, omega):
+        m = classical_generator(eigenbasis_graphs()[name])
+        h, ls = hamiltonian_from_generator(m), global_jump_operator(m)
+        assert EigenbasisWalk.applies_to(h, ls)
+        walk, liou = EigenbasisWalk.from_hamiltonian(h, omega), build_liouvillian(h, ls, omega)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+        # Amplitudes and entries take two ways into the eigenbasis.
+        for rho0 in (DensityMatrix.basis(m.dim, 1), DensityMatrix.pure(psi / np.linalg.norm(psi)), random_state(rng, m.dim)):
+            state = rho0
+            # A chain of steps, each from the state the walk made last, against one step to each time.
+            for t_prev, t in ((0.0, 0.7), (0.7, 50.0)):
+                state, info = propagate_detailed(state, walk, t - t_prev)
+                expected, _ = propagate_detailed(rho0, liou, t)
+                assert np.abs(state.entries - expected.entries).max() <= 1e-12
+                assert info.route == "eigenbasis"
+                assert state.amplitudes is None and state.populations is None
+
+
+    @pytest.mark.parametrize(
+        "make, applies",
+        [
+            (lambda m: global_jump_operator(m, "full"), True),
+            (lambda m: JumpOperatorSet.from_dense(m.dim, [m.entries], "custom"), True),
+            (lambda m: global_jump_operator(m, "offdiagonal"), False),
+            (lambda m: edge_jump_operators(m), False),
+            (lambda m: empty_jump_operators(m.dim), False),
+            (lambda m: JumpOperatorSet.from_dense(m.dim, [m.entries + np.diag(np.arange(m.dim) == 2)], "custom"), False),
+            (lambda m: JumpOperatorSet.from_dense(m.dim, [m.entries, m.entries], "custom"), False),
+        ],
+        ids=["qsw-global-full", "custom-equal-to-h", "offdiagonal", "crw", "qw", "custom-differs-from-h", "custom-h-twice"],
+    )
+    def test_applies_to_one_operator_equal_to_h_alone(self, make, applies):
+        _, _, m, h = line_setup(5, gamma=1.5)
+        assert EigenbasisWalk.applies_to(h, make(m)) is applies
+
+    def test_the_matrix_holds_one_block_per_moving_coherence(self):
+        _, _, _, h = line_setup(5)
+        walk = EigenbasisWalk.from_hamiltonian(h, 0.25)
+        # The line's generator has 5 distinct eigenvalues, so all 10 coherences move.
+        matrix = walk._shifted.matrix + walk._shifted.mu * scipy.sparse.identity(20)
+        first, second = np.triu_indices(5, 1)
+        delta = walk.eigenvalues[first] - walk.eigenvalues[second]
+        nu, gamma = 0.75 * delta, 0.125 * delta**2
+        expected = scipy.sparse.block_diag([[[-g, n], [-n, -g]] for n, g in zip(nu, gamma)])
+        assert np.abs(matrix.toarray() - expected.toarray()).max() <= 1e-15
+        assert np.array_equal(walk.at(0.5).eigenvectors, walk.eigenvectors) and walk.at(0.5).omega == 0.5
+
+    def test_a_hamiltonian_with_one_eigenvalue_keeps_every_state(self, matvecs):
+        # Nothing moves: the kernel multiplies no matrix, and the map back returns the start state's entries.
+        graph = from_edge_list(3, [])
+        m = classical_generator(graph)
+        h, ls = hamiltonian_from_generator(m), global_jump_operator(m)
+        assert EigenbasisWalk.applies_to(h, ls)
+        arr = random_state(np.random.default_rng(1), 3).entries
+        rho0 = DensityMatrix((arr + arr.conj().T) / 2.0)
+        state, info = propagate_detailed(rho0, EigenbasisWalk.from_hamiltonian(h, 0.5), 4.0)
+        assert np.array_equal(state.entries, rho0.entries)
+        assert (info.route, info.rows, info.steps, matvecs) == ("eigenbasis", 1, 0, [])
+
+    def test_a_grid_step_starts_from_the_coordinates_the_walk_kept(self, monkeypatch):
+        # The map back makes four real products with U (two for each of Re and Im);
+        # a step from the state the walk made last makes none into the eigenbasis.
+        products = []
+        product = qsw.evolution._product
+
+        def counting_product(a, b):
+            products.append(a.shape)
+            return product(a, b)
+
+        monkeypatch.setattr(qsw.evolution, "_product", counting_product)
+        _, lmap, m, h = line_setup(9)
+        walk = EigenbasisWalk.from_hamiltonian(h, 0.5)
+        state = DensityMatrix.basis(9, lmap.center)
+        for _ in range(3):
+            state, _ = propagate_detailed(state, walk, 0.5)
+        assert len(products) == 3 * 4
+        # A state the walk did not make last is mapped in from its entries: four more.
+        propagate_detailed(DensityMatrix(state.entries), walk, 0.5)
+        assert len(products) == 4 * 4 + 4
+
+    def test_a_dim_past_the_bound_is_refused_before_eigh(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigh ran")
+
+        _, _, _, h = line_setup(9)
+        monkeypatch.setattr(qsw.evolution, "_MAX_EIGENBASIS_DIM", 8)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(ValueError, match=r"^the eigenbasis route at dim 9 would hold 81 coordinates and decompose H, and the bound is dim 8$"):
+            EigenbasisWalk.from_hamiltonian(h)
+
+    def test_a_rate_past_the_largest_float_is_refused_naming_its_coherence(self):
+        # K = H^2 is finite here (its largest entry 6 r^2 = 1.5e308), but Delta^2 = 9 r^2 is not.
+        _, _, _, h = line_setup(3, gamma=5e153)
+        walk = EigenbasisWalk.from_hamiltonian(h, 0.5)
+        message = "the coherence of eigenvectors 0 and 2 of H has a rate that is not finite at omega = 0.5: Delta = -1.5e+154"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, rotation"):
+            propagate_detailed(DensityMatrix.basis(3, 1), walk, 1.0)
+
+
 class TestBuildBound:
     """A build whose product would pass _MAX_BUILD_ENTRIES is refused before it allocates."""
 
     def test_the_largest_workload_build_sits_inside_the_bound(self, monkeypatch, traced_peak):
         # R_D of line:201 qsw-global forms 361201 jump and 401598 G entries,
-        # more than 30 times below the bound.
+        # more than 30 times below the bound. It was the workloads' largest
+        # build until qsw-global ran in the eigenbasis, which builds none.
         _, _, m, h = line_setup(201)
         ls = global_jump_operator(m)
         assert 762799 * 30 < qsw.evolution._MAX_BUILD_ENTRIES

@@ -6,17 +6,29 @@ Runs every command that perfbench/workloads.py lists (all workloads,
 seed 0), plus the audits those leave out, once per checkout: qw, crw with
 literal amplitudes, qsw-global without the diagonal, and a qsw-custom set
 whose operators overlap at every position they touch. So the axiom rows
-are compared under every operator set the CLI builds. It also runs a long
-qw chain to t = 200, so the omega = 0 walk is compared where t ||H||_1 is
-large and its Taylor sums cancel large terms, and the omega = 1 classical
-walk where no workload takes it: qw at omega 1, a crw sweep whose only
-omegas are its two limits, and a crw time grid on a seeded graph of two
-components, where the walk runs on the populations of both. Two qsw-global
-commands at omega 1 on line:21 run the invariant block where no workload
-does: over a time grid, and as the parity block of the offdiagonal
-operator. Each checkout runs
-in a fresh interpreter that imports qsw from its src/. BLAS threads are left as the caller set
-them, so run it under OPENBLAS_NUM_THREADS=1 and =2 to compare both.
+are compared under every operator set the CLI builds. Each point of a
+command takes one route (see qsw.cli._run_grid), and the commands cover
+all of them:
+
+- omega = 0 runs the QuantumWalk on amplitudes: the qw workloads, the
+  omega 0 points of the sweeps, and a long qw chain to t = 200, where
+  t ||H||_1 is large and the Taylor sums cancel large terms.
+- omega = 1 of crw and qw runs the ClassicalWalk on populations: the
+  crw workloads at omega 1, qw at omega 1, a crw sweep whose only omegas
+  are its two limits, and a crw time grid on a seeded graph of two
+  components, where the walk runs on the populations of both.
+- omega in (0, 1] of qsw-global with its full operator, which equals H,
+  runs the EigenbasisWalk: the qsw-global workloads, a qsw-global sweep
+  on line:21, and a qsw-global time grid on a seeded graph of two equal
+  weighted paths, whose spectrum is degenerate.
+- omega = 1 of qsw-global without the diagonal runs the Liouvillian's
+  invariant block, its parity block of 121 of 441 coordinates on line:21.
+- Every other interior omega runs the Liouvillian on all coordinates:
+  the crw sweeps.
+
+Each checkout runs in a fresh interpreter that imports qsw from its src/.
+BLAS threads are left as the caller set them, so run it under
+OPENBLAS_NUM_THREADS=1 and =2 to compare both.
 
 For each command it prints "identical" when the output file, the exit
 code and stderr agree byte for byte. Otherwise, when only numbers differ,
@@ -67,15 +79,16 @@ AUDITS = [
 ]
 
 
-# A long omega = 0 chain on line:61 at hop rate 1, and omega = 1 without a coherent part.
-# The last two run the Liouvillian's invariant block: one search whose 231
-# coordinates serve a time grid, and the parity block, 121 of 441 coordinates.
+# A long omega = 0 chain on line:61 at hop rate 1, omega = 1 without a coherent
+# part, the eigenbasis walk over a time grid and an omega sweep, and the
+# Liouvillian's invariant block as the parity block, 121 of 441 coordinates.
 CHAINS = [
     ("simulate", "--graph", "line:61:1", "--regime", "qw", "--t", "0:200:5"),
     ("simulate", "--graph", "line:61:1", "--regime", "qw", "--omega", "1", "--t", "5"),
     ("sweep", "--graph", "line:21:1", "--regime", "crw", "--omega", "0:1:2", "--t", "5"),
     ("simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "1", "--t", "0:3:4"),
     ("simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--global-l", "offdiagonal", "--omega", "1", "--t", "5"),
+    ("sweep", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "0:1:5", "--t", "2"),
 ]
 
 
@@ -89,6 +102,16 @@ def two_components(work_dir: Path) -> tuple:
     return ("simulate", "--graph", str(graph), "--regime", "crw", "--omega", "1", "--t", "0:3:4")
 
 
+def degenerate_pair(work_dir: Path) -> tuple:
+    """qsw-global at omega 0.5 over a time grid on a seeded graph of two equal paths of 5 vertices, weights in [0.5, 2]: each eigenvalue of H is there twice."""
+    rng = random.Random(SEED)
+    weights = [rng.uniform(0.5, 2.0) for _ in range(4)]
+    lines = ["vertices 10"] + [f"{first + a} {first + a + 1} {w!r}" for first in (0, 5) for a, w in enumerate(weights)]
+    graph = work_dir / "degenerate_pair.edges"
+    graph.write_text("\n".join(lines) + "\n")
+    return ("simulate", "--graph", str(graph), "--regime", "qsw-global", "--omega", "0.5", "--t", "0:3:4", "--origin", "1")
+
+
 def run_commands(work_dir: Path) -> list:
     """Run every command with qsw.cli.main in this process: (argv, exit code, stderr, output text) each."""
     import qsw.cli
@@ -100,7 +123,7 @@ def run_commands(work_dir: Path) -> list:
     argvs += [("audit", "--graph", "line:9:2", *options) for options in AUDITS]
     argvs += CHAINS
     results = []
-    for i, argv in enumerate([*argvs, custom_audit(work_dir), two_components(work_dir)]):
+    for i, argv in enumerate([*argvs, custom_audit(work_dir), two_components(work_dir), degenerate_pair(work_dir)]):
         output = work_dir / f"compare{i}.out"
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
