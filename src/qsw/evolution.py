@@ -71,7 +71,8 @@ lambda_i and lambda_j rotates at (1 - omega) Delta and decays at
 made once per command from eigh(H), hands the kernel one 2 x 2 block per
 coherence that moves, so no dim^2 x dim^2 matrix is assembled or
 searched at any omega in (0, 1]. Its products with the eigenvectors are
-summed by np.einsum, which calls no BLAS, so its states do not depend on
+fixed-order sums of 64 x 64 x 64 BLAS tile products (_product), each
+small enough to run on one BLAS thread, so its states do not depend on
 the BLAS thread count; eigh's eigenvectors still do at large dim.
 
 A Liouvillian at omega = 1 (dissipative_only) runs on the invariant block
@@ -91,11 +92,11 @@ form its route made, whose spectrum the form fixes: psi psi^dag has the
 eigenvalues ||psi||^2 and 0, and diag(p) the eigenvalues p, and both are
 Hermitian by construction. So neither builds its dim x dim entries or
 calls LAPACK; only a state mapped back from coordinates is checked on its
-entries, with eigvalsh. Its Hermiticity drift reads 0 too, as from_coordinates
-builds a Hermitian matrix, and so does the EigenbasisWalk's map back, and
-the check stays, as it costs one pass. A
-state with a non-finite value in its form violates every budget, and its
-drifts read nan.
+entries, with eigvalsh, the real one when the entries are real. Its
+Hermiticity drift reads 0 too, as from_coordinates builds a Hermitian
+matrix, and so does the EigenbasisWalk's map back, and the check stays,
+as it costs one pass. A state with a non-finite value in its form
+violates every budget, and its drifts read nan.
 
 The coordinate routes are bounded before they are built: _assemble
 refuses a product of more than _MAX_BUILD_ENTRIES entries with a
@@ -164,6 +165,9 @@ _MAX_BUILD_ENTRIES = 25 * 10**6
 # included), so the bound caps a command near 1 GB. Its eigh and products
 # take O(dim^3) time.
 _MAX_EIGENBASIS_DIM = 2200
+# The edge of the tiles _product sums: a tile product of 64^3 = 2^18
+# multiply-adds runs on one OpenBLAS thread.
+_TILE = 64
 
 
 class PropagationError(RuntimeError):
@@ -196,7 +200,12 @@ def _state_diagnostics(arr: np.ndarray) -> tuple[float, float, float]:
         return _NON_FINITE
     trace_drift = float(abs(arr.trace() - 1.0))
     herm_drift = float(np.abs(arr - arr.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
+    hermitian = (arr + arr.conj().T) / 2.0
+    if np.iscomplexobj(hermitian) and not hermitian.imag.any():
+        # A real state (the eigenbasis walk at omega 1 with real H, a real
+        # invariant block) takes the real eigvalsh, at about half the cost.
+        hermitian = hermitian.real
+    min_eig = float(np.linalg.eigvalsh(hermitian).min())
     return trace_drift, herm_drift, min_eig
 
 
@@ -539,8 +548,31 @@ class ClassicalWalk:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b summed by np.einsum, which calls no BLAS, so its bits do not depend on the BLAS thread count."""
-    return np.einsum("ij,jk->ik", a, b)
+    """a @ b as a fixed-order sum of BLAS products of _TILE x _TILE x _TILE tiles, so its bits do not depend on the BLAS thread count.
+
+    Each tile of the output is the sum, over the tiles of the inner
+    dimension in ascending order, of one BLAS product of at most
+    _TILE^3 = 2^18 multiply-adds. OpenBLAS runs a product that small on
+    one thread, so every tile is the same computation at every thread
+    setting. That rests on measurement, not on a reading of OpenBLAS's
+    source: TestProduct.test_does_not_depend_on_the_blas_thread_count in
+    tests/test_evolution.py compares the bytes at 1 and 2 threads at dim
+    301, where one plain @ of dim 101 already differs. Both operands are
+    first made C-contiguous in their common dtype, so each tile is a BLAS
+    call whatever the views handed in (u.conj().T, or the real part of a
+    complex array).
+    """
+    dtype = np.result_type(a, b)
+    a, b = np.ascontiguousarray(a, dtype=dtype), np.ascontiguousarray(b, dtype=dtype)
+    rows, inner = a.shape
+    out = np.empty((rows, b.shape[1]), dtype=dtype)
+    for i in range(0, rows, _TILE):
+        for j in range(0, b.shape[1], _TILE):
+            tile = out[i : i + _TILE, j : j + _TILE]
+            np.matmul(a[i : i + _TILE, :_TILE], b[:_TILE, j : j + _TILE], out=tile)
+            for k in range(_TILE, inner, _TILE):
+                tile += a[i : i + _TILE, k : k + _TILE] @ b[k : k + _TILE, j : j + _TILE]
+    return out
 
 
 def _rotated(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -569,9 +601,10 @@ class EigenbasisWalk:
     made once (from_hamiltonian) and shared by the walk at every omega
     (at), and the walk keeps the eigenbasis coordinates of the state it
     made last, so the next step of a time grid starts from them with no
-    transform. Every product with U is a _product, so the route's states
-    do not depend on the BLAS thread count, though eigh's eigenvectors do
-    at large dim.
+    transform. Every matrix product with U is a _product, and the
+    amplitudes' one mat-vec an np.einsum, which calls no BLAS, so the
+    route's states do not depend on the BLAS thread count, though eigh's
+    eigenvectors do at large dim.
     """
 
     eigenvalues: np.ndarray

@@ -529,8 +529,9 @@ class TestEigenbasisRoute:
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # Every field but min_eigenvalue, which LAPACK's eigvalsh computes, agrees
-        # byte for byte at 1 and 2 OpenBLAS threads (eigh's eigenvectors still do at dim 301).
-        argv = ["simulate", "--graph", "line:201:1", "--regime", "qsw-global", "--omega", "0.5", "--t", "5"]
+        # byte for byte at 1 and 2 OpenBLAS threads over a grid whose steps map
+        # back with _product (eigh's eigenvectors still do at dim 301).
+        argv = ["simulate", "--graph", "line:301:1", "--regime", "qsw-global", "--omega", "0.5", "--t", "0:1:3"]
         texts = []
         for threads in ("1", "2"):
             target = tmp_path / f"threads{threads}.json"
@@ -538,7 +539,7 @@ class TestEigenbasisRoute:
             subprocess.run([sys.executable, "-m", "qsw.cli", *argv, "--output", str(target)], env=env, check=True)
             texts.append([line for line in target.read_text().splitlines() if '"min_eigenvalue"' not in line])
         assert texts[0] == texts[1]
-        assert len(texts[0]) > 201
+        assert len(texts[0]) > 301
 
     @pytest.mark.parametrize(
         "graph, message",

@@ -1,6 +1,9 @@
 """States, the interpolated superoperator, and propagation."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +95,25 @@ class TestDensityMatrix:
         rho = DensityMatrix.basis(151, 75)
         assert rho.entries.dtype == np.complex128
         assert np.flatnonzero(rho.entries).tolist() == [75 * 151 + 75] and rho.entries[75, 75] == 1.0
+
+    @pytest.mark.parametrize("imaginary, kind", [(0.0, "f"), (1.0, "c")], ids=["real", "complex"])
+    def test_the_floor_check_takes_the_real_eigvalsh_for_a_real_state(self, monkeypatch, imaginary, kind):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 9)) + imaginary * 1j * rng.standard_normal((9, 9))
+        arr = a @ a.conj().T
+        arr = (arr + arr.conj().T) / (2.0 * arr.trace().real)
+        kinds = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(x):
+            kinds.append(x.dtype.kind)
+            return eigvalsh(x)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        state = DensityMatrix(arr)
+        assert kinds == [kind] and state.entries.dtype == np.complex128
+        _, _, min_eig = qsw.evolution._state_diagnostics(arr.astype(complex))
+        assert abs(min_eig - eigvalsh(arr.astype(complex)).min()) <= 1e-15
 
     @pytest.mark.parametrize(
         "make, amplitudes, populations, entries",
@@ -804,6 +826,46 @@ def eigenbasis_graphs():
         "complete": from_edge_list(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
         "weighted": from_edge_list(7, weighted),
     }
+
+
+class TestProduct:
+    """_product is a @ b summed over fixed 64 x 64 x 64 tiles, whose bits do not depend on the BLAS thread count."""
+
+    @pytest.mark.parametrize(
+        "rows, inner, cols",
+        [(1, 1, 1), (63, 63, 63), (64, 64, 64), (65, 65, 65), (129, 129, 129), (65, 130, 3)],
+        ids=["1", "63", "64", "65", "129", "rectangular"],
+    )
+    def test_matches_the_plain_product(self, rows, inner, cols):
+        rng = np.random.default_rng(rows + inner + cols)
+        a, b = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+        product = qsw.evolution._product(a, b)
+        assert product.dtype == np.float64 and product.shape == (rows, cols)
+        assert np.abs(product - a @ b).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [63, 65, 129])
+    def test_matches_the_plain_product_on_complex_operands_and_transposed_views(self, dim):
+        rng = np.random.default_rng(dim)
+        u = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x = rng.standard_normal((dim, dim))
+        for a, b in [(u, x), (x, u), (u, u), (u.conj().T, x), (x, u.conj().T), (x.T, x), (u.real, x)]:
+            product = qsw.evolution._product(a, b)
+            assert product.dtype == np.result_type(a, b)
+            assert np.abs(product - a @ b).max() <= 1e-12
+
+    def test_does_not_depend_on_the_blas_thread_count(self):
+        # 301 spans five tiles per side, with a ragged last one.
+        code = (
+            "import hashlib, numpy as np; from qsw.evolution import _product; "
+            "rng = np.random.default_rng(0); a, b = rng.standard_normal((2, 301, 301)); "
+            "c = a + 1j * rng.standard_normal((301, 301)); "
+            "print(hashlib.sha256(b''.join(_product(*p).tobytes() for p in [(a, b), (c, b), (c.conj().T, c)])).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            digests.append(subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout)
+        assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 class TestEigenbasisWalk:

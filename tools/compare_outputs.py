@@ -3,12 +3,12 @@
     python3 tools/compare_outputs.py PARENT CHANGE
 
 Runs every command that perfbench/workloads.py lists (all workloads,
-seed 0), plus the audits those leave out, once per checkout: qw, crw with
-literal amplitudes, qsw-global without the diagonal, and a qsw-custom set
-whose operators overlap at every position they touch. So the axiom rows
-are compared under every operator set the CLI builds. Each point of a
-command takes one route (see qsw.cli._run_grid), and the commands cover
-all of them:
+seed 0), plus the audits those leave out, once per checkout and BLAS
+setting: qw, crw with literal amplitudes, qsw-global without the
+diagonal, and a qsw-custom set whose operators overlap at every position
+they touch. So the axiom rows are compared under every operator set the
+CLI builds. Each point of a command takes one route (see
+qsw.cli._run_grid), and the commands cover all of them:
 
 - omega = 0 runs the QuantumWalk on amplitudes: the qw workloads, the
   omega 0 points of the sweeps, and a long qw chain to t = 200, where
@@ -26,9 +26,9 @@ all of them:
 - Every other interior omega runs the Liouvillian on all coordinates:
   the crw sweeps.
 
-Each checkout runs in a fresh interpreter that imports qsw from its src/.
-BLAS threads are left as the caller set them, so run it under
-OPENBLAS_NUM_THREADS=1 and =2 to compare both.
+Each checkout runs in a fresh interpreter that imports qsw from its src/,
+once at OPENBLAS_NUM_THREADS=1 and once at =2, and the tool prints one
+block of results per setting, headed by the setting.
 
 For each command it prints "identical" when the output file, the exit
 code and stderr agree byte for byte. Otherwise, when only numbers differ,
@@ -37,7 +37,8 @@ JSON key path, with list positions written [], or a CSV column. Fields of
 floats come first and integer counters such as solver_steps after them,
 so a changed step count does not hide a move in the populations. The
 work directory, which the outputs echo in graph paths, is replaced by
-<work> first. Exits 0 when every command is identical, 1 otherwise.
+<work> first. Exits 0 when every command is identical at both settings,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
+BLAS_THREADS = ("1", "2")
 # A JSON or CSV number, or a float spelled out.
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|NaN|Infinity|nan|inf))")
 
@@ -133,10 +135,10 @@ def run_commands(work_dir: Path) -> list:
     return results
 
 
-def run_checkout(checkout: Path) -> list:
-    """The commands' results from a fresh interpreter importing qsw from checkout/src, work directory masked."""
+def run_checkout(checkout: Path, threads: str) -> list:
+    """The commands' results from a fresh interpreter importing qsw from checkout/src at threads BLAS threads, work directory masked."""
     src = (checkout / "src").resolve()
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
     with tempfile.TemporaryDirectory(prefix="qsw-compare-") as work:
         code = "import json, sys, qsw; from pathlib import Path; "
         code += f"assert Path(qsw.__file__).resolve().is_relative_to({str(src)!r}), qsw.__file__; "
@@ -195,13 +197,8 @@ def field_differences(first: str, second: str) -> dict | None:
     return {field: (difference, counters[field]) for field, difference in largest.items()}
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    first, second = (run_checkout(Path(path)) for path in args)
-    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}")
+def compare(first: list, second: list) -> bool:
+    """Print one line per command, and the fields that differ under it; True if every command is identical."""
     all_identical = True
     for (cmd, code_a, err_a, out_a), (_, code_b, err_b, out_b) in zip(first, second):
         label = " ".join(cmd)
@@ -222,6 +219,19 @@ def main(argv=None) -> int:
                 if counter == counters:
                     shown = f"counter {field}: max abs difference {difference}" if counter else f"field {field}: max abs difference {difference:.3e}"
                     print(f"    {shown}")
+    return all_identical
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    all_identical = True
+    for threads in BLAS_THREADS:
+        first, second = (run_checkout(Path(path), threads) for path in args)
+        print(f"OPENBLAS_NUM_THREADS={threads}")
+        all_identical &= compare(first, second)
     return 0 if all_identical else 1
 
 
