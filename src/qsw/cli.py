@@ -253,35 +253,61 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _generators(m: GeneratorMatrix, ls: JumpOperatorSet, omegas):
+    """Yield (omega, generator) for each omega in order, from the first row of this table that matches.
+
+    | omega  | jump set                 | route           | generator      |
+    | 0      | any                      | amplitudes      | QuantumWalk    |
+    | 1      | keeps populations closed | populations     | ClassicalWalk  |
+    | (0, 1] | one operator equal to H  | eigenbasis      | EigenbasisWalk |
+    | 1      | any other                | invariant-block | R_D            |
+    | (0, 1) | any other                | coordinates     | combine_parts  |
+
+    H is made only for a row that reads it, and eigh only for the eigenbasis
+    row. The coordinate rows' omega-free parts, R_QW and R_D, are built once
+    each, only if some omega weighs them, and a part is let go before the
+    generator of the last omega that weighs it is yielded. Every walk and
+    part is built before the first yield, during iteration, not the call.
+    """
+    walks = {}
+    if 1.0 in omegas and ClassicalWalk.applies_to(ls):
+        walks[1.0] = ClassicalWalk.from_jump_operators(ls)
+    h = hamiltonian_from_generator(m) if any(w not in walks for w in omegas) else None
+    eigenbasis = None
+    if any(w > 0.0 and w not in walks for w in omegas) and EigenbasisWalk.applies_to(h, ls):
+        eigenbasis = EigenbasisWalk.from_hamiltonian(h)
+    if 0.0 in omegas:
+        walks[0.0] = QuantumWalk.from_hamiltonian(h)
+    # The omegas the parts serve, and the last that weighs each part, -1 if none does.
+    parted = [] if eigenbasis is not None else [k for k, w in enumerate(omegas) if w not in walks]
+    last_coherent = max((k for k in parted if omegas[k] < 1.0), default=-1)
+    last_dissipative = max(parted, default=-1)
+    coherent = build_liouvillian(h, ls, 0.0) if last_coherent >= 0 else None
+    dissipative = build_liouvillian(h, ls, 1.0) if last_dissipative >= 0 else None
+    for k, omega in enumerate(omegas):
+        if omega in walks:
+            liou = walks[omega]
+        elif eigenbasis is not None:
+            liou = eigenbasis.at(omega)
+        else:
+            liou = combine_parts(coherent, dissipative, omega)
+        if k == last_coherent:
+            coherent = None
+        if k == last_dissipative:
+            dissipative = None
+        yield omega, liou
+
+
 def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
     """Propagate every (omega, t) point; results come in omega-major, grid order.
 
-    An omega = 0 point propagates the start state's dim amplitudes with
-    the QuantumWalk made from H. An omega = 1 point of a set that keeps
-    populations closed (ClassicalWalk.applies_to: crw, qw, and such custom
-    sets) propagates its dim populations with the ClassicalWalk made from
-    the jump triplets. Every other point of a set of one operator equal to
-    H (EigenbasisWalk.applies_to: qsw-global with its full operator, and a
-    custom set that spells out H) propagates the start state's coherences
-    in H's eigenbasis, with the walk at its omega from one eigh of H per
-    command. Every other omega propagates the dim^2 real
-    coordinates with its Liouvillian. Its two omega-free parts, R_QW and
-    R_D (R at omega = 0 and at omega = 1), are built once each, and only
-    if an omega that uses them weighs them: R_QW only for an omega inside
-    (0, 1), and R_D for such an omega, or at omega = 1 for a set that does
-    not keep populations closed. So crw --omega 1 and --omega 0:1:2 build
-    neither, and qsw-global builds neither at any omega. combine_parts
-    makes the generator of every interior omega from them, and a part
-    that no later omega weighs is let go before the state propagates. H
-    is built only for a route that reads it, so crw and qw at --omega 1
-    build none. For each omega the times are
-    visited in ascending order as one forward chain: each point steps on
-    from the state the previous one reached. Each step pays its own Taylor
-    series, so a chain costs more products than its largest time alone;
-    line:101 qsw-global at omega 0.5 makes 200 products over --t 0:5:11
-    against 108 for --t 5. A zero-length step (t = 0, or a repeated time) reports method
-    identity with 0 steps. A command whose times are all 0 builds no
-    generator: every point is the start state.
+    Each omega propagates the generator _generators yields for it. Its
+    times are visited in ascending order as one forward chain: each point
+    steps on from the state the previous one reached. Each step pays its
+    own Taylor series, so a chain costs more products than its largest
+    time alone. A zero-length step (t = 0, or a repeated time) reports
+    method identity with 0 steps. A command whose times are all 0 builds
+    no generator: every point is the start state.
     """
     points = len(omegas) * len(ts)
     if points > _MAX_GRID_POINTS:
@@ -310,34 +336,8 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
         info = _identity_info(rho0)
         return echo, [record(omega, t, rho0, info) for omega in omegas for t in ts]
 
-    walks = {}
-    if 1.0 in omegas and ClassicalWalk.applies_to(ls):
-        walks[1.0] = ClassicalWalk.from_jump_operators(ls)
-    # H is read by every other route, never by the classical walk.
-    h = hamiltonian_from_generator(m) if any(w not in walks for w in omegas) else None
-    eigenbasis = None
-    if any(w > 0.0 and w not in walks for w in omegas) and EigenbasisWalk.applies_to(h, ls):
-        eigenbasis = EigenbasisWalk.from_hamiltonian(h)
-    if 0.0 in omegas:
-        walks[0.0] = QuantumWalk.from_hamiltonian(h)
-    # The omegas the parts serve, and the last that weighs each part, -1 if none does.
-    parted = [] if eigenbasis is not None else [k for k, w in enumerate(omegas) if w not in walks]
-    last_coherent = max((k for k in parted if omegas[k] < 1.0), default=-1)
-    last_dissipative = max(parted, default=-1)
-    coherent = build_liouvillian(h, ls, 0.0) if last_coherent >= 0 else None
-    dissipative = build_liouvillian(h, ls, 1.0) if last_dissipative >= 0 else None
     results = []
-    for k, omega in enumerate(omegas):
-        if omega in walks:
-            liou = walks[omega]
-        elif eigenbasis is not None:
-            liou = eigenbasis.at(omega)
-        else:
-            liou = combine_parts(coherent, dissipative, omega)
-        if k == last_coherent:
-            coherent = None
-        if k == last_dissipative:
-            dissipative = None
+    for omega, liou in _generators(m, ls, omegas):
         points = [None] * len(ts)
         state, t_prev = rho0, 0.0
         for i in ascending:

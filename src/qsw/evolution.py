@@ -338,8 +338,7 @@ class Liouvillian:
     block too is kept for every later propagation. The block is exact for
     any generator; the mark only says where the search is worth its cost.
     It reads every start state from its entries and maps back to entries;
-    a set that keeps populations closed propagates them with a ClassicalWalk,
-    and a set of one operator equal to H with an EigenbasisWalk.
+    qsw.cli._generators runs the walks instead where they apply.
     """
 
     dim: int

@@ -2,7 +2,9 @@
 
 Each test measures its quantities, prints one pass/fail line with the
 numbers, and then asserts. Criteria 1-5 exercise the continuous walk
-against the analytic line oracles, 6 the exhaustive axiom audit, 7-8 the
+against the analytic line oracles, each on the coordinate route and on
+the generator the CLI's route table (qsw.cli._generators) ships for the
+same command, 6 the exhaustive axiom audit, 7-8 the
 state and superoperator invariants on randomized inputs, 9 the discrete
 embedding, 10 CLI determinism.
 """
@@ -14,9 +16,13 @@ import time
 
 import numpy as np
 
+from qsw.cli import _generators
 from qsw.discrete import kraus_from_stochastic, iterate_map, StochasticMatrix
 from qsw.evolution import (
+    ClassicalWalk,
     DensityMatrix,
+    EigenbasisWalk,
+    QuantumWalk,
     build_liouvillian,
     column_stacked_superoperator,
     lindblad_rhs,
@@ -57,6 +63,13 @@ def simulate_line61(ls, omega, t=5.0):
     return populations(state), lmap
 
 
+def shipped_line61(ls, omegas, t=5.0):
+    """(generator, state) for each omega, from one call of the CLI's route table on line:61."""
+    _, lmap, m, _ = line61()
+    rho0 = DensityMatrix.basis(61, lmap.center)
+    return [(liou, propagate_detailed(rho0, liou, t)[0]) for _, liou in _generators(m, ls, omegas)]
+
+
 def interior_error(pops, lmap, oracle_probs):
     mask = np.abs(np.asarray(lmap.positions)) <= INTERIOR
     return float(np.abs(pops - oracle_probs)[mask].max())
@@ -72,29 +85,42 @@ def test_criterion_01_crw_limit_on_61_site_line():
     start = time.perf_counter()
     _, _, m, _ = line61()
     pops, lmap = simulate_line61(edge_jump_operators(m), omega=1.0)
+    [(walk, state)] = shipped_line61(edge_jump_operators(m), [1.0])
     oracle = crw_line_analytic(LineWalkSpec(61, 1.0, 5.0)).probabilities
     err = interior_error(pops, lmap, oracle)
+    walk_err = interior_error(populations(state), lmap, oracle)
     elapsed = time.perf_counter() - start
-    ok = err <= 1e-6 and elapsed <= 10.0
-    _report(1, ok, f"CRW max error {err:.3e} (<= 1e-6) in {elapsed:.2f}s (<= 10s)")
+    ok = isinstance(walk, ClassicalWalk) and err <= 1e-6 and walk_err <= 1e-6 and elapsed <= 10.0
+    _report(1, ok, f"CRW max error {err:.3e}, ClassicalWalk {walk_err:.3e} (<= 1e-6) in {elapsed:.2f}s (<= 10s)")
 
 
 def test_criterion_02_qw_limit_on_61_site_line():
     start = time.perf_counter()
     pops, lmap = simulate_line61(empty_jump_operators(61), omega=0.0)
+    [(walk, state)] = shipped_line61(empty_jump_operators(61), [0.0])
     oracle = qw_line_analytic(LineWalkSpec(61, 1.0, 5.0)).probabilities
     err = interior_error(pops, lmap, oracle)
+    walk_err = interior_error(populations(state), lmap, oracle)
     elapsed = time.perf_counter() - start
-    ok = err <= 1e-6 and elapsed <= 10.0
-    _report(2, ok, f"QW max error {err:.3e} (<= 1e-6) in {elapsed:.2f}s (<= 10s)")
+    ok = isinstance(walk, QuantumWalk) and err <= 1e-6 and walk_err <= 1e-6 and elapsed <= 10.0
+    _report(2, ok, f"QW max error {err:.3e}, QuantumWalk {walk_err:.3e} (<= 1e-6) in {elapsed:.2f}s (<= 10s)")
 
 
 def test_criterion_03_ballistic_vs_diffusive_variance():
-    _, _, m, _ = line61()
+    _, lmap, m, _ = line61()
     var_crw = variance(*simulate_line61(edge_jump_operators(m), omega=1.0))
     var_qw = variance(*simulate_line61(empty_jump_operators(61), omega=0.0))
-    ok = abs(var_crw - 10.0) <= 0.1 and abs(var_qw - 50.0) <= 0.5
-    _report(3, ok, f"CRW variance {var_crw:.4f} (2t = 10 +/- 1%), QW variance {var_qw:.4f} (2t^2 = 50 +/- 1%)")
+    [(classical, crw_state)] = shipped_line61(edge_jump_operators(m), [1.0])
+    [(quantum, qw_state)] = shipped_line61(empty_jump_operators(61), [0.0])
+    walk_crw, walk_qw = variance(populations(crw_state), lmap), variance(populations(qw_state), lmap)
+    routes = isinstance(classical, ClassicalWalk) and isinstance(quantum, QuantumWalk)
+    ok = routes and all(abs(v - 10.0) <= 0.1 for v in (var_crw, walk_crw)) and all(abs(v - 50.0) <= 0.5 for v in (var_qw, walk_qw))
+    _report(
+        3,
+        ok,
+        f"CRW variance {var_crw:.4f}, ClassicalWalk {walk_crw:.4f} (2t = 10 +/- 1%), "
+        f"QW variance {var_qw:.4f}, QuantumWalk {walk_qw:.4f} (2t^2 = 50 +/- 1%)",
+    )
 
 
 def test_criterion_04_interpolation_endpoints_and_continuity():
@@ -106,21 +132,22 @@ def test_criterion_04_interpolation_endpoints_and_continuity():
     _, lmap, m, h = line61()
     ls = edge_jump_operators(m)
     rho0 = DensityMatrix.basis(61, lmap.center)
-    rows = []
-    for omega in grid:
-        state, _ = propagate_detailed(rho0, build_liouvillian(h, ls, omega), 5.0)
-        rows.append(populations(state))
-
-    qw_err = interior_error(rows[0], lmap, qw_line_analytic(LineWalkSpec(61, 1.0, 5.0)).probabilities)
-    crw_err = interior_error(rows[-1], lmap, crw_line_analytic(LineWalkSpec(61, 1.0, 5.0)).probabilities)
-    max_gap = max(total_variation(rows[i], rows[i + 1]) for i in range(len(rows) - 1))
-    ok = qw_err <= 1e-6 and crw_err <= 1e-6 and max_gap <= 0.2
-    _report(
-        4,
-        ok,
-        f"11-point sweep: endpoint errors {qw_err:.3e} / {crw_err:.3e} (<= 1e-6), "
-        f"max adjacent TV {max_gap:.4f} (<= 0.2)",
-    )
+    qw_oracle = qw_line_analytic(LineWalkSpec(61, 1.0, 5.0)).probabilities
+    crw_oracle = crw_line_analytic(LineWalkSpec(61, 1.0, 5.0)).probabilities
+    coordinate_rows = [populations(propagate_detailed(rho0, build_liouvillian(h, ls, omega), 5.0)[0]) for omega in grid]
+    # The whole grid as one command, as the CLI's route table ships it.
+    shipped = shipped_line61(ls, grid)
+    shipped_rows = [populations(state) for _, state in shipped]
+    ends = isinstance(shipped[0][0], QuantumWalk) and isinstance(shipped[-1][0], ClassicalWalk)
+    details = []
+    ok = ends
+    for name, rows in (("coordinates", coordinate_rows), ("shipped", shipped_rows)):
+        qw_err = interior_error(rows[0], lmap, qw_oracle)
+        crw_err = interior_error(rows[-1], lmap, crw_oracle)
+        max_gap = max(total_variation(rows[i], rows[i + 1]) for i in range(len(rows) - 1))
+        ok = ok and qw_err <= 1e-6 and crw_err <= 1e-6 and max_gap <= 0.2
+        details.append(f"{name}: endpoint errors {qw_err:.3e} / {crw_err:.3e}, max adjacent TV {max_gap:.4f}")
+    _report(4, ok, f"11-point sweep (<= 1e-6, TV <= 0.2) {'; '.join(details)}")
 
 
 def _rk4_fixed_step(h, ls, rho0, t, steps):
@@ -152,13 +179,16 @@ def test_criterion_05_global_regime_is_distinct_from_both_oracles():
     liou = build_liouvillian(h, ls, 1.0)
     state, _ = propagate_detailed(rho0, liou, 5.0)
     solver_agreement = float(np.abs(fine - state.entries).max())
+    [(walk, walk_state)] = shipped_line61(ls, [1.0])
+    walk_agreement = float(np.abs(fine - walk_state.entries).max())
 
     ok = tv_crw >= 0.01 and tv_qw >= 0.01 and step_agreement <= 1e-7 and solver_agreement <= 1e-7
+    ok = ok and isinstance(walk, EigenbasisWalk) and walk_agreement <= 1e-7
     _report(
         5,
         ok,
         f"TV vs CRW {tv_crw:.4f}, vs QW {tv_qw:.4f} (>= 0.01); brute-force step halving agrees to "
-        f"{step_agreement:.2e}, solver to {solver_agreement:.2e} (<= 1e-7)",
+        f"{step_agreement:.2e}, solver to {solver_agreement:.2e}, EigenbasisWalk to {walk_agreement:.2e} (<= 1e-7)",
     )
 
 

@@ -4,11 +4,13 @@ Commands run in-process through main(argv) with --output pointed at temp
 files; exit codes and emitted documents are asserted directly.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1013,3 +1015,19 @@ def test_long_t_does_not_load_scipy_sparse_linalg(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 False"
+
+
+def test_the_benchmark_tracer_still_wraps_what_the_cli_calls(tmp_path):
+    # perfbench/tracing.py wraps names of qsw.cli by getattr; a rename or a call
+    # moved out of qsw.cli would break its traced runs or hide their counts.
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [name for name in tracing.LAYERS if not hasattr(cli, name)] == []
+    argv = ("sweep", "--graph", "line:5:1", "--regime", "crw", "--omega", "0:1:3", "--t", "1", "--format", "json")
+    with tracing.traced(cli, tracing.Tracer()) as tracer:
+        rc, text = run(tmp_path, *argv)
+    assert rc == 0
+    # omega 0.5 weighs both parts, R_QW and R_D.
+    assert tracer.counts["evolution.build_calls"] >= 2
+    assert tracer.counts["evolution.solver_steps"] == sum(r["validation"]["solver_steps"] for r in json.loads(text)["results"])

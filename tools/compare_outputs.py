@@ -8,7 +8,8 @@ setting: qw, crw with literal amplitudes, qsw-global without the
 diagonal, and a qsw-custom set whose operators overlap at every position
 they touch. So the axiom rows are compared under every operator set the
 CLI builds. Each point of a command takes one route (see
-qsw.cli._run_grid), and the commands cover all of them:
+qsw.cli._generators), and the commands cover all of them, as
+tests/test_readme.py checks:
 
 - omega = 0 runs the QuantumWalk on amplitudes: the qw workloads, the
   omega 0 points of the sweeps, and a long qw chain to t = 200, where
