@@ -73,7 +73,11 @@ coherence that moves, so no dim^2 x dim^2 matrix is assembled or
 searched at any omega in (0, 1]. Its products with the eigenvectors are
 fixed-order sums of 64 x 64 x 64 BLAS tile products (_product), each
 small enough to run on one BLAS thread, so its states do not depend on
-the BLAS thread count; eigh's eigenvectors still do at large dim.
+the BLAS thread count; eigh's eigenvectors still do at large dim. At
+omega = 1 nothing rotates, and the kernel's A is diagonal: it multiplies
+A elementwise on the coordinates where the start vector is nonzero
+(1830 of 3660 from a vertex of line:61, whose imaginary parts are 0),
+with the bits and product count of scipy's CSR product.
 
 A Liouvillian at omega = 1 (dissipative_only) runs on the invariant block
 of the start state alone: the coordinates reachable from its support
@@ -759,8 +763,10 @@ class PropagationInfo:
 
     route names the vector the kernel ran on: amplitudes, populations,
     eigenbasis, invariant-block or coordinates, or identity for a
-    zero-length step, which runs no kernel. rows is the row count of the matrix the kernel
-    multiplied, 0 for identity. method, read from route, is identity or
+    zero-length step, which runs no kernel. rows is the number of
+    coordinates the kernel multiplied: the row count of its matrix, or
+    for a diagonal matrix the start vector's nonzeros (see _expm_action),
+    and 0 for identity. method, read from route, is identity or
     matrix-exponential, the one kernel every other route runs.
     """
 
@@ -1042,11 +1048,22 @@ def _check_budgets(rho, context: str) -> tuple[float, float, float]:
     return trace_drift, herm_drift, min_eig
 
 
+def _stored_diagonal(matrix: scipy.sparse.csr_matrix) -> np.ndarray | None:
+    """The stored values of a CSR matrix that stores exactly one entry per row, on its diagonal; None for any other."""
+    n = matrix.shape[0]
+    if matrix.nnz == n and np.array_equal(matrix.indptr, np.arange(n + 1)) and np.array_equal(matrix.indices, np.arange(n)):
+        return matrix.data
+    return None
+
+
 class _ShiftedGenerator:
     """A = R - mu I for a real CSR generator R and mu = tr(R) / n, with the exact 1-norm that sizes exp(tA).
 
     Nothing here depends on t, so it is computed once per Liouvillian. A
-    Hamiltonian generator has mu = 0, and A is then R itself.
+    Hamiltonian generator has mu = 0, and A is then R itself. diagonal
+    holds A's stored values when A stores exactly one entry per row, on
+    the diagonal (the EigenbasisWalk at omega = 1), and is None otherwise;
+    the kernel then multiplies elementwise (_diagonal_product).
     """
 
     def __init__(self, matrix: scipy.sparse.csr_matrix):
@@ -1054,6 +1071,11 @@ class _ShiftedGenerator:
         self.mu = float(matrix.trace()) / n
         self.matrix = matrix - self.mu * scipy.sparse.identity(n, format="csr") if self.mu else matrix
         self.onenorm = float(np.bincount(self.matrix.indices, weights=np.abs(self.matrix.data), minlength=n).max())
+        self.diagonal = _stored_diagonal(self.matrix)
+
+    def rows(self, x: np.ndarray) -> int:
+        """The coordinates the kernel multiplies from x: its nonzeros for a diagonal A, every row otherwise."""
+        return self.matrix.shape[0] if self.diagonal is None else int(np.count_nonzero(x))
 
 
 def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
@@ -1081,7 +1103,18 @@ def _taylor_parameters(gen: _ShiftedGenerator, t: float) -> tuple[int, int]:
 
 
 def _inf_norm(v: np.ndarray) -> float:
-    return max(v.max(), -v.min())
+    return max(v.max(), -v.min()) if v.size else 0.0
+
+
+def _diagonal_product(diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the diagonal A whose stored values are diagonal, bit for bit as scipy's CSR product forms it.
+
+    csr_matvec sums each row from 0, so a product that rounds to -0.0
+    reads 0 + (-0.0) = +0.0 there; the + 0.0 here does the same.
+    """
+    y = diagonal * x
+    y += 0.0
+    return y
 
 
 def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
@@ -1097,16 +1130,27 @@ def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.nd
     successive terms are below the tolerance relative to the sum. A and
     its norm are made once per Liouvillian; each term scales its vector
     in place, and no matrix is copied per step.
+
+    A diagonal A (gen.diagonal, the EigenbasisWalk at omega = 1) is
+    multiplied elementwise, and only on the coordinates where x is
+    nonzero: it never moves a zero coordinate, and no other coordinate
+    reads one. Every other A takes scipy's CSR product. m, s, mu and the
+    norms that stop a series early are those of the full vector, so the
+    result and the product count are the CSR product's bit for bit.
     """
     m, s = _taylor_parameters(gen, t)
     eta = math.exp(t * gen.mu / s)
     f = np.array(x, dtype=float)
+    full, diagonal = None, gen.diagonal
+    if diagonal is not None:
+        support = np.flatnonzero(f)
+        full, f, diagonal = f, f[support], diagonal[support]
     matvecs = 0
     for _ in range(s):
         b = f
         c1 = f_norm = _inf_norm(f)
         for j in range(m):
-            b = gen.matrix @ b
+            b = gen.matrix @ b if diagonal is None else _diagonal_product(diagonal, b)
             matvecs += 1
             # Two roundings per entry rather than one shared rounded
             # coefficient, whose error would repeat in each of the s steps.
@@ -1123,6 +1167,12 @@ def _expm_action(gen: _ShiftedGenerator, x: np.ndarray, t: float) -> tuple[np.nd
                     break
             c1 = c2
         f *= eta
+    if full is not None:
+        # A CSR product leaves +0.0 where x is 0, and nothing adds to it.
+        if matvecs:
+            full[:] = 0.0
+        full[support] = f
+        f = full
     return f, matvecs
 
 
@@ -1145,7 +1195,7 @@ def propagate_detailed(
     populations, and coordinates and coherences as the state's entries,
     Hermitian by construction. The info's steps is the
     number of sparse matrix-vector products the kernel made, route names
-    the route and rows the size of the matrix it multiplied. The call is
+    the route and rows the coordinates it multiplied. The call is
     deterministic and draws no random numbers.
 
     The final state must stay within the trace, Hermiticity and positivity
@@ -1165,12 +1215,12 @@ def propagate_detailed(
     if t == 0:
         return rho0, _identity_info(rho0)
 
-    x, matvecs = _expm_action(gen, x, t)
-    state = back(x)
+    y, matvecs = _expm_action(gen, x, t)
+    state = back(y)
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here, in the form its route made.
     diagnostics = _check_budgets(state, f"state propagated by t={t} violated budgets")
-    return state, PropagationInfo(matvecs, *diagnostics, route, gen.matrix.shape[0])
+    return state, PropagationInfo(matvecs, *diagnostics, route, gen.rows(x))
 
 
 def _identity_info(rho0: DensityMatrix) -> PropagationInfo:

@@ -43,9 +43,20 @@ def matvecs(monkeypatch):
 
     A product with a block of vectors, as scipy's norm estimators make,
     adds one entry per column. CSR and CSC matrices are both counted, so a
-    product with a transpose is seen too.
+    product with a transpose is seen too. The kernel's elementwise product
+    with a diagonal matrix counts as one product of the coordinates it
+    multiplies, (n, n) for n of them.
     """
+    import qsw.evolution
+
     calls = []
+
+    def counted_diagonal(diagonal, x):
+        calls.append((diagonal.size, diagonal.size))
+        return diagonal_product(diagonal, x)
+
+    diagonal_product = qsw.evolution._diagonal_product
+    monkeypatch.setattr(qsw.evolution, "_diagonal_product", counted_diagonal)
 
     def counting(product, columns):
         def counted(matrix, other):

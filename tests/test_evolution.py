@@ -1,5 +1,6 @@
 """States, the interpolated superoperator, and propagation."""
 
+import copy
 import os
 import re
 import subprocess
@@ -971,6 +972,105 @@ class TestEigenbasisWalk:
         message = "the coherence of eigenvectors 0 and 2 of H has a rate that is not finite at omega = 0.5: Delta = -1.5e+154"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}, rotation"):
             propagate_detailed(DensityMatrix.basis(3, 1), walk, 1.0)
+
+
+def csr_twin(gen):
+    """gen with one explicitly stored zero at (0, 1) added to its matrix, so the kernel takes the CSR product on the same A."""
+    a = gen.matrix
+    data = np.insert(a.data, 1, 0.0)
+    indices = np.insert(a.indices, 1, 1)
+    indptr = np.concatenate([[0], a.indptr[1:] + 1])
+    twin = copy.copy(gen)
+    twin.matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=a.shape)
+    twin.diagonal = qsw.evolution._stored_diagonal(twin.matrix)
+    assert twin.diagonal is None and twin.matrix.nnz == a.nnz + 1
+    return twin
+
+
+class TestDiagonalProduct:
+    """A diagonal A is multiplied elementwise on the coordinates where the start vector is nonzero, with the CSR product's bits."""
+
+    @pytest.mark.parametrize("start", ["vertex", "complex-pure"])
+    def test_matches_the_csr_product_bit_for_bit(self, matvecs, start):
+        _, lmap, _, h = line_setup(61)
+        walk = EigenbasisWalk.from_hamiltonian(h, 1.0)
+        if start == "vertex":
+            rho0 = DensityMatrix.basis(61, lmap.center)
+        else:
+            rng = np.random.default_rng(5)
+            psi = rng.standard_normal(61) + 1j * rng.standard_normal(61)
+            rho0 = DensityMatrix.pure(psi / np.linalg.norm(psi))
+        _, gen, x, _ = walk._route(rho0)
+        assert gen.diagonal is not None and x.size == 3660
+        # A vertex of a real H starts with every imaginary part 0; the complex state with none.
+        support = 1830 if start == "vertex" else 3660
+        assert np.count_nonzero(x) == support
+        diagonal, steps = _expm_action(gen, x, 200.0)
+        assert matvecs == [(support, support)] * steps
+        matvecs.clear()
+        csr, csr_steps = _expm_action(csr_twin(gen), x, 200.0)
+        assert matvecs == [(3660, 3660)] * csr_steps
+        assert steps == csr_steps == 3547
+        assert diagonal.tobytes() == csr.tobytes()
+        # The info reports the coordinates the kernel multiplied.
+        assert propagate_detailed(rho0, walk, 1.0)[1].rows == support
+
+    def test_a_start_with_empty_support_makes_the_csr_product_count(self, matvecs):
+        # Vertex 3 is isolated, so its state has no coherence in H's eigenbasis:
+        # each step multiplies nothing, and stops after its first product, as the CSR product does.
+        graph = from_edge_list(4, [(0, 1, 1.0), (1, 2, 2.0)])
+        h = hamiltonian_from_generator(classical_generator(graph))
+        walk = EigenbasisWalk.from_hamiltonian(h, 1.0)
+        rho0 = DensityMatrix.basis(4, 3)
+        _, gen, x, _ = walk._route(rho0)
+        assert gen.diagonal is not None and x.size > 0 and not x.any()
+        state, info = propagate_detailed(rho0, walk, 3.0)
+        assert (info.route, info.steps, info.rows, matvecs) == ("eigenbasis", 2, 0, [(0, 0)] * 2)
+        assert np.array_equal(state.entries, rho0.entries)
+        csr, csr_steps = _expm_action(csr_twin(gen), x, 3.0)
+        assert csr_steps == 2 and csr.tobytes() == _expm_action(gen, x, 3.0)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+            [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0]],
+            [[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]],
+        ],
+        ids=["missing-diagonal-entry", "missing-diagonal-entry-unshifted", "off-diagonal-entry", "one-entry-per-row-off-the-diagonal"],
+    )
+    def test_any_other_matrix_takes_the_csr_product(self, monkeypatch, matvecs, entries):
+        def refuse(*args):
+            raise AssertionError("the diagonal product ran")
+
+        gen = qsw.evolution._ShiftedGenerator(scipy.sparse.csr_matrix(entries))
+        assert gen.diagonal is None
+        monkeypatch.setattr(qsw.evolution, "_diagonal_product", refuse)
+        x = np.array([1.0, 0.0, 0.5])
+        result, steps = _expm_action(gen, x, 1.0)
+        assert steps == len(matvecs) > 0 and set(matvecs) == {(3, 3)}
+        assert gen.rows(x) == 3
+        expected = scipy.linalg.expm(np.array(entries)) @ x
+        assert np.abs(result - expected).max() <= 1e-12
+
+    def test_a_product_that_rounds_to_minus_zero_reads_plus_zero_as_in_the_csr_product(self):
+        # The Taylor terms of a decaying coordinate underflow; scipy sums each row from +0.0.
+        diagonal = np.array([-1e-200, 2.0, -3.0, 1e-300, 0.5])
+        x = np.array([1e-200, -0.0, 0.0, -1e-300, -3.0])
+        csr = scipy.sparse.csr_matrix((diagonal, np.arange(5), np.arange(6)), shape=(5, 5))
+        product = qsw.evolution._diagonal_product(diagonal, x)
+        assert product.tobytes() == (csr @ x).tobytes()
+        assert not np.signbit(product[:4]).any() and product[4] == -1.5
+
+    def test_a_diagonal_matrix_takes_the_diagonal_product(self, matvecs):
+        gen = qsw.evolution._ShiftedGenerator(scipy.sparse.diags([1.0, 2.0, 4.0]).tocsr())
+        assert np.array_equal(gen.diagonal, np.array([1.0, 2.0, 4.0]) - gen.mu)
+        x = np.array([1.0, 0.0, -0.5])
+        result, steps = _expm_action(gen, x, 1.0)
+        assert steps == len(matvecs) > 0 and set(matvecs) == {(2, 2)}
+        assert gen.rows(x) == 2
+        assert np.abs(result - np.exp([1.0, 2.0, 4.0]) * x).max() <= 1e-13 * np.exp(4.0)
 
 
 class TestBuildBound:

@@ -60,8 +60,9 @@ def test_the_output_gate_takes_every_route(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "tools" / "compare_outputs.py")
     compare_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_outputs)
-    # run_commands puts perfbench/ on the path to read its workloads.
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = list(sys.path)
     routes = recorded_routes(monkeypatch)
     compare_outputs.run_commands(tmp_path)
     assert routes - {"identity"} == {route for route, _ in route_rows()}
+    # run_commands reads perfbench's workloads from perfbench/ and takes it off the path again.
+    assert sys.path == path

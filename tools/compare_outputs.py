@@ -21,7 +21,11 @@ tests/test_readme.py checks:
 - omega in (0, 1] of qsw-global with its full operator, which equals H,
   runs the EigenbasisWalk: the qsw-global workloads, a qsw-global sweep
   on line:21, and a qsw-global time grid on a seeded graph of two equal
-  weighted paths, whose spectrum is degenerate.
+  weighted paths, whose spectrum is degenerate. At omega = 1 its matrix
+  is diagonal, and the kernel multiplies it elementwise on the nonzero
+  coordinates instead of through scipy's CSR product: the line:61 t = 200
+  workload, the verify compare of qsw-global, the line:21 time grid and
+  the omega 1 point of the line:21 sweep.
 - omega = 1 of qsw-global without the diagonal runs the Liouvillian's
   invariant block, its parity block of 121 of 441 coordinates on line:21.
 - Every other interior omega runs the Liouvillian on all coordinates:
@@ -119,8 +123,12 @@ def run_commands(work_dir: Path) -> list:
     """Run every command with qsw.cli.main in this process: (argv, exit code, stderr, output text) each."""
     import qsw.cli
 
+    path = list(sys.path)
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS, commands
+    try:
+        from workloads import WORKLOADS, commands
+    finally:
+        sys.path[:] = path
 
     argvs = [command.argv for workload in WORKLOADS for command in commands(workload, SEED, work_dir)]
     argvs += [("audit", "--graph", "line:9:2", *options) for options in AUDITS]
