@@ -40,7 +40,9 @@ one path for every generator, and each reads the form it writes: a
 Liouvillian the dim^2 coordinates of the start state's entries, a
 QuantumWalk its dim amplitudes, a ClassicalWalk its dim populations, and
 an EigenbasisWalk the coherences of the start state in H's eigenbasis,
-mapped back to entries.
+mapped back to entries. The first three hold a real CSR matrix, checked
+once in their common base, _CSRGenerator; each states only its row count
+(dim^2, 2 dim and dim) and its _route.
 
 At omega = 0 the route runs on state vectors, the paper's quantum walk
 limit. The equation of motion is -i[H, rho], so a pure state stays pure,
@@ -68,13 +70,14 @@ operator, or a custom set that spells out H), the dissipator is
 alone: the populations there stay put, and the coherence of eigenvalues
 lambda_i and lambda_j rotates at (1 - omega) Delta and decays at
 (omega / 2) Delta^2, Delta = lambda_i - lambda_j. An EigenbasisWalk,
-made once per command from eigh(H), hands the kernel one 2 x 2 block per
-coherence that moves, so no dim^2 x dim^2 matrix is assembled or
-searched at any omega in (0, 1]. Its products with the eigenvectors are
-fixed-order sums of 64 x 64 x 64 BLAS tile products (_product), each
-small enough to run on one BLAS thread, so its states do not depend on
-the BLAS thread count; eigh's eigenvectors still do at large dim. At
-omega = 1 nothing rotates, and the kernel's A is diagonal: it multiplies
+made once per command from eigh(H) and set to each omega by at, hands
+the kernel one 2 x 2 block per coherence that moves, and a 0 x 0 matrix
+and an empty vector when none does (dim 1, or H a multiple of I), so no
+dim^2 x dim^2 matrix is assembled or searched at any omega in (0, 1].
+Its products with the eigenvectors are fixed-order sums of 64 x 64 x 64
+BLAS tile products (_product), each small enough to run on one BLAS
+thread, so its states do not depend on the BLAS thread count; eigh's
+eigenvectors still do at large dim. At omega = 1 nothing rotates, and the kernel's A is diagonal: it multiplies
 A elementwise on the coordinates where the start vector is nonzero
 (1830 of 3660 from a vertex of line:61, whose imaginary parts are 0),
 with the bits and product count of scipy's CSR product.
@@ -309,18 +312,18 @@ class DensityMatrix:
         return cls._unchecked(populations=vec / total)
 
 
-def _diagnostics(rho) -> tuple[float, float, float]:
-    """Trace drift, Hermiticity drift and minimum eigenvalue of a state, read from the form it records, or of a square array.
+def _diagnostics(rho: DensityMatrix) -> tuple[float, float, float]:
+    """Trace drift, Hermiticity drift and minimum eigenvalue of a state, read from the form it records, or its entries if it records none.
 
     diag(p) has the eigenvalues p, and psi psi^dag has ||psi||^2 and, at
     dim above 1, 0; both are Hermitian by construction. Each trace is summed
     in complex order, as arr.trace() sums the entries, so the drift is the
     one the entries give bit for bit. A nan or inf in a form gives nan drifts.
     """
-    p, psi = _forms(rho)
+    p, psi = rho.populations, rho.amplitudes
     form = p if p is not None else psi
     if form is None:
-        return _state_diagnostics(_state_entries(rho))
+        return _state_diagnostics(rho.entries)
     if not np.isfinite(form).all():
         return _NON_FINITE
     if p is not None:
@@ -330,31 +333,49 @@ def _diagnostics(rho) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class Liouvillian:
+class _CSRGenerator:
+    """A generator held as a real CSR matrix, with the kernel's t-independent set-up.
+
+    The matrix is checked at construction: one of another shape or kind
+    would fail deep in the kernel, or pass as a budget violation. Each
+    subclass states its row count for its dim (_row_count) and its _route.
+    The kernel's _ShiftedGenerator is made on the first propagation that
+    multiplies the whole matrix, and kept for every later one.
+    """
+
+    dim: int
+    matrix: object
+
+    def __post_init__(self):
+        n, m = self._row_count, self.matrix
+        if not (scipy.sparse.issparse(m) and m.format == "csr" and m.dtype == np.float64 and m.shape == (n, n)):
+            found = f"{type(m).__name__} of dtype {getattr(m, 'dtype', None)} and shape {np.shape(m)}"
+            raise ValueError(f"a {type(self).__name__} of dim {self.dim} needs a float64 CSR matrix of shape ({n}, {n}), got {found}")
+
+    @cached_property
+    def _shifted(self) -> "_ShiftedGenerator":
+        return _ShiftedGenerator(self.matrix)
+
+
+@dataclass(frozen=True)
+class Liouvillian(_CSRGenerator):
     """The generator as a real CSR matrix on the coordinates of coordinate_basis.
 
-    column_stacked_superoperator rebuilds the complex form from it. The
-    propagation kernel's t-independent set-up is made on the first
-    propagation and kept with the Liouvillian for every later one.
+    column_stacked_superoperator rebuilds the complex form from it.
     dissipative_only marks the dissipative part R_D alone, as
     build_liouvillian makes it at omega = 1; only such a generator is
     searched for the invariant block a start state reaches, and that
-    block too is kept for every later propagation. The block is exact for
+    block is kept for every later propagation. The block is exact for
     any generator; the mark only says where the search is worth its cost.
     It reads every start state from its entries and maps back to entries;
     qsw.cli._generators runs the walks instead where they apply.
     """
 
-    dim: int
-    matrix: object
     dissipative_only: bool = False
 
-    def __post_init__(self):
-        _require_real_csr(self.matrix, self.dim * self.dim, f"a Liouvillian of dim {self.dim}")
-
-    @cached_property
-    def _shifted(self) -> "_ShiftedGenerator":
-        return _ShiftedGenerator(self.matrix)
+    @property
+    def _row_count(self) -> int:
+        return self.dim * self.dim
 
     @cached_property
     def _blocks(self) -> list:
@@ -400,15 +421,7 @@ class Liouvillian:
         return "invariant-block", gen, coords[index], back
 
 
-def _require_real_csr(m, n: int, owner: str) -> None:
-    """A matrix of another shape or kind would fail deep in the kernel, or pass as a budget violation."""
-    if not (scipy.sparse.issparse(m) and m.format == "csr" and m.dtype == np.float64 and m.shape == (n, n)):
-        found = f"{type(m).__name__} of dtype {getattr(m, 'dtype', None)} and shape {np.shape(m)}"
-        raise ValueError(f"{owner} needs a float64 CSR matrix of shape ({n}, {n}), got {found}")
-
-
-@dataclass(frozen=True)
-class QuantumWalk:
+class QuantumWalk(_CSRGenerator):
     """The omega = 0 generator on state vectors: -i H' as a real CSR matrix on (Re psi, Im psi).
 
     At omega = 0 the equation of motion is -i[H, rho], and a pure state
@@ -420,11 +433,9 @@ class QuantumWalk:
     records (DensityMatrix.amplitudes), not the state's dim^2 coordinates.
     """
 
-    dim: int
-    matrix: object
-
-    def __post_init__(self):
-        _require_real_csr(self.matrix, 2 * self.dim, f"a QuantumWalk of dim {self.dim}")
+    @property
+    def _row_count(self) -> int:
+        return 2 * self.dim
 
     @classmethod
     def from_hamiltonian(cls, h: Hamiltonian) -> "QuantumWalk":
@@ -435,10 +446,6 @@ class QuantumWalk:
         re.eliminate_zeros()
         im.eliminate_zeros()
         return cls(h.dim, scipy.sparse.bmat([[im, re], [-re, im]], format="csr"))
-
-    @cached_property
-    def _shifted(self) -> "_ShiftedGenerator":
-        return _ShiftedGenerator(self.matrix)
 
     def _route(self, rho0: DensityMatrix):
         """The route's name, the kernel's _ShiftedGenerator, (Re psi, Im psi) of rho0's amplitudes psi, and the map back to an unchecked state of amplitudes psi(t)."""
@@ -465,8 +472,7 @@ def _shared_line(ls: JumpOperatorSet) -> tuple[int, str, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ClassicalWalk:
+class ClassicalWalk(_CSRGenerator):
     """The omega = 1 generator on populations: the rate matrix W as a real CSR matrix.
 
     For a set whose operators each have at most one nonzero per row and
@@ -479,11 +485,9 @@ class ClassicalWalk:
     (DensityMatrix.populations), not the state's dim^2 coordinates.
     """
 
-    dim: int
-    matrix: object
-
-    def __post_init__(self):
-        _require_real_csr(self.matrix, self.dim, f"a ClassicalWalk of dim {self.dim}")
+    @property
+    def _row_count(self) -> int:
+        return self.dim
 
     @staticmethod
     def applies_to(ls: JumpOperatorSet) -> bool:
@@ -530,10 +534,6 @@ class ClassicalWalk:
         matrix = scipy.sparse.csr_matrix((np.concatenate([rates[off], diagonal]), (rows, cols)), shape=(n, n))
         matrix.eliminate_zeros()
         return cls(n, matrix)
-
-    @cached_property
-    def _shifted(self) -> "_ShiftedGenerator":
-        return _ShiftedGenerator(self.matrix)
 
     def _route(self, rho0: DensityMatrix):
         """The route's name, the kernel's _ShiftedGenerator, rho0's populations p, and the map back to an unchecked state of populations p(t)."""
@@ -600,14 +600,15 @@ class EigenbasisWalk:
     The populations rho~[i, i] and every coherence with Delta = 0 stay
     put; every other coherence rotates at nu and decays at gamma. The
     kernel's matrix holds one 2 x 2 block [[-gamma, nu], [-nu, -gamma]]
-    on (Re, Im) of each coherence i < j that moves. The decomposition is
-    made once (from_hamiltonian) and shared by the walk at every omega
-    (at), and the walk keeps the eigenbasis coordinates of the state it
-    made last, so the next step of a time grid starts from them with no
-    transform. Every matrix product with U is a _product, and the
-    amplitudes' one mat-vec an np.einsum, which calls no BLAS, so the
-    route's states do not depend on the BLAS thread count, though eigh's
-    eigenvectors do at large dim.
+    on (Re, Im) of each coherence i < j that moves; when none moves, the
+    matrix is 0 x 0 and the kernel makes no product. The decomposition is
+    made once (from_hamiltonian), and at gives the walk at each omega on
+    that same decomposition. The walk keeps the eigenbasis coordinates of
+    the state it made last, so the next step of a time grid starts from
+    them with no transform. Every matrix product with U is a _product,
+    and the amplitudes' one mat-vec an np.einsum, which calls no BLAS, so
+    the route's states do not depend on the BLAS thread count, though
+    eigh's eigenvectors do at large dim.
     """
 
     eigenvalues: np.ndarray
@@ -634,8 +635,8 @@ class EigenbasisWalk:
         )
 
     @classmethod
-    def from_hamiltonian(cls, h: Hamiltonian, omega: float = 1.0) -> "EigenbasisWalk":
-        """The walk at omega (the dissipator alone by default) from eigh of H, of its real part when H is real.
+    def from_hamiltonian(cls, h: Hamiltonian) -> "EigenbasisWalk":
+        """The walk at omega = 1, the dissipator alone, from eigh of H, of its real part when H is real; at sets another omega.
 
         A dim past _MAX_EIGENBASIS_DIM is refused before eigh allocates.
         """
@@ -648,7 +649,7 @@ class EigenbasisWalk:
         eigenvalues, eigenvectors = np.linalg.eigh(entries)
         for arr in (eigenvalues, eigenvectors):
             arr.setflags(write=False)
-        return cls(eigenvalues, eigenvectors, omega)
+        return cls(eigenvalues, eigenvectors, 1.0)
 
     def at(self, omega: float) -> "EigenbasisWalk":
         """The walk at another omega, sharing this one's decomposition."""
@@ -662,7 +663,7 @@ class EigenbasisWalk:
 
     @cached_property
     def _shifted(self) -> "_ShiftedGenerator":
-        """The 2 x 2 blocks of the moving coherences as a CSR matrix; a non-finite rate is refused, naming its pair."""
+        """The 2 x 2 blocks of the moving coherences as a CSR matrix, 0 x 0 if none moves; a non-finite rate is refused, naming its pair."""
         first, second, moving = self._moving
         i, j = first[moving], second[moving]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -677,10 +678,6 @@ class EigenbasisWalk:
                 f"Delta = {float(delta[k])!r}, rotation (1 - omega) Delta = {float(nu[k])!r}, "
                 f"decay (omega / 2) Delta^2 = {float(gamma[k])!r}"
             )
-        if not i.size:
-            # Nothing moves (dim 1, or H a multiple of I): the kernel gets one
-            # zero coordinate, which it keeps, and the map back ignores.
-            return _ShiftedGenerator(scipy.sparse.csr_matrix((1, 1)))
         values = np.stack([-gamma, nu, -nu, -gamma], axis=1).ravel()
         cols = (2 * np.arange(i.size)[:, None] + np.array([0, 1, 0, 1])).ravel()
         matrix = scipy.sparse.csr_matrix((values, cols, np.arange(0, 4 * i.size + 1, 2)), shape=(2 * i.size, 2 * i.size))
@@ -715,8 +712,7 @@ class EigenbasisWalk:
         diagonal, coherences = self._coordinates(rho0)
         first, second, moving = self._moving
         size = 2 * np.count_nonzero(moving)
-        # One zero coordinate when nothing moves (see _shifted).
-        x = np.zeros(max(size, 1))
+        x = np.zeros(size)
         x[0:size:2], x[1:size:2] = coherences[moving].real, coherences[moving].imag
         u = self.eigenvectors
 
@@ -765,9 +761,10 @@ class PropagationInfo:
     eigenbasis, invariant-block or coordinates, or identity for a
     zero-length step, which runs no kernel. rows is the number of
     coordinates the kernel multiplied: the row count of its matrix, or
-    for a diagonal matrix the start vector's nonzeros (see _expm_action),
-    and 0 for identity. method, read from route, is identity or
-    matrix-exponential, the one kernel every other route runs.
+    for a diagonal matrix the start vector's nonzeros (see _expm_action);
+    it is 0 for identity and for an eigenbasis walk where nothing moves.
+    method, read from route, is identity or matrix-exponential, the one
+    kernel every other route runs.
     """
 
     steps: int
@@ -791,29 +788,16 @@ def unvectorize_state(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
 
 
-def _state_entries(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.entries
-    return np.asarray(rho, dtype=complex)
-
-
-def _forms(rho) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The populations and the amplitudes rho records; None for each it does not record, and for an array."""
-    if isinstance(rho, DensityMatrix):
-        return rho.populations, rho.amplitudes
-    return None, None
-
-
 def _require_omega(omega: float) -> None:
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
 
 
 def lindblad_rhs(h: Hamiltonian, ls: JumpOperatorSet, omega: float, rho) -> np.ndarray:
-    """d(rho)/dt evaluated directly on matrices, no vectorization involved."""
+    """d(rho)/dt evaluated directly on matrices, no vectorization involved; rho is a DensityMatrix or a square array."""
     _require_omega(omega)
     _require_same_dim(h, ls)
-    r = _state_entries(rho)
+    r = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if r.shape != (h.dim, h.dim):
         raise ValueError(f"state shape {r.shape} does not match dim {h.dim}")
     he = h.entries
@@ -1039,8 +1023,8 @@ def build_liouvillian(h: Hamiltonian, ls: JumpOperatorSet, omega: float) -> Liou
     return combine_parts(coherent, dissipative, omega)
 
 
-def _check_budgets(rho, context: str) -> tuple[float, float, float]:
-    """The _diagnostics of a state or square array, which must lie within the solver budgets."""
+def _check_budgets(rho: DensityMatrix, context: str) -> tuple[float, float, float]:
+    """The _diagnostics of a state, which must lie within the solver budgets."""
     trace_drift, herm_drift, min_eig = _diagnostics(rho)
     # Written so that a nan drift is a violation.
     if not (trace_drift <= TRACE_BUDGET and herm_drift <= HERMITICITY_BUDGET and min_eig >= EIGENVALUE_FLOOR):
@@ -1060,17 +1044,19 @@ class _ShiftedGenerator:
     """A = R - mu I for a real CSR generator R and mu = tr(R) / n, with the exact 1-norm that sizes exp(tA).
 
     Nothing here depends on t, so it is computed once per Liouvillian. A
-    Hamiltonian generator has mu = 0, and A is then R itself. diagonal
-    holds A's stored values when A stores exactly one entry per row, on
-    the diagonal (the EigenbasisWalk at omega = 1), and is None otherwise;
-    the kernel then multiplies elementwise (_diagonal_product).
+    Hamiltonian generator has mu = 0, and A is then R itself; so has a
+    0 x 0 R (an EigenbasisWalk where nothing moves), whose 1-norm is 0.
+    diagonal holds A's stored values when A stores exactly one entry per
+    row, on the diagonal (the EigenbasisWalk at omega = 1, or a 0 x 0 A),
+    and is None otherwise; the kernel then multiplies elementwise
+    (_diagonal_product).
     """
 
     def __init__(self, matrix: scipy.sparse.csr_matrix):
         n = matrix.shape[0]
-        self.mu = float(matrix.trace()) / n
+        self.mu = float(matrix.trace()) / n if n else 0.0
         self.matrix = matrix - self.mu * scipy.sparse.identity(n, format="csr") if self.mu else matrix
-        self.onenorm = float(np.bincount(self.matrix.indices, weights=np.abs(self.matrix.data), minlength=n).max())
+        self.onenorm = float(np.bincount(self.matrix.indices, weights=np.abs(self.matrix.data), minlength=n).max(initial=0.0))
         self.diagonal = _stored_diagonal(self.matrix)
 
     def rows(self, x: np.ndarray) -> int:
@@ -1245,20 +1231,19 @@ class PopulationReport:
 
 
 def populations_detailed(rho: DensityMatrix) -> PopulationReport:
-    """Diagonal of the state, read from the form it records, with tiny negatives (above -1e-9) clamped to 0.
+    """Diagonal of the state, read from the form it records or else its entries, with tiny negatives (above -1e-9) clamped to 0.
 
     From amplitudes the diagonal is (psi * psi.conj()).real, bit for bit
     the diagonal of psi psi^dag. Clamping is reported, never hidden;
     anything below -1e-9 would have failed the state's own positivity
     check already.
     """
-    p, psi = _forms(rho)
-    if p is not None:
-        raw = p.copy()
-    elif psi is not None:
-        raw = (psi * psi.conj()).real
+    if rho.populations is not None:
+        raw = rho.populations.copy()
+    elif rho.amplitudes is not None:
+        raw = (rho.amplitudes * rho.amplitudes.conj()).real
     else:
-        raw = np.real(np.diag(_state_entries(rho))).copy()
+        raw = np.real(np.diag(rho.entries)).copy()
     clamped = tuple(int(i) for i in np.nonzero(raw < 0.0)[0])
     min_raw = float(raw.min()) if raw.size else 0.0
     raw[raw < 0.0] = 0.0
@@ -1271,19 +1256,18 @@ def populations(rho: DensityMatrix) -> np.ndarray:
 
 
 def coherence_l1(rho: DensityMatrix) -> float:
-    """Sum of the magnitudes of all off-diagonal entries, read from the form the state records; never negative.
+    """Sum of the magnitudes of all off-diagonal entries, read from the form the state records or else its entries; never negative.
 
     It is 0 for populations, and (sum_a |psi_a|)^2 - sum_a |psi_a|^2 for
     amplitudes. The difference of sums is clamped at 0, where rounding
     would take a state without coherence below it.
     """
-    p, psi = _forms(rho)
-    if p is not None:
+    if rho.populations is not None:
         return 0.0
-    if psi is not None:
-        magnitudes = np.abs(psi)
+    if rho.amplitudes is not None:
+        magnitudes = np.abs(rho.amplitudes)
         value = magnitudes.sum() ** 2 - np.square(magnitudes).sum()
     else:
-        arr = _state_entries(rho)
+        arr = rho.entries
         value = np.abs(arr).sum() - np.abs(np.diag(arr)).sum()
     return max(float(value), 0.0)

@@ -51,7 +51,8 @@ class Graph:
     """Undirected weighted graph on vertices 0..n_vertices-1.
 
     Edges are stored as canonical (u, v) pairs with u < v, sorted, with a
-    parallel tuple of finite, strictly positive rates (units: 1/time).
+    parallel tuple of finite, strictly positive rates (units: 1/time)
+    whose sum, times 2 n_vertices, is finite.
     Instances are immutable and safe to share across threads.
     """
 
@@ -68,6 +69,17 @@ class Graph:
         canonical = {}
         for (u, v), w in zip(self.edges, self.weights):
             _add_edge(canonical, self.n_vertices, u, v, w)
+        # 2 n times the total weight is |tr R_D| of the edge-local walk on its
+        # n^2 coordinates, the largest sum of rates the routes form from the
+        # weights. Past the float range some numpy sum would overflow, and
+        # warn, before any located error.
+        total = sum(canonical.values())
+        if not np.isfinite(2 * self.n_vertices * total):
+            heaviest = max(canonical, key=canonical.get)
+            raise ValueError(
+                f"edge weights on {self.n_vertices} vertices sum to {total!r}, up to {canonical[heaviest]!r} on {heaviest}, "
+                "and 2 n times the sum is past the float range"
+            )
         pairs = sorted(canonical)
         object.__setattr__(self, "edges", tuple(pairs))
         object.__setattr__(self, "weights", tuple(canonical[pair] for pair in pairs))

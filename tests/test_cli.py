@@ -918,9 +918,24 @@ class TestCustomRegime:
             "t = 1.0 is too long for one step of exp(tA): it needs at least 1.48e+21 products with A, "
             "with ||A||_1 = 2.666666666666667e+20, and the bound is 1000000",
         ),
+        # Each of these three once warned in a numpy sum before its exit 2: the
+        # Laplacian's column sum, H's a + a.T and the rate matrix's trace.
+        (
+            ("simulate", "--graph", "line:3:1e308", "--regime", "crw", "--t", "1"),
+            "edge weights on 3 vertices sum to inf, up to 1e+308 on (0, 1), and 2 n times the sum is past the float range",
+        ),
+        (
+            ("simulate", "--graph", "line:3:5e307", "--regime", "qw", "--t", "1"),
+            "edge weights on 3 vertices sum to 1e+308, up to 5e+307 on (0, 1), and 2 n times the sum is past the float range",
+        ),
+        (
+            ("simulate", "--graph", "line:3:5e307", "--regime", "crw", "--omega", "1", "--t", "1"),
+            "edge weights on 3 vertices sum to 1e+308, up to 5e+307 on (0, 1), and 2 n times the sum is past the float range",
+        ),
     ],
     ids=["grid-fields", "grid-count", "omega-value", "tol-value", "line-spec", "overlap-overflow", "long-t", "large-norm"]
-    + ["omega-grid-range", "omega-value-range", "power-norm-overflow-crw", "power-norm-overflow-qw", "runaway-t"],
+    + ["omega-grid-range", "omega-value-range", "power-norm-overflow-crw", "power-norm-overflow-qw", "runaway-t"]
+    + ["float-range-crw", "float-range-qw", "float-range-crw-omega-1"],
 )
 def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, message):
     rc, text = run(tmp_path, *argv)

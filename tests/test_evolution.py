@@ -623,7 +623,7 @@ class TestPropagate:
     def test_non_finite_state_violates_budgets(self):
         # A nan drift compares False with every budget, so it once passed them.
         with pytest.raises(StateInvariantError) as excinfo:
-            _check_budgets(np.full((2, 2), np.nan, dtype=complex), "nan state")
+            _check_budgets(DensityMatrix._unchecked(np.full((2, 2), np.nan, dtype=complex)), "nan state")
         assert np.isnan(excinfo.value.trace_drift)
         assert np.isnan(excinfo.value.min_eigenvalue)
 
@@ -878,7 +878,7 @@ class TestEigenbasisWalk:
         m = classical_generator(eigenbasis_graphs()[name])
         h, ls = hamiltonian_from_generator(m), global_jump_operator(m)
         assert EigenbasisWalk.applies_to(h, ls)
-        walk, liou = EigenbasisWalk.from_hamiltonian(h, omega), build_liouvillian(h, ls, omega)
+        walk, liou = EigenbasisWalk.from_hamiltonian(h).at(omega), build_liouvillian(h, ls, omega)
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
         # Amplitudes and entries take two ways into the eigenbasis.
@@ -912,7 +912,7 @@ class TestEigenbasisWalk:
 
     def test_the_matrix_holds_one_block_per_moving_coherence(self):
         _, _, _, h = line_setup(5)
-        walk = EigenbasisWalk.from_hamiltonian(h, 0.25)
+        walk = EigenbasisWalk.from_hamiltonian(h).at(0.25)
         # The line's generator has 5 distinct eigenvalues, so all 10 coherences move.
         matrix = walk._shifted.matrix + walk._shifted.mu * scipy.sparse.identity(20)
         first, second = np.triu_indices(5, 1)
@@ -930,9 +930,21 @@ class TestEigenbasisWalk:
         assert EigenbasisWalk.applies_to(h, ls)
         arr = random_state(np.random.default_rng(1), 3).entries
         rho0 = DensityMatrix((arr + arr.conj().T) / 2.0)
-        state, info = propagate_detailed(rho0, EigenbasisWalk.from_hamiltonian(h, 0.5), 4.0)
+        state, info = propagate_detailed(rho0, EigenbasisWalk.from_hamiltonian(h).at(0.5), 4.0)
         assert np.array_equal(state.entries, rho0.entries)
-        assert (info.route, info.rows, info.steps, matvecs) == ("eigenbasis", 1, 0, [])
+        assert (info.route, info.rows, info.steps, matvecs) == ("eigenbasis", 0, 0, [])
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    @pytest.mark.parametrize("entries", [[[0.5]], 2.0 * np.eye(3)], ids=["dim-1", "multiple-of-i"])
+    def test_a_walk_where_nothing_moves_multiplies_an_empty_vector(self, matvecs, entries, omega):
+        # The kernel gets a 0 x 0 matrix, with mu and ||A||_1 both 0, and makes no product.
+        walk = EigenbasisWalk.from_hamiltonian(Hamiltonian(entries)).at(omega)
+        rho0 = DensityMatrix.basis(walk.dim, 0)
+        _, gen, x, _ = walk._route(rho0)
+        assert (gen.matrix.shape, x.size, gen.mu, gen.onenorm) == ((0, 0), 0, 0.0, 0.0)
+        state, info = propagate_detailed(rho0, walk, 2.0)
+        assert (info.steps, info.rows, matvecs) == (0, 0, [])
+        assert np.array_equal(state.entries, rho0.entries)
 
     def test_a_grid_step_starts_from_the_coordinates_the_walk_kept(self, monkeypatch):
         # The map back makes four real products with U (two for each of Re and Im);
@@ -946,7 +958,7 @@ class TestEigenbasisWalk:
 
         monkeypatch.setattr(qsw.evolution, "_product", counting_product)
         _, lmap, m, h = line_setup(9)
-        walk = EigenbasisWalk.from_hamiltonian(h, 0.5)
+        walk = EigenbasisWalk.from_hamiltonian(h).at(0.5)
         state = DensityMatrix.basis(9, lmap.center)
         for _ in range(3):
             state, _ = propagate_detailed(state, walk, 0.5)
@@ -968,7 +980,7 @@ class TestEigenbasisWalk:
     def test_a_rate_past_the_largest_float_is_refused_naming_its_coherence(self):
         # K = H^2 is finite here (its largest entry 6 r^2 = 1.5e308), but Delta^2 = 9 r^2 is not.
         _, _, _, h = line_setup(3, gamma=5e153)
-        walk = EigenbasisWalk.from_hamiltonian(h, 0.5)
+        walk = EigenbasisWalk.from_hamiltonian(h).at(0.5)
         message = "the coherence of eigenvectors 0 and 2 of H has a rate that is not finite at omega = 0.5: Delta = -1.5e+154"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}, rotation"):
             propagate_detailed(DensityMatrix.basis(3, 1), walk, 1.0)
@@ -993,7 +1005,7 @@ class TestDiagonalProduct:
     @pytest.mark.parametrize("start", ["vertex", "complex-pure"])
     def test_matches_the_csr_product_bit_for_bit(self, matvecs, start):
         _, lmap, _, h = line_setup(61)
-        walk = EigenbasisWalk.from_hamiltonian(h, 1.0)
+        walk = EigenbasisWalk.from_hamiltonian(h).at(1.0)
         if start == "vertex":
             rho0 = DensityMatrix.basis(61, lmap.center)
         else:
@@ -1020,7 +1032,7 @@ class TestDiagonalProduct:
         # each step multiplies nothing, and stops after its first product, as the CSR product does.
         graph = from_edge_list(4, [(0, 1, 1.0), (1, 2, 2.0)])
         h = hamiltonian_from_generator(classical_generator(graph))
-        walk = EigenbasisWalk.from_hamiltonian(h, 1.0)
+        walk = EigenbasisWalk.from_hamiltonian(h).at(1.0)
         rho0 = DensityMatrix.basis(4, 3)
         _, gen, x, _ = walk._route(rho0)
         assert gen.diagonal is not None and x.size > 0 and not x.any()

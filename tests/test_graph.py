@@ -1,5 +1,7 @@
 """Graph construction, generators, and edge-list parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,13 @@ class TestGraph:
                 Graph(3, ((0, 1),), (w,))
         with pytest.raises(ValueError, match="finite"):
             build_line(5, float("inf"))
+
+    def test_rejects_weights_whose_sum_times_2n_is_past_the_float_range(self):
+        # 2 * 3 * 2.9e307 is 1.74e308, below the largest float; 2 * 3 * 3e307 is past it.
+        Graph(3, ((0, 1),), (2.9e307,))
+        message = "edge weights on 3 vertices sum to 3e+307, up to 3e+307 on (0, 1), and 2 n times the sum is past the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, ((0, 1),), (3e307,))
 
     def test_neighbors_and_degree(self):
         g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])

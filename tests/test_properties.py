@@ -32,7 +32,8 @@ they accept (norm or sum at their tolerance's edge, populations down to
 -5e-13) must meet DensityMatrix's construction tolerances.
 
 For graphs, it draws vertex counts, edge sets and positive finite weights
-(subnormal ones included): an edge list written with repr weights parses
+(subnormal ones included) small enough that 2 n times their sum stays
+finite, as Graph requires: an edge list written with repr weights parses
 back to the same graph, a junk line anywhere after the header is refused
 with a ValueError that names its line, and a Graph does not depend on the
 order or orientation of its input edges.
@@ -314,15 +315,16 @@ def recorded_states(draw):
 @settings(deadline=None, max_examples=200)
 @given(state=recorded_states())
 def test_a_form_reads_what_its_entries_give(state):
+    dense_state = DensityMatrix._unchecked(state.entries)
     by_form, by_entries = _diagnostics(state), _state_diagnostics(state.entries)
     assert np.abs(np.subtract(by_form, by_entries)).max() <= 1e-14
     assert (by_form[2] >= EIGENVALUE_FLOOR) == (by_entries[2] >= EIGENVALUE_FLOOR)
-    report, dense = populations_detailed(state), populations_detailed(state.entries)
+    report, dense = populations_detailed(state), populations_detailed(dense_state)
     assert report.values.tobytes() == dense.values.tobytes()
     assert (report.clamped_indices, report.min_raw_value) == (dense.clamped_indices, dense.min_raw_value)
     coherence = coherence_l1(state)
-    assert coherence >= 0.0 and coherence_l1(state.entries) >= 0.0
-    assert abs(coherence - coherence_l1(state.entries)) <= 1e-12
+    assert coherence >= 0.0 and coherence_l1(dense_state) >= 0.0
+    assert abs(coherence - coherence_l1(dense_state)) <= 1e-12
 
 
 @st.composite
@@ -356,7 +358,8 @@ def graphs(draw):
     n = draw(st.integers(1, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    # Every weight at most float max / (4 n k), k edges, keeps 2 n times their sum finite.
+    positive = st.floats(min_value=0.0, max_value=np.finfo(float).max / (4 * n * max(len(edges), 1)), exclude_min=True)
     weights = draw(st.lists(positive, min_size=len(edges), max_size=len(edges)))
     return Graph(n, tuple(edges), tuple(weights))
 
