@@ -303,11 +303,11 @@ def _run_grid(src: GraphSource, args, omegas, ts) -> tuple[dict, list[dict]]:
 
     Each omega propagates the generator _generators yields for it. Its
     times are visited in ascending order as one forward chain: each point
-    steps on from the state the previous one reached. Each step pays its
-    own Taylor series, so a chain costs more products than its largest
-    time alone. A zero-length step (t = 0, or a repeated time) reports
-    method identity with 0 steps. A command whose times are all 0 builds
-    no generator: every point is the start state.
+    steps on from the kernel's vector of the state before it. Each step
+    pays its own Taylor series, so a chain costs more products than its
+    largest time alone. A zero-length step (t = 0, or a repeated time)
+    reports method identity with 0 steps. A command whose times are all
+    0 builds no generator: every point is the start state.
     """
     points = len(omegas) * len(ts)
     if points > _MAX_GRID_POINTS:

@@ -27,11 +27,13 @@ degree m and step count s from the exact 1-norm of A alone. Neither A nor
 its norm depends on t (||tA||_1 is t ||A||_1), so they are computed once
 per Liouvillian and reused by every step. A step whose m s, the number of
 products with A, would pass _MAX_PRODUCTS is refused before the first
-product is made. A time grid is a forward chain of such steps, each
-starting from the state the previous one reached (see qsw.cli). Each step
-pays its own Taylor series, so a chain costs more than one step to its
-largest time: line:101 qsw-global at omega 0.5 makes 200 products over
-t = 0, 0.5, ..., 5 against 108 for t = 5 alone.
+product is made. A time grid is a forward chain of such steps (see
+qsw.cli), carried by one rule in propagate_detailed: a state the
+generator made or read continues from the kernel's vector of that state,
+and any other state is mapped in by the generator's _route, once. Each
+step pays its own Taylor series, so a chain costs more than one step to
+its largest time: line:101 qsw-global at omega 0.5 makes 200 products
+over t = 0, 0.5, ..., 5 against 108 for t = 5 alone.
 
 Four generators hand the kernel a real vector, each through its _route:
 a _ShiftedGenerator, the real vector the start state maps to, and the map
@@ -50,7 +52,7 @@ rho(t) = psi(t) psi(t)^dag, and a QuantumWalk holds -i H' as a real
 2 dim x 2 dim matrix on (Re psi, Im psi), with H' = H - (tr H / dim) I.
 A state built pure records its amplitudes (DensityMatrix.amplitudes), and
 the walk's route takes those instead of the dim^2 coordinates; the state
-it maps back records psi(t), so a time grid stays on amplitudes.
+it maps back records psi(t).
 
 At omega = 1 the route runs on populations, the paper's classical random
 walk limit, for every set whose operators each have at most one nonzero
@@ -115,6 +117,7 @@ before eigh.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -239,7 +242,7 @@ class DensityMatrix:
     form on first read and kept.
     """
 
-    __slots__ = ("_entries", "amplitudes", "populations")
+    __slots__ = ("_entries", "amplitudes", "populations", "__weakref__")
 
     def __init__(self, entries, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_floor: float = -1e-9):
         arr = _square_matrix("density matrix", entries, complex)
@@ -356,6 +359,10 @@ class _CSRGenerator:
     def _shifted(self) -> "_ShiftedGenerator":
         return _ShiftedGenerator(self.matrix)
 
+    @cached_property
+    def _chain(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
 
 @dataclass(frozen=True)
 class Liouvillian(_CSRGenerator):
@@ -364,11 +371,10 @@ class Liouvillian(_CSRGenerator):
     column_stacked_superoperator rebuilds the complex form from it.
     dissipative_only marks the dissipative part R_D alone, as
     build_liouvillian makes it at omega = 1; only such a generator is
-    searched for the invariant block a start state reaches, and that
-    block is kept for every later propagation. The block is exact for
-    any generator; the mark only says where the search is worth its cost.
-    It reads every start state from its entries and maps back to entries;
-    qsw.cli._generators runs the walks instead where they apply.
+    searched for the invariant block a start state reaches. The block is
+    exact for any generator; the mark only says where the search is worth
+    its cost. It reads every start state from its entries and maps back
+    to entries; qsw.cli._generators runs the walks instead where they apply.
     """
 
     dissipative_only: bool = False
@@ -377,38 +383,25 @@ class Liouvillian(_CSRGenerator):
     def _row_count(self) -> int:
         return self.dim * self.dim
 
-    @cached_property
-    def _blocks(self) -> list:
-        """The reached sets searched so far: (member mask, (index of the block, its _ShiftedGenerator)), with (slice(None), None) for every coordinate."""
-        return []
-
     def _route(self, rho0: DensityMatrix):
         """The route's name, the kernel's _ShiftedGenerator, rho0's vector on it, and the map from the kernel's result back to an unchecked state.
 
         The vector is the real coordinates of rho0's entries, whatever form
         it records (diag(p) gives those of p bit for bit); for a
         dissipative_only generator, only those in the invariant block that
-        rho0's support reaches. No column of R
-        in the block has a nonzero row outside it, so exp(tR) keeps the
-        vector there and equals exp(t R_BB) on its entries, with R_BB's own
-        shift and 1-norm. A reached set is closed under R, so the set found
-        for the first step of a time grid serves every later step without a
-        search. Every route maps back to the entries.
+        rho0's support reaches. No column of R in the block has a nonzero
+        row outside it, so exp(tR) keeps the vector there and equals
+        exp(t R_BB) on its entries, with R_BB's own shift and 1-norm.
+        Every route maps back to the entries.
         """
         n = self.dim
         coords = to_coordinates(rho0.entries)
         index, gen = slice(None), None
         if self.dissipative_only:
-            support = np.flatnonzero(coords)
-            found = [block for member, block in self._blocks if member[support].all()]
-            if found:
-                index, gen = found[0]
-            else:
-                member = _reached(self.matrix, support)
-                if not member.all():
-                    index = np.flatnonzero(member)
-                    gen = _ShiftedGenerator(self.matrix[index][:, index])
-                self._blocks.append((member, (index, gen)))
+            member = _reached(self.matrix, np.flatnonzero(coords))
+            if not member.all():
+                index = np.flatnonzero(member)
+                gen = _ShiftedGenerator(self.matrix[index][:, index])
 
         def back(x: np.ndarray) -> DensityMatrix:
             full = np.zeros(n * n)
@@ -430,7 +423,8 @@ class QuantumWalk(_CSRGenerator):
     H' = H - (tr H / dim) I. The shift multiplies psi(t) by a global phase,
     which psi psi^dag drops, and it lowers the 1-norm that sizes the
     kernel's steps. Its _route hands the kernel the amplitudes a state
-    records (DensityMatrix.amplitudes), not the state's dim^2 coordinates.
+    records (DensityMatrix.amplitudes), not the state's dim^2 coordinates,
+    and maps back to a state that records psi(t).
     """
 
     @property
@@ -457,7 +451,7 @@ class QuantumWalk(_CSRGenerator):
             )
 
         def back(x: np.ndarray) -> DensityMatrix:
-            return DensityMatrix._unchecked(amplitudes=x[: self.dim] + 1j * x[self.dim :])
+            return DensityMatrix._unchecked(amplitudes=x[: x.size // 2] + 1j * x[x.size // 2 :])
 
         return "amplitudes", self._shifted, np.concatenate([psi.real, psi.imag]), back
 
@@ -603,9 +597,7 @@ class EigenbasisWalk:
     on (Re, Im) of each coherence i < j that moves; when none moves, the
     matrix is 0 x 0 and the kernel makes no product. The decomposition is
     made once (from_hamiltonian), and at gives the walk at each omega on
-    that same decomposition. The walk keeps the eigenbasis coordinates of
-    the state it made last, so the next step of a time grid starts from
-    them with no transform. Every matrix product with U is a _product,
+    that same decomposition. Every matrix product with U is a _product,
     and the amplitudes' one mat-vec an np.einsum, which calls no BLAS, so
     the route's states do not depend on the BLAS thread count, though
     eigh's eigenvectors do at large dim.
@@ -685,36 +677,29 @@ class EigenbasisWalk:
         return _ShiftedGenerator(matrix)
 
     @cached_property
-    def _last(self) -> list:
-        """[the state this walk made last, its eigenbasis populations, its coherences over every pair i < j], or empty."""
-        return []
-
-    def _coordinates(self, rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """The populations and the coherences over every pair i < j of U^dag rho0 U, read from the amplitudes if rho0 records them."""
-        if self._last and self._last[0] is rho0:
-            return self._last[1], self._last[2]
-        u = self.eigenvectors
-        first, second, _ = self._moving
-        if rho0.amplitudes is not None:
-            phi = np.einsum("ji,j->i", u.conj(), rho0.amplitudes)
-            return (phi * phi.conj()).real, phi[first] * phi[second].conj()
-        tilde = _rotated(u.conj().T, rho0.entries, u)
-        return tilde.diagonal().real.copy(), tilde[first, second]
+    def _chain(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
     def _route(self, rho0: DensityMatrix):
         """The route's name, the kernel's _ShiftedGenerator, (Re, Im) of the moving coherences of U^dag rho0 U, and the map back to entries.
 
-        The map back fills U^dag rho(t) U from the kernel's result, the
-        unmoved coherences and the populations, and rotates it back with U.
-        The entries are made Hermitian as (C + C^dag) / 2, and the walk
-        keeps the eigenbasis coordinates for a next step from this state.
+        The populations and coherences of U^dag rho0 U are read from the
+        amplitudes if rho0 records them, else from its entries. The map back
+        fills U^dag rho(t) U from the kernel's result, the unmoved
+        coherences and the populations, and rotates it back with U. The
+        entries are made Hermitian as (C + C^dag) / 2.
         """
-        diagonal, coherences = self._coordinates(rho0)
+        u = self.eigenvectors
         first, second, moving = self._moving
+        if rho0.amplitudes is not None:
+            phi = np.einsum("ji,j->i", u.conj(), rho0.amplitudes)
+            diagonal, coherences = (phi * phi.conj()).real, phi[first] * phi[second].conj()
+        else:
+            tilde = _rotated(u.conj().T, rho0.entries, u)
+            diagonal, coherences = tilde.diagonal().real.copy(), tilde[first, second]
         size = 2 * np.count_nonzero(moving)
         x = np.zeros(size)
         x[0:size:2], x[1:size:2] = coherences[moving].real, coherences[moving].imag
-        u = self.eigenvectors
 
         def back(x: np.ndarray) -> DensityMatrix:
             moved = coherences.copy()
@@ -723,9 +708,7 @@ class EigenbasisWalk:
             tilde[first, second] = moved
             tilde[second, first] = moved.conj()
             entries = _rotated(u, tilde, u.conj().T)
-            state = DensityMatrix._unchecked((entries + entries.conj().T) / 2.0)
-            self._last[:] = [state, diagonal, moved]
-            return state
+            return DensityMatrix._unchecked((entries + entries.conj().T) / 2.0)
 
         return "eigenbasis", self._shifted, x, back
 
@@ -1173,16 +1156,18 @@ def propagate_detailed(
     (Re psi, Im psi) of rho0's amplitudes psi, a ClassicalWalk's
     populations p of rho0, or an EigenbasisWalk's coherences of rho0 in
     H's eigenbasis; the first two walks refuse a state that records no
-    such form. The route is taken before the t = 0 shortcut, so that refusal
-    does not depend on t. A zero t returns rho0 itself, with method and
-    route "identity" and 0 steps. Otherwise _expm_action computes
-    exp(t R) on the vector in float64, and the route maps the result back
-    to a state in its own form: psi(t) as amplitudes, p(t) as
-    populations, and coordinates and coherences as the state's entries,
-    Hermitian by construction. The info's steps is the
-    number of sparse matrix-vector products the kernel made, route names
-    the route and rows the coordinates it multiplied. The call is
-    deterministic and draws no random numbers.
+    such form. A state the generator made or read before is not mapped
+    again: its _chain, a weak map, keeps the state's route with the
+    kernel's vector of it (see the chain rule above). The route is taken
+    before the t = 0 shortcut, so that refusal does not depend on t. A zero t returns rho0 itself, with method and route
+    "identity" and 0 steps. Otherwise _expm_action computes exp(t R) on
+    the vector in float64, and the route maps the result back to a state
+    in its own form: psi(t) as amplitudes, p(t) as populations, and
+    coordinates and coherences as the state's entries, Hermitian by
+    construction. The info's steps is the number of sparse matrix-vector
+    products the kernel made, route names the route and rows the
+    coordinates it multiplied. The call is deterministic and draws no
+    random numbers.
 
     The final state must stay within the trace, Hermiticity and positivity
     budgets, checked in its form (see _diagnostics), or the call raises
@@ -1196,7 +1181,10 @@ def propagate_detailed(
         raise ValueError(f"t must be 0 or at least {MIN_POSITIVE_TIME}, got {t}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {liouvillian.dim}")
-    route, gen, x, back = liouvillian._route(rho0)
+    chain = liouvillian._chain
+    if rho0 not in chain:
+        chain[rho0] = liouvillian._route(rho0)
+    route, gen, x, back = chain[rho0]
 
     if t == 0:
         return rho0, _identity_info(rho0)
@@ -1206,6 +1194,7 @@ def propagate_detailed(
     # The budgets are the DensityMatrix checks at the solver tolerances, so
     # the state is checked once, here, in the form its route made.
     diagnostics = _check_budgets(state, f"state propagated by t={t} violated budgets")
+    chain[state] = route, gen, y, back
     return state, PropagationInfo(matvecs, *diagnostics, route, gen.rows(x))
 
 

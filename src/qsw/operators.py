@@ -109,6 +109,16 @@ class JumpOperatorSet:
         if not np.isfinite(k_diagonal).all():
             b = np.argmax(~np.isfinite(k_diagonal))
             raise ValueError(f"K = sum_k L_k^dag L_k overflows: sum_k sum_c |L_k[c, {b}]|^2 of column {b} is not finite")
+        # |tr R_D| = dim tr K - sum_k |tr L_k|^2, and every diagonal entry of R_D is at most 0, so dim tr K
+        # bounds each partial sum of the trace the kernel forms; past the float range it would warn first.
+        with np.errstate(over="ignore"):
+            trace = float(k_diagonal.sum())
+        if not np.isfinite(self.dim * trace):
+            b = np.argmax(k_diagonal)
+            raise ValueError(
+                f"K = sum_k L_k^dag L_k has a diagonal that sums to {trace!r}, up to {float(k_diagonal[b])!r} in column {b}, "
+                f"and dim {self.dim} times the sum is past the float range"
+            )
         key = (number * self.dim + rows) * self.dim + cols
         _, order, repeats = np.unique(key, return_index=True, return_counts=True)
         if (repeats > 1).any():

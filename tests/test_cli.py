@@ -469,6 +469,21 @@ class TestInvariantBlock:
         assert searches == []
         assert routes == [("identity", 0)] + [(route, shape[0])] * 2
 
+    def test_a_coordinate_grid_maps_its_start_state_in_once(self, tmp_path, monkeypatch):
+        # Each later point continues from the kernel's vector of the state
+        # before it; the entries of that state were once read back in at every point.
+        calls = []
+        to_coordinates = qsw.evolution.to_coordinates
+
+        def counting(entries):
+            calls.append(entries.shape)
+            return to_coordinates(entries)
+
+        monkeypatch.setattr(qsw.evolution, "to_coordinates", counting)
+        rc, _ = run(tmp_path, "simulate", "--graph", "line:21:1", "--regime", "crw", "--omega", "0.5", "--t", "0:2:3")
+        assert rc == 0
+        assert calls == [(21, 21)]
+
     @pytest.mark.parametrize(
         "regime, block, route, search_count",
         [(("crw",), 21, "populations", 0), (("qsw-global", "--global-l", "offdiagonal"), 121, "invariant-block", 1)],
@@ -551,10 +566,10 @@ class TestEigenbasisRoute:
         "graph, message",
         [
             (
-                # K = H^2 is finite (6 r^2 = 1.5e308), but Delta^2 = 9 r^2 is not.
+                # Each entry of K = H^2 is finite (6 r^2 = 1.5e308 at most), but tr K = 10 r^2 is not.
                 "line:3:5e153",
-                "the coherence of eigenvectors 0 and 2 of H has a rate that is not finite at omega = 0.5: Delta = -1.5e+154, "
-                "rotation (1 - omega) Delta = -7.5e+153, decay (omega / 2) Delta^2 = inf",
+                "K = sum_k L_k^dag L_k has a diagonal that sums to inf, up to 1.5e+308 in column 1, "
+                "and dim 3 times the sum is past the float range",
             ),
             ("line:3:1e200", "K = sum_k L_k^dag L_k overflows: sum_k sum_c |L_k[c, 0]|^2 of column 0 is not finite"),
         ],
@@ -942,6 +957,17 @@ def test_unparseable_flag_is_located_config_error(tmp_path, capsys, argv, messag
     assert rc == 2
     assert text is None
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", ["1", "0.5"])
+def test_a_quadratic_rate_past_the_float_range_is_refused_with_its_jump_set(tmp_path, capsys, omega):
+    # Each entry of K is finite (2e306 at most), but 21 tr K = 8.4e308 is not; the
+    # trace of R_D once overflowed with a numpy warning before the step bound's exit 2.
+    argv = ("simulate", "--graph", "line:21:1e153", "--regime", "qsw-global", "--global-l", "offdiagonal", "--omega", omega)
+    rc, text = run(tmp_path, *argv, "--t", "1")
+    assert (rc, text) == (2, None)
+    message = "K = sum_k L_k^dag L_k has a diagonal that sums to 4.000000000000001e+307, up to 2e+306 in column 1, "
+    assert f"error: {message}and dim 21 times the sum is past the float range\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """States, the interpolated superoperator, and propagation."""
 
 import copy
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -641,6 +643,113 @@ class TestPropagate:
         with pytest.raises(StateInvariantError) as excinfo:
             _check_budgets(state, "non-finite form")
         assert np.isnan([excinfo.value.trace_drift, excinfo.value.hermiticity_drift, excinfo.value.min_eigenvalue]).all()
+
+
+CHAIN_ROUTES = ["coordinates", "invariant-block", "amplitudes", "populations", "eigenbasis"]
+
+
+def chain_generator(route):
+    """A generator on line:21 that runs its center vertex on route, and that start state."""
+    _, lmap, m, h = line_setup(21)
+    make = {
+        "coordinates": lambda: build_liouvillian(h, edge_jump_operators(m), 0.5),
+        "invariant-block": lambda: build_liouvillian(h, global_jump_operator(m, "offdiagonal"), 1.0),
+        "amplitudes": lambda: QuantumWalk.from_hamiltonian(h),
+        "populations": lambda: ClassicalWalk.from_jump_operators(edge_jump_operators(m)),
+        "eigenbasis": lambda: EigenbasisWalk.from_hamiltonian(h).at(0.5),
+    }
+    return make[route](), DensityMatrix.basis(21, lmap.center)
+
+
+def chain(gen, rho0, steps=2, dt=1.0) -> list:
+    """The states of a forward chain of steps of dt from rho0."""
+    states = [rho0]
+    for _ in range(steps):
+        states.append(propagate(states[-1], gen, dt))
+    return states[1:]
+
+
+class TestChain:
+    """A state a generator made or read continues from its own kernel vector; every other state is mapped in once."""
+
+    def test_interleaved_eigenbasis_chains_get_the_bits_each_gets_alone(self):
+        # The walk once kept only the state it made last, so a step of one
+        # chain between two steps of another moved the other's second state
+        # by 2e-16: it was mapped in again from its entries.
+        _, lmap, m, h = line_setup(21)
+        walk = EigenbasisWalk.from_hamiltonian(h).at(0.5)
+        starts = DensityMatrix.basis(21, lmap.center), DensityMatrix.basis(21, 3)
+        alone = [[s.entries.tobytes() for s in chain(walk.at(0.5), start)] for start in starts]
+        a, b = starts
+        a1 = propagate(a, walk, 1.0)
+        b1 = propagate(b, walk, 1.0)
+        a2 = propagate(a1, walk, 1.0)
+        b2 = propagate(b1, walk, 1.0)
+        assert [a1.entries.tobytes(), a2.entries.tobytes()] == alone[0]
+        assert [b1.entries.tobytes(), b2.entries.tobytes()] == alone[1]
+
+    def test_a_vertex_start_runs_on_its_own_block_after_a_superposition(self):
+        # R_D once kept every block it had searched, and ran a start on the
+        # first that held its support: the 231 coordinates a superposition of
+        # vertices 10 and 11 reaches, not the 121 of vertex 10's own block.
+        _, lmap, m, h = line_setup(21)
+        ls = global_jump_operator(m, "offdiagonal")
+        r_d = build_liouvillian(h, ls, 1.0)
+        psi = np.zeros(21)
+        psi[[lmap.center, lmap.center + 1]] = np.sqrt(0.5)
+        superposition = DensityMatrix.pure(psi)
+        _, info = propagate_detailed(superposition, r_d, 1.0)
+        assert (info.route, info.rows) == ("invariant-block", 231)
+        vertex = DensityMatrix.basis(21, lmap.center)
+        state, info = propagate_detailed(vertex, r_d, 1.0)
+        expected, expected_info = propagate_detailed(vertex, build_liouvillian(h, ls, 1.0), 1.0)
+        assert (info.route, info.rows) == ("invariant-block", 121)
+        assert state.entries.tobytes() == expected.entries.tobytes() and info == expected_info
+
+    @pytest.mark.parametrize("route", CHAIN_ROUTES)
+    def test_a_state_does_not_keep_its_generator_alive(self, route):
+        gen, rho0 = chain_generator(route)
+        state, info = propagate_detailed(rho0, gen, 1.0)
+        assert info.route == route
+        ref = weakref.ref(gen)
+        gc.disable()
+        try:
+            del gen
+            freed_at_once = ref() is None
+        finally:
+            gc.enable()
+        gc.collect()
+        # Reference counting alone frees it: no route value refers to its generator, so no cycle holds it.
+        assert freed_at_once and ref() is None
+        assert populations(state).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("route", ["coordinates", "eigenbasis"])
+    def test_a_state_another_generator_read_continues_from_its_own_vector(self, route):
+        # The other generator enters the state in its own chain, not in this one's.
+        gen, rho0 = chain_generator(route)
+        twin, _ = chain_generator(route)
+        other, _ = chain_generator("invariant-block")
+        direct = chain(twin, rho0)[1]
+        made = propagate(rho0, gen, 1.0)
+        propagate(made, other, 1.0)
+        again = propagate(made, gen, 1.0)
+        assert again.entries.tobytes() == direct.entries.tobytes()
+
+    @pytest.mark.parametrize("route", CHAIN_ROUTES)
+    def test_a_chain_maps_its_start_state_in_once(self, route, monkeypatch):
+        gen, rho0 = chain_generator(route)
+        routes = []
+        route_of = type(gen)._route
+
+        def counting_route(self, state):
+            routes.append(state)
+            return route_of(self, state)
+
+        monkeypatch.setattr(type(gen), "_route", counting_route)
+        state = rho0
+        for dt in (0.0, 0.5, 0.0, 1.0):
+            state = propagate(state, gen, dt)
+        assert routes == [rho0]
 
 
 class TestQuantumWalk:

@@ -203,6 +203,12 @@ class TestTripletStorage:
         with pytest.raises(ValueError, match=message):
             JumpOperatorSet(3, count, number, rows, cols, values, "custom")
 
+    def test_refuses_a_k_whose_trace_times_dim_is_past_the_float_range(self):
+        # dim tr K bounds the trace of R_D; 3 * 5e307 is finite, 3 * 7e307 is not.
+        JumpOperatorSet(3, 1, [0], [0], [1], [np.sqrt(5e307)], "custom")
+        with pytest.raises(ValueError, match=r"^K = sum_k L_k\^dag L_k has a diagonal that sums to .*, up to .* in column 1, and dim 3 times"):
+            JumpOperatorSet(3, 1, [0], [0], [1], [np.sqrt(7e307)], "custom")
+
     def test_keeps_nonzeros_sorted_and_counts_all_zero_operators(self):
         ls = JumpOperatorSet(3, 4, [2, 0, 2, 1], [1, 2, 0, 0], [0, 1, 2, 0], [5.0, 1j, 2.0, 0.0], "custom")
         assert ls.count == 4

@@ -1,6 +1,7 @@
-"""The README's library quickstart runs as written, and its route table matches the CLI."""
+"""The README's library quickstart runs as written, its route table matches the CLI, and its marked figures are the CLI's."""
 
 import importlib.util
+import json
 import re
 import shlex
 import sys
@@ -12,6 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 # The Solvers section's table: omega | jump set | route | generator | example, one row per route.
 ROUTE_TABLE = re.compile(r"^\| omega \| jump set \| route \| generator \| example \|\n\|[-|]+\|\n((?:\|.*\|\n)+)", re.M)
+# A figure marker beside a deterministic figure: the command that produces it and the figure.
+FIGURE = re.compile(r"<!-- figure: (.+?) \| solver_steps = (\d+) -->")
 
 
 def test_quickstart_runs(capsys):
@@ -66,3 +69,14 @@ def test_the_output_gate_takes_every_route(tmp_path, monkeypatch):
     assert routes - {"identity"} == {route for route, _ in route_rows()}
     # run_commands reads perfbench's workloads from perfbench/ and takes it off the path again.
     assert sys.path == path
+
+
+def test_each_marked_figure_is_the_commands_solver_steps(tmp_path):
+    # A marked figure is the sum of solver_steps over the command's points, so a grid's counts its chain.
+    figures = FIGURE.findall(README.read_text(encoding="utf-8"))
+    assert len(figures) >= 7
+    for command, figure in figures:
+        output = tmp_path / "figure.json"
+        assert cli.main([*shlex.split(command), "--output", str(output)]) == 0, command
+        results = json.loads(output.read_text())["results"]
+        assert sum(r["validation"]["solver_steps"] for r in results) == int(figure), command

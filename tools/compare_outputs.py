@@ -29,7 +29,8 @@ tests/test_readme.py checks:
 - omega = 1 of qsw-global without the diagonal runs the Liouvillian's
   invariant block, its parity block of 121 of 441 coordinates on line:21.
 - Every other interior omega runs the Liouvillian on all coordinates:
-  the crw sweeps.
+  the crw sweeps, and a crw time grid on line:21 at omega 0.5, whose
+  later steps continue from the kernel's vector of the state before.
 
 Each checkout runs in a fresh interpreter that imports qsw from its src/,
 once at OPENBLAS_NUM_THREADS=1 and once at =2, and the tool prints one
@@ -96,6 +97,7 @@ CHAINS = [
     ("simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "1", "--t", "0:3:4"),
     ("simulate", "--graph", "line:21:1", "--regime", "qsw-global", "--global-l", "offdiagonal", "--omega", "1", "--t", "5"),
     ("sweep", "--graph", "line:21:1", "--regime", "qsw-global", "--omega", "0:1:5", "--t", "2"),
+    ("simulate", "--graph", "line:21:1", "--regime", "crw", "--omega", "0.5", "--t", "0:2:3"),
 ]
 
 
